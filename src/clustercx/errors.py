@@ -1,7 +1,8 @@
 """Shared error taxonomy.
 
 Every module raises subclasses of ClusterCxError so callers can catch one
-base class; the CLI maps them onto the usage exit code.
+base class; the CLI maps them onto exit code 1 (exit code 2 is kept for
+usage errors).
 """
 
 

@@ -14,6 +14,7 @@ from .errors import (
     ShapeError,
     SurgeryError,
 )
+from .strata import _replace_vertex
 from .trees import LEAF, PlanarTree, vertex
 
 
@@ -164,10 +165,6 @@ def _vertex_at(tree, path):
         raise SurgeryError("no vertex at path %r" % (path,))
 
 
-def _marks_total(tree):
-    return tree.num_marks
-
-
 def _prune_leafless(v):
     i, col, slots = v
     kept = []
@@ -181,18 +178,6 @@ def _prune_leafless(v):
     if not kept:
         return None
     return vertex(i, col, tuple(kept))
-
-
-def _replace_at(root, path, new_v):
-    if not path:
-        return new_v
-    i, col, slots = root
-    idx = path[0]
-    return vertex(
-        i,
-        col,
-        slots[:idx] + (_replace_at(slots[idx], path[1:], new_v),) + slots[idx + 1 :],
-    )
 
 
 def _drop_child(root, path):
@@ -240,7 +225,7 @@ def reduce(ct, spec):
                 "type I needs d | k(D); got d=%d, k(D)=%d" % (d, i)
             )
         new_v = vertex(i // d, col, slots)
-        after = PlanarTree(_replace_at(before.root, path, new_v))
+        after = PlanarTree(_replace_vertex(before, path, new_v))
         return ClusterSurgeryRecord(
             before, after, "I(%d)" % d, removed_marks=i - i // d
         )
@@ -265,7 +250,7 @@ def reduce(ct, spec):
         if not 0 <= at <= len(dslots):
             raise SurgeryError("slot position %d out of range" % at)
         new_dest = vertex(di, dcol, dslots[:at] + slots + dslots[at:])
-        after = PlanarTree(_replace_at(root, dest, new_dest))
+        after = PlanarTree(_replace_vertex(PlanarTree(root), dest, new_dest))
         return ClusterSurgeryRecord(
             before, after, "IIa", removed_marks=i
         )
@@ -281,7 +266,7 @@ def reduce(ct, spec):
         if not 0 <= at <= len(cslots):
             raise SurgeryError("slot position %d out of range" % at)
         new_v = vertex(ci, ccol, cslots[:at] + rest + cslots[at:])
-        after = PlanarTree(_replace_at(before.root, path, new_v))
+        after = PlanarTree(_replace_vertex(before, path, new_v))
         return ClusterSurgeryRecord(
             before, after, "IIb", removed_marks=i
         )
@@ -294,7 +279,7 @@ def reduce(ct, spec):
             before,
             after,
             "III",
-            removed_marks=_marks_total(before) - after.num_marks,
+            removed_marks=before.num_marks - after.num_marks,
         )
     if tag in ("gen-I", "gen-II", "gen-III"):
         return ClusterSurgeryRecord(

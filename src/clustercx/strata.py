@@ -16,10 +16,11 @@ is relative to that product orientation.
 """
 
 import json
+from functools import lru_cache
 from itertools import combinations, permutations
 
 from . import trees
-from .errors import CapError, GhostCornerError, ShapeError, StabilityError
+from .errors import GhostCornerError, ShapeError, StabilityError
 from .signs import sign_concat, sign_lower_quilt, sign_upper_quilt, perm_parity
 from .trees import LEAF, PlanarTree, vertex
 
@@ -106,9 +107,6 @@ class Stratum:
     def dim(self):
         return sum(vertex_dim(v) for _, v in self.tree.vertices())
 
-    def dim_by_vertices(self):
-        return self.dim
-
     def ghost_paths(self):
         """Components without interior marks (identification loci in Ks)."""
         return [p for p, v in self.tree.vertices() if v[0] == 0]
@@ -117,39 +115,33 @@ class Stratum:
 class FacePoset:
     """All strata of one family at fixed (l, k), with covering relations.
 
-    ``coverings`` lists index pairs (a, b) where stratum b lies in the
-    closed cell of stratum a with codim(b) = codim(a) + 1.
+    ``coverings`` lists, sorted, the index pairs (a, b) where stratum b is a
+    face of stratum a that ``boundary_faces`` generates, whatever its sign:
+    b lies in the closed cell of a with codim(b) = codim(a) + 1.
     """
 
-    def __init__(self, family, l, k, strata, coverings=None):
+    def __init__(self, family, l, k, strata):
         self.family = family
         self.l = l
         self.k = k
         self.strata = strata
-        self._coverings = coverings
+        self._coverings = None
         self._index = {s: i for i, s in enumerate(strata)}
 
     @property
     def coverings(self):
         if self._coverings is None:
-            self._coverings = _compute_coverings(self)
+            self._coverings = sorted(
+                {
+                    (a, self._index[f])
+                    for a, s in enumerate(self.strata)
+                    for f, _ in boundary_faces(s)
+                }
+            )
         return self._coverings
 
     def index(self, stratum):
         return self._index[stratum]
-
-    def by_codim(self):
-        out = {}
-        for i, s in enumerate(self.strata):
-            out.setdefault(s.codim, []).append(i)
-        return out
-
-    def f_vector(self):
-        """Cell counts in ascending dimension."""
-        counts = {}
-        for s in self.strata:
-            counts[s.dim] = counts.get(s.dim, 0) + 1
-        return tuple(counts[d] for d in sorted(counts))
 
 
 def _k_strata(l, k):
@@ -174,48 +166,12 @@ def _q_strata(l, k):
     return out
 
 
-def _compute_coverings(poset):
-    strata = poset.strata
-    if poset.family in ("K", "Ks"):
-        coverings = []
-        by_cd = {}
-        for i, s in enumerate(strata):
-            by_cd.setdefault(s.codim, []).append(i)
-        for cd, idxs in sorted(by_cd.items()):
-            for i in idxs:
-                for j in by_cd.get(cd + 1, ()):
-                    if trees.leq(strata[i].tree, strata[j].tree):
-                        coverings.append((i, j))
-        return coverings
-    # quilted: full order then Hasse reduction, since a single covering
-    # step can contract several edges when it merges away a colored layer
-    n = len(strata)
-    less = [[False] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            if strata[a].codim < strata[b].codim:
-                if trees.leq(strata[a].tree, strata[b].tree):
-                    less[a][b] = True
-    coverings = []
-    for a in range(n):
-        for b in range(n):
-            if less[a][b] and not any(
-                less[a][c] and less[c][b] for c in range(n)
-            ):
-                coverings.append((a, b))
-    return coverings
-
-
 def face_poset(family, l, k):
     """Poset of all strata at (l, k); covering relations computed lazily."""
     family = _norm_family(family)
     trees.check_caps(l, k)
     strata = _k_strata(l, k) if family in ("K", "Ks") else _q_strata(l, k)
     return FacePoset(family, l, k, strata)
-
-
-def f_vector(family, l, k):
-    return face_poset(family, l, k).f_vector()
 
 
 # -- grading profile without materializing strata --------------------------
@@ -225,9 +181,6 @@ def f_vector(family, l, k):
 # vertex by vertex, independently of the codim bookkeeping, so comparing
 # the profile against dimension(family, l, k) checks the poset grading on
 # families far too large to list.
-
-from functools import lru_cache
-
 
 def _acc(out, key, n):
     out[key] = out.get(key, 0) + n
@@ -330,6 +283,14 @@ def grading_profile(family, l, k):
     return out
 
 
+def f_vector(family, l, k):
+    """Cell counts in ascending dimension, summed from the grading profile."""
+    counts = {}
+    for (_, d), n in grading_profile(family, l, k).items():
+        _acc(counts, d, n)
+    return tuple(counts[d] for d in sorted(counts))
+
+
 def facet_kind(stratum):
     """Classify a codim-1 quilted stratum: 'lower' if an unquilted component
     bubbled off a quilted one, 'upper' if the seam split into several."""
@@ -341,7 +302,7 @@ def facet_kind(stratum):
 # -- boundary faces with orientation signs -------------------------------
 
 
-def _splits_of_vertex(v, colored_family):
+def _splits_of_vertex(v):
     """All one-step refinements of a single vertex.
 
     Yields (new_vertex, local_sign, dmid, db) where new_vertex replaces v,
@@ -351,83 +312,68 @@ def _splits_of_vertex(v, colored_family):
     """
     i, col, slots = v
     s = len(slots)
-    if not col:
-        # plain split: a consecutive window becomes an uncolored child
-        for w in range(s + 1):
-            for a in range(s - w + 1):
-                for ib in range(i + 1):
-                    ia = i - ib
-                    window = slots[a : a + w]
-                    va_slots = s - w + 1
-                    vb = vertex(ib, False, window)
-                    va = vertex(
-                        ia, False, slots[:a] + (vb,) + slots[a + w :]
-                    )
-                    if not (
-                        trees._stable_vertex(va) and trees._stable_vertex(vb)
-                    ):
-                        continue
-                    j = a + 1
-                    local = sign_concat(va_slots, j, w)
-                    dmid = sum(
-                        _subtree_factor_dim(x)
-                        for x in slots[:a]
-                        if isinstance(x, tuple)
-                    )
-                    yield va, local, dmid, vertex_dim(vb)
-        return
-    # colored vertex: unquilted bubble (lower facet shape)
+    # bubble: a consecutive window becomes an uncolored child; v keeps its
+    # color (a plain split, or the lower facet shape on a colored vertex)
+    facet_sign = sign_lower_quilt if col else sign_concat
     for w in range(s + 1):
         for a in range(s - w + 1):
             for ib in range(i + 1):
-                ia = i - ib
-                window = slots[a : a + w]
-                vb = vertex(ib, False, window)
-                va = vertex(ia, True, slots[:a] + (vb,) + slots[a + w :])
+                vb = vertex(ib, False, slots[a : a + w])
+                va = vertex(i - ib, col, slots[:a] + (vb,) + slots[a + w :])
                 if not (
                     trees._stable_vertex(va) and trees._stable_vertex(vb)
                 ):
                     continue
-                j = a + 1
-                local = sign_lower_quilt(s - w + 1, j, w)
                 dmid = sum(
                     _subtree_factor_dim(x)
                     for x in slots[:a]
                     if isinstance(x, tuple)
                 )
-                yield va, local, dmid, vertex_dim(vb)
-    # seam split (upper facet shape): the slots partition into q >= 2
-    # consecutive blocks, each becoming a colored child of an uncolored hub
-    for q in range(2, s + 1):
-        for cuts in combinations(range(1, s), q - 1):
+                yield va, facet_sign(s - w + 1, a + 1, w), dmid, vertex_dim(vb)
+    if not col:
+        return
+    # seam split (upper facet shape): the slots cut into consecutive blocks
+    # under a new uncolored hub.  A block that is one leafless child stays
+    # on the hub as it is (colored, it would break the colored axiom); every
+    # other block becomes a colored child.  A colored vertex has a leaf
+    # above it, so at least one block is colored.
+    for nb in range(1, s + 1):
+        for cuts in combinations(range(1, s), nb - 1):
             bounds = (0,) + cuts + (s,)
-            blocks = [
-                slots[bounds[t] : bounds[t + 1]] for t in range(q)
+            blocks = [slots[bounds[t] : bounds[t + 1]] for t in range(nb)]
+            kept = [
+                len(b) == 1
+                and isinstance(b[0], tuple)
+                and not trees._count_leaves(b[0])
+                for b in blocks
             ]
-            for marks in _distribute(i, q + 1):
-                ia, child_marks = marks[0], marks[1:]
-                children = [
-                    vertex(child_marks[t], True, blocks[t]) for t in range(q)
-                ]
-                va = vertex(ia, False, tuple(children))
-                if not trees._stable_vertex(va):
-                    continue
-                if not all(trees._stable_vertex(c) for c in children):
-                    continue
-                local = sign_upper_quilt([len(b) for b in blocks])
-                # reorder correction: child factor t moves past the subtree
-                # factors of the earlier blocks
+            n_colored = kept.count(False)
+            block_dims = [
+                sum(_subtree_factor_dim(x) for x in b if isinstance(x, tuple))
+                for b in blocks
+            ]
+            upper = sign_upper_quilt([len(b) for b in blocks])
+            for marks in _distribute(i, n_colored + 1):
+                child_marks = iter(marks[1:])
+                hub_slots = []
+                # reorder correction: each colored child factor moves past
+                # the subtree factors of the earlier blocks
                 corr = 0
                 acc = 0
-                for t in range(q):
-                    corr += vertex_dim(children[t]) * acc
-                    acc += sum(
-                        _subtree_factor_dim(x)
-                        for x in blocks[t]
-                        if isinstance(x, tuple)
-                    )
-                local *= -1 if corr % 2 else 1
-                yield va, local, 0, 0
+                stable = True
+                for b, keep, bd in zip(blocks, kept, block_dims):
+                    if keep:
+                        hub_slots.append(b[0])
+                    else:
+                        c = vertex(next(child_marks), True, b)
+                        stable = stable and trees._stable_vertex(c)
+                        corr += vertex_dim(c) * acc
+                        hub_slots.append(c)
+                    acc += bd
+                va = vertex(marks[0], False, hub_slots)
+                if not (stable and trees._stable_vertex(va)):
+                    continue
+                yield va, -upper if corr % 2 else upper, 0, 0
 
 
 def _distribute(total, parts):
@@ -447,13 +393,12 @@ def boundary_faces(stratum):
     factors and the reordering of the inserted factor into preorder.
     """
     fam = stratum.family
-    colored_family = fam == "Q"
     tree = stratum.tree
     verts = tree.vertices()
     out = []
     prefix = 0
     for path, v in verts:
-        for va, local, dmid, db in _splits_of_vertex(v, colored_family):
+        for va, local, dmid, db in _splits_of_vertex(v):
             sign = local
             if prefix % 2:
                 sign = -sign
@@ -461,7 +406,7 @@ def boundary_faces(stratum):
                 sign = -sign
             new_tree = _replace_vertex(tree, path, va)
             cand = Stratum(fam, PlanarTree(new_tree), stratum.perm)
-            if colored_family and not cand.tree.check_colored_axiom():
+            if fam == "Q" and not cand.tree.check_colored_axiom():
                 continue
             out.append((cand, sign))
         prefix += vertex_dim(v)
@@ -535,12 +480,6 @@ class CornerProduct:
             self.grafts,
             self.kind,
         )
-
-
-def _graft_standard(l1, l2, j):
-    """Permutation of 1..(l1+l2-1) realizing the grafted standard orderings:
-    identity, since grafting standard orderings in planar order is ordered."""
-    return tuple(range(1, l1 + l2))
 
 
 def corner_decomposition(stratum):

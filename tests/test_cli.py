@@ -1,5 +1,6 @@
 """Exit codes, output formats, and determinism of the command line."""
 
+import hashlib
 import json
 
 import pytest
@@ -46,6 +47,12 @@ class TestBasics:
     def test_fvector_plain(self, capsys):
         code, out = run(capsys, "fvector", "--family", "K", "--l", "4", "--k", "0")
         assert code == 0 and out.strip() == "5 5 1"
+
+    def test_export_quilted_with_marks_pinned(self, capsys):
+        code, out = run(capsys, "export", "--family", "Q", "--l", "2", "--k", "1")
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "c09d2444a7b4834bf9bee3301939dbf8c2b0b506968b7f3b3df967aa841a84f0"
 
     def test_sign_concat(self, capsys):
         code, out = run(capsys, "sign", "concat", "--l1", "2", "--j", "2", "--l2", "2")

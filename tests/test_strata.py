@@ -9,6 +9,32 @@ from clustercx.errors import GhostCornerError
 from clustercx.trees import LEAF, PlanarTree, vertex
 
 
+def _contraction_order_coverings(poset):
+    """Oracle for ``FacePoset.coverings``: test ``trees.leq`` on stratum
+    pairs.  K and Ks pair adjacent codims; Q takes the full order and then
+    its Hasse reduction, since one step of the contraction order can
+    contract several edges when it merges away a colored layer."""
+    ss = poset.strata
+    n = len(ss)
+    if poset.family in ("K", "Ks"):
+        return [
+            (a, b)
+            for a in range(n)
+            for b in range(n)
+            if ss[b].codim == ss[a].codim + 1 and trees.leq(ss[a].tree, ss[b].tree)
+        ]
+    less = [
+        [ss[a].codim < ss[b].codim and trees.leq(ss[a].tree, ss[b].tree) for b in range(n)]
+        for a in range(n)
+    ]
+    return [
+        (a, b)
+        for a in range(n)
+        for b in range(n)
+        if less[a][b] and not any(less[a][c] and less[c][b] for c in range(n))
+    ]
+
+
 class TestGradings:
     def test_dimensions(self):
         assert strata.dimension("K", 4, 0) == 2
@@ -22,14 +48,18 @@ class TestGradings:
         assert strata.f_vector("Q", 3, 0) == (6, 6, 1)
 
     def test_profile_matches_materialized(self):
-        for fam, l, k in [("K", 4, 0), ("K", 3, 1), ("Q", 3, 0), ("Q", 2, 1)]:
+        cases = [("K", 4, 0), ("K", 3, 1), ("K", 5, 1), ("Ks", 4, 1), ("Q", 3, 0), ("Q", 2, 1)]
+        for fam, l, k in cases:
             prof = strata.grading_profile(fam, l, k)
             poset = strata.face_poset(fam, l, k)
             direct = {}
+            by_dim = {}
             for s in poset.strata:
                 key = (s.codim, s.dim)
                 direct[key] = direct.get(key, 0) + 1
+                by_dim[s.dim] = by_dim.get(s.dim, 0) + 1
             assert prof == direct
+            assert strata.f_vector(fam, l, k) == tuple(by_dim[d] for d in sorted(by_dim))
 
     def test_dim_plus_codim(self):
         for fam, l, k in [("K", 5, 0), ("K", 2, 2), ("Q", 4, 0)]:
@@ -53,6 +83,21 @@ class TestBoundary:
         assert strata.boundary_squares_to_zero("K", 4, 0)
         assert strata.boundary_squares_to_zero("K", 3, 1)
         assert strata.boundary_squares_to_zero("Q", 3, 0)
+        for l, k in [(2, 1), (3, 1), (1, 2), (2, 2)]:
+            assert strata.boundary_squares_to_zero("Q", l, k), (l, k)
+
+
+class TestCoverings:
+    @pytest.mark.parametrize(
+        "family, l, k",
+        [("K", l, 0) for l in range(2, 7)]
+        + [("K", 3, 1), ("Ks", 4, 0)]
+        + [("Q", l, 0) for l in range(1, 5)]
+        + [("Q", 2, 1), ("Q", 1, 2)],
+    )
+    def test_match_contraction_order(self, family, l, k):
+        poset = strata.face_poset(family, l, k)
+        assert poset.coverings == _contraction_order_coverings(poset)
 
 
 class TestCorners:
