@@ -41,15 +41,12 @@ def _load_json(path):
 
 
 def _window(args):
-    return barcx.TruncationWindow(
-        qmax=args.qmax, emax=args.emax, lmax=args.lmax
-    )
+    return barcx.TruncationWindow(qmax=args.qmax, emax=args.emax)
 
 
 def _add_window_flags(p):
     p.add_argument("--qmax", type=int, default=5)
     p.add_argument("--emax", type=int, default=8)
-    p.add_argument("--lmax", type=int, default=6)
     p.add_argument("--jobs", type=int, default=1)
 
 

@@ -40,12 +40,26 @@ class TestKoszul:
         with pytest.raises(ShapeError):
             signs.koszul_apply(1, 3, 2, [0, 1, 0])
 
-    def test_epsilon_bar_matches_gj_mod_suspension(self):
-        # moving a degree-shifted operation past shifted degrees
-        for degs in ([0, 1, 0], [1, 1, 1], [2, 0, 1]):
-            for j in range(1, 3):
-                bar = signs.epsilon_bar(j, [d - 1 for d in degs])
-                assert bar in (0, 1)
+    @given(st.lists(st.integers(0, 3), min_size=1, max_size=6), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_epsilon_bar_matches_gj_mod_suspension(self, degs, data):
+        # the inner arity-l2 operation at window j inside the outer arity-l1
+        # one: the Getzler-Jones and shifted parities differ by (j - 1) and
+        # the suspension signs of the inner, outer and whole words
+        Q = len(degs)
+        l2 = data.draw(st.integers(1, Q))
+        l1 = Q - l2 + 1
+        j = data.draw(st.integers(1, l1))
+        inner = degs[j - 1 : j - 1 + l2]
+        outer = degs[: j - 1] + [sum(inner) + 2 - l2] + degs[j - 1 + l2 :]
+        total = (
+            signs.epsilon_gj(j, l1, l2, degs)
+            + signs.epsilon_bar(j, [d - 1 for d in degs])
+            + (j - 1)
+            + signs.suspension_parity(inner)
+            + signs.suspension_parity(outer)
+        )
+        assert total % 2 == signs.suspension_parity(degs)
 
     @given(st.lists(st.integers(0, 3), min_size=1, max_size=6))
     @settings(max_examples=50, deadline=None)
