@@ -112,12 +112,9 @@ def _cmd_collar(args):
 def _cmd_tiles(args):
     tc = strata.tile_complex(args.l, args.k)
     consistent = strata.orientation_consistency(tc)
-    by_kind = {}
-    for tag, _, _ in tc.identifications:
-        by_kind[tag] = by_kind.get(tag, 0) + 1
     data = {
         "tiles": tc.n_tiles,
-        "identified_pairs": by_kind,
+        "identified_pairs": tc.pair_counts(),
         "orientation_consistent": consistent,
     }
     return _report(args, "pass" if consistent else "fail", data)

@@ -14,8 +14,7 @@ from .errors import (
     ShapeError,
     SurgeryError,
 )
-from .strata import _replace_vertex
-from .trees import LEAF, PlanarTree, vertex
+from .trees import LEAF, PlanarTree, replace_vertex, vertex
 
 
 class EndpointCondition:
@@ -136,8 +135,6 @@ class ClusterSurgeryRecord:
         removed_marks=0,
         interior_incidences=0,
         complex_nodes=0,
-        maslov_before=None,
-        maslov_after=None,
     ):
         self.before = before
         self.after = after
@@ -145,8 +142,6 @@ class ClusterSurgeryRecord:
         self.removed_marks = removed_marks
         self.interior_incidences = interior_incidences
         self.complex_nodes = complex_nodes
-        self.maslov_before = maslov_before
-        self.maslov_after = maslov_after
 
     @property
     def trivial(self):
@@ -180,23 +175,6 @@ def _prune_leafless(v):
     return vertex(i, col, tuple(kept))
 
 
-def _drop_child(root, path):
-    """Remove the subtree at path, returning the new root."""
-    parent = path[:-1]
-    idx = path[-1]
-
-    def rec(v, depth):
-        i, col, slots = v
-        if depth == len(parent):
-            return vertex(i, col, slots[:idx] + slots[idx + 1 :])
-        j = parent[depth]
-        return vertex(
-            i, col, slots[:j] + (rec(slots[j], depth + 1),) + slots[j + 1 :]
-        )
-
-    return rec(root, 0)
-
-
 def reduce(ct, spec):
     """Apply one elementary (or generalized) reduction.
 
@@ -225,7 +203,7 @@ def reduce(ct, spec):
                 "type I needs d | k(D); got d=%d, k(D)=%d" % (d, i)
             )
         new_v = vertex(i // d, col, slots)
-        after = PlanarTree(_replace_vertex(before, path, new_v))
+        after = replace_vertex(before, path, new_v)
         return ClusterSurgeryRecord(
             before, after, "I(%d)" % d, removed_marks=i - i // d
         )
@@ -238,19 +216,22 @@ def reduce(ct, spec):
         if dest == path or dest[: len(path)] == path:
             raise SurgeryError("destination lies inside the removed disk")
         i, col, slots = _vertex_at(before, path)
-        root = _drop_child(before.root, path)
+        parent, idx = path[:-1], path[-1]
+        pi, pcol, pslots = before.vertex_at(parent)
+        dropped = replace_vertex(
+            before, parent, vertex(pi, pcol, pslots[:idx] + pslots[idx + 1 :])
+        )
         # paths before the removed slot are unchanged; the destination
         # must not pass through the removed branch
-        parent, idx = path[:-1], path[-1]
         if dest[: len(parent)] == parent and len(dest) > len(parent):
             step = dest[len(parent)]
             if step > idx:
                 dest = dest[: len(parent)] + (step - 1,) + dest[len(parent) + 1 :]
-        di, dcol, dslots = PlanarTree(root).vertex_at(dest)
+        di, dcol, dslots = dropped.vertex_at(dest)
         if not 0 <= at <= len(dslots):
             raise SurgeryError("slot position %d out of range" % at)
         new_dest = vertex(di, dcol, dslots[:at] + slots + dslots[at:])
-        after = PlanarTree(_replace_vertex(PlanarTree(root), dest, new_dest))
+        after = replace_vertex(dropped, dest, new_dest)
         return ClusterSurgeryRecord(
             before, after, "IIa", removed_marks=i
         )
@@ -266,7 +247,7 @@ def reduce(ct, spec):
         if not 0 <= at <= len(cslots):
             raise SurgeryError("slot position %d out of range" % at)
         new_v = vertex(ci, ccol, cslots[:at] + rest + cslots[at:])
-        after = PlanarTree(_replace_vertex(before, path, new_v))
+        after = replace_vertex(before, path, new_v)
         return ClusterSurgeryRecord(
             before, after, "IIb", removed_marks=i
         )

@@ -216,24 +216,23 @@ def is_balanced(lab):
 def restrict_plain(lab, t1, t2, witness=None):
     """Restrict a labeling on t2 to a contraction t1 <= t2: surviving
     labels are unchanged."""
-    witness = _check_witness(t1, t2, witness)
-    new_tree, emap = trees.contract_set(t2, witness)
-    if new_tree != t1:
-        raise OrderError("witness does not contract t2 to t1")
+    _, emap = _check_witness(t1, t2, witness)
     return EdgeLabeling(t1, {emap[e]: lab[e] for e in emap})
 
 
 def _check_witness(t1, t2, witness):
+    """(witness, edge_map) of the contraction of t2 onto t1; the witness
+    is searched for when not given."""
     if witness is None:
         witness = trees.contraction_witness(t1, t2)
         if witness is None:
             raise OrderError("t1 is not a contraction of t2")
-        return witness
-    witness = frozenset(tuple(e) for e in witness)
-    cand, _ = trees.contract_set(t2, witness)
+    else:
+        witness = frozenset(tuple(e) for e in witness)
+    cand, emap = trees.contract_set(t2, witness)
     if cand != t1:
         raise OrderError("witness does not contract t2 to t1")
-    return witness
+    return witness, emap
 
 
 def _down_chain(edge, contracted):
@@ -283,10 +282,7 @@ def restrict_balanced(lab, t1, t2, witness=None):
     a colored vertex, keeping the color products intact."""
     if not is_balanced(lab):
         raise BalanceError("input labeling is not balanced")
-    witness = _check_witness(t1, t2, witness)
-    new_tree, emap = trees.contract_set(t2, witness)
-    if new_tree != t1:
-        raise OrderError("witness does not contract t2 to t1")
+    witness, emap = _check_witness(t1, t2, witness)
     out = {}
     for e, new_e in emap.items():
         value = lab[e]
@@ -360,8 +356,7 @@ def exponents(tree, tmax=None, witness=None):
             m[e] = Fraction(1, 2 ** b[e])
     if tmax is None:
         return ExponentData(b, m, dict(m))
-    witness = _check_witness(tree, tmax, witness)
-    _, emap = trees.contract_set(tmax, witness)
+    witness, emap = _check_witness(tree, tmax, witness)
     n = {}
     for e, new_e in emap.items():
         total = m[e]

@@ -16,15 +16,21 @@ is relative to that product orientation.
 """
 
 import json
+import math
+from collections import Counter
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 
 from . import trees
-from .errors import GhostCornerError, ShapeError, StabilityError
+from .errors import CapError, GhostCornerError, ShapeError, StabilityError
 from .signs import sign_concat, sign_lower_quilt, sign_upper_quilt, perm_parity
-from .trees import LEAF, PlanarTree, vertex
+from .trees import LEAF, vertex
 
 FAMILIES = ("K", "Q", "Ks")
+
+# Largest poset face_poset materializes.  A stratum with its coverings
+# takes about 1.2 KB, so the cap keeps a poset under about 600 MB.
+MAX_STRATA = 500_000
 
 
 def _norm_family(family):
@@ -167,9 +173,18 @@ def _q_strata(l, k):
 
 
 def face_poset(family, l, k):
-    """Poset of all strata at (l, k); covering relations computed lazily."""
+    """Poset of all strata at (l, k); covering relations computed lazily.
+
+    The strata are counted first, and a poset of more than MAX_STRATA
+    raises CapError before anything is enumerated.
+    """
     family = _norm_family(family)
-    trees.check_caps(l, k)
+    total = sum(grading_profile(family, l, k).values())
+    if total > MAX_STRATA:
+        raise CapError(
+            "%s poset at l=%d, k=%d has %d strata, above the cap of %d"
+            % (family, l, k, total, MAX_STRATA)
+        )
     strata = _k_strata(l, k) if family in ("K", "Ks") else _q_strata(l, k)
     return FacePoset(family, l, k, strata)
 
@@ -404,27 +419,14 @@ def boundary_faces(stratum):
                 sign = -sign
             if (dmid * db) % 2:
                 sign = -sign
-            new_tree = _replace_vertex(tree, path, va)
-            cand = Stratum(fam, PlanarTree(new_tree), stratum.perm)
+            cand = Stratum(
+                fam, trees.replace_vertex(tree, path, va), stratum.perm
+            )
             if fam == "Q" and not cand.tree.check_colored_axiom():
                 continue
             out.append((cand, sign))
         prefix += vertex_dim(v)
     return out
-
-
-def _replace_vertex(tree, path, new_v):
-    def rec(v, depth):
-        if depth == len(path):
-            return new_v
-        i, col, slots = v
-        idx = path[depth]
-        slots = (
-            slots[:idx] + (rec(slots[idx], depth + 1),) + slots[idx + 1 :]
-        )
-        return vertex(i, col, slots)
-
-    return rec(tree.root, 0)
 
 
 def boundary_matrix(poset):
@@ -597,28 +599,50 @@ def _grafted_ordering(tree, perm):
 
 
 class TileComplex:
-    def __init__(self, l, k, perms, poset, identifications):
+    """The symmetric tile complex as an S_l action.
+
+    Tile (p, s) is a permutation p of the markings on stratum s, and S_l
+    permutes the markings.  Every identification is the orbit of one move,
+    so ``identifications`` holds move generators, not pairs: one
+    (tag, s_i, t_i, nu) per directed transposition move, where nu is the
+    tuple of 1-based leaf images.  The generator glues tile (p, s_i) to
+    (q, t_i) with q(nu(a)) = p(a), for every p.
+    """
+
+    def __init__(self, l, k, poset, identifications):
         self.l = l
         self.k = k
-        self.perms = perms
         self.poset = poset
         self.identifications = identifications
 
     @property
     def n_tiles(self):
-        return len(self.perms)
+        return math.factorial(self.l)
+
+    def pair_counts(self):
+        """Identified tile pairs per move kind, in closed form.
+
+        A move with t != s and its reverse share one orbit of l! pairs.  A
+        move with t == s swaps identical subtrees, so nu is an involution
+        and its orbit has l!/2 pairs.  Either way one generator stands for
+        l!/2 pairs.  Kinds with no generator are left out.
+        """
+        n = Counter(tag for tag, _, _, _ in self.identifications)
+        return {tag: self.n_tiles * c // 2 for tag, c in n.items()}
 
 
 def _transposition_moves(tree):
     """Transposition strata: two-slot ghost components and the move data.
 
-    Yields (type_tag, ghost_path, new_tree, leaf_renumbering) where the
-    renumbering nu sends old leaf numbers to their planar position after
-    swapping the ghost's two slots.
+    Yields (type_tag, new_tree, nu) where nu, a tuple of 1-based images,
+    sends old leaf numbers to their planar position after swapping the
+    ghost's two slots.
     """
-    for path, v in tree.vertices():
-        i, col, slots = v
+    for path, (i, col, slots) in tree.vertices():
         if i != 0 or len(slots) != 2 or not path:
+            continue
+        lo = tree.leaf_numbers_under(path)
+        if not lo:
             continue
         a, b = slots
         if a == LEAF and b == LEAF:
@@ -627,62 +651,37 @@ def _transposition_moves(tree):
             tag = "II"
         else:
             tag = "III"
-        swapped = vertex(0, col, (b, a))
-        new_tree = PlanarTree(_replace_vertex(tree, path, swapped))
-        lo = tree.leaf_numbers_under(path)
-        if not lo:
-            continue
-        first = lo[0]
-        na = 1 if a == LEAF else trees._count_leaves(a)
+        new_tree = trees.replace_vertex(tree, path, vertex(0, col, (b, a)))
         nb = 1 if b == LEAF else trees._count_leaves(b)
-        nu = {}
-        n_total = tree.num_leaves
-        for x in range(1, n_total + 1):
-            nu[x] = x
-        for off in range(na):
-            nu[first + off] = first + nb + off
-        for off in range(nb):
-            nu[first + na + off] = first + off
-        yield tag, path, new_tree, nu
+        nu = list(range(1, tree.num_leaves + 1))
+        nu[lo[0] - 1 : lo[-1]] = lo[nb:] + lo[:nb]
+        yield tag, new_tree, tuple(nu)
 
 
 def tile_complex(l, k):
-    """All tiles of the symmetric family with their identification pairs."""
-    trees.check_caps(l, k)
+    """The symmetric tile complex: the move generators of every stratum."""
     poset = face_poset("Ks", l, k)
-    perms = list(permutations(range(1, l + 1))) if l >= 1 else [()]
-    tidx = {p: n for n, p in enumerate(perms)}
     sidx = {s.tree: n for n, s in enumerate(poset.strata)}
-    pairs = set()
-    records = []
-    for s_i, s in enumerate(poset.strata):
-        for tag, path, new_tree, nu in _transposition_moves(s.tree):
-            if new_tree not in sidx:
-                continue
-            t_i = sidx[new_tree]
-            for p_i, p in enumerate(perms):
-                # marking labels follow the leaves: p'(nu(a)) = p(a)
-                q = [0] * l
-                for a in range(1, l + 1):
-                    q[nu[a] - 1] = p[a - 1]
-                q = tuple(q)
-                key = frozenset(((p_i, s_i), (tidx[q], t_i)))
-                if key in pairs:
-                    continue
-                pairs.add(key)
-                records.append((tag, (p_i, s_i), (tidx[q], t_i)))
-    return TileComplex(l, k, perms, poset, records)
+    moves = [
+        (tag, s_i, sidx[new_tree], nu)
+        for s_i, s in enumerate(poset.strata)
+        for tag, new_tree, nu in _transposition_moves(s.tree)
+    ]
+    return TileComplex(l, k, poset, moves)
 
 
 def orientation_consistency(tc):
     """True iff the per-tile signs (-1)^sg(p) make every type-I
-    identification orientation-reversing across the glued facet."""
-    for tag, (p_i, _), (q_i, _) in tc.identifications:
-        if tag != "I":
-            continue
-        if perm_parity(tc.perms[p_i]) == perm_parity(tc.perms[q_i]):
-            return False
-    return True
+    identification orientation-reversing across the glued facet.
+
+    parity(q) = parity(p) + parity(nu), so this holds iff nu is odd for
+    every type-I generator.
+    """
+    return all(
+        perm_parity(nu) == 1
+        for tag, _, _, nu in tc.identifications
+        if tag == "I"
+    )
 
 
 class LocalGroupModel:

@@ -190,6 +190,22 @@ def _colors_on_leaf_paths(v):
     return True
 
 
+def replace_vertex(tree, path, new_v):
+    """The tree with the vertex at ``path`` replaced by ``new_v``."""
+
+    def rec(v, depth):
+        if depth == len(path):
+            return new_v
+        i, col, slots = v
+        idx = path[depth]
+        slots = (
+            slots[:idx] + (rec(slots[idx], depth + 1),) + slots[idx + 1 :]
+        )
+        return vertex(i, col, slots)
+
+    return PlanarTree(rec(tree.root, 0))
+
+
 # -- enumeration --------------------------------------------------------
 
 

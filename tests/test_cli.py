@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -134,6 +135,23 @@ class TestIndexCommands:
         code, out = run(capsys, "labelings", "--l", "1", "--c", "1", "--json")
         assert code == 0
         assert json.loads(out)["data"]["count"] == 2
+
+    def test_oversized_poset_rejected(self, capsys):
+        started = time.time()
+        code, out = run(capsys, "export", "--l", "10", "--k", "4", "--json")
+        assert code == 1
+        assert json.loads(out)["error"] == "CapError"
+        assert time.time() - started < 10.0
+
+    def test_tiles_beyond_materializing(self, capsys):
+        code, out = run(capsys, "tiles", "--l", "7", "--k", "0", "--json")
+        assert code == 0
+        data = json.loads(out)["data"]
+        assert data == {
+            "tiles": 5040,
+            "identified_pairs": {"I": 2978640, "II": 2751840, "III": 403200},
+            "orientation_consistent": True,
+        }
 
     def test_domain_error_exit_1(self, capsys, family_files):
         spec = '{"type":"I","disk":[],"d":3}'

@@ -98,6 +98,18 @@ class TestSurgeries:
         t = PlanarTree(vertex(0, False, (LEAF, vertex(1, False, (LEAF, LEAF)))))
         rec = I.reduce(t, {"type": "IIa", "disk": (1,), "dest": (), "at": 1})
         assert rec.after.root == vertex(0, False, (LEAF, LEAF, LEAF))
+        # a non-root parent loses the disk; the later sibling dest shifts
+        mid = vertex(
+            0,
+            False,
+            (LEAF, vertex(1, False, (LEAF, LEAF)), vertex(0, False, (LEAF, LEAF))),
+        )
+        t = PlanarTree(vertex(0, False, (mid, LEAF)))
+        rec = I.reduce(t, {"type": "IIa", "disk": (0, 1), "dest": (0, 2), "at": 1})
+        assert rec.after.root == vertex(
+            0, False, (vertex(0, False, (LEAF, vertex(0, False, (LEAF,) * 4))), LEAF)
+        )
+        assert rec.removed_marks == 1
         t = PlanarTree(vertex(2, False, (LEAF, vertex(0, False, (LEAF, LEAF)))))
         rec = I.reduce(t, {"type": "IIb", "disk": (), "dest": 1, "at": 0})
         assert rec.after.root == vertex(0, False, (LEAF, LEAF, LEAF))

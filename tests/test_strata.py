@@ -1,11 +1,13 @@
 """Face posets, boundary signs, corners, tiles, and collars."""
 
 import json
+from collections import Counter
+from itertools import permutations
 
 import pytest
 
-from clustercx import strata, trees
-from clustercx.errors import GhostCornerError
+from clustercx import signs, strata, trees
+from clustercx.errors import CapError, GhostCornerError
 from clustercx.trees import LEAF, PlanarTree, vertex
 
 
@@ -100,6 +102,63 @@ class TestCoverings:
         assert poset.coverings == _contraction_order_coverings(poset)
 
 
+def _reference_tile_pairs(l, k):
+    """Oracle for the tile complex: loop every (stratum, ghost swap,
+    permutation) and collect the identified tile pairs.  Maps each pair
+    frozenset({(p, s_i), (q, t_i)}) to its move kind."""
+    poset = strata.face_poset("Ks", l, k)
+    sidx = {s.tree: n for n, s in enumerate(poset.strata)}
+    perms = list(permutations(range(1, l + 1)))
+    pairs = {}
+    for s_i, s in enumerate(poset.strata):
+        tree = s.tree
+        for path, (i, col, slots) in tree.vertices():
+            if i != 0 or len(slots) != 2 or not path:
+                continue
+            lo = tree.leaf_numbers_under(path)
+            if not lo:
+                continue
+            a, b = slots
+            tag = "I" if a == b == LEAF else "II" if LEAF in slots else "III"
+            t_i = sidx[trees.replace_vertex(tree, path, vertex(0, col, (b, a)))]
+            na = 1 if a == LEAF else trees._count_leaves(a)
+            nb = len(lo) - na
+            nu = {x: x for x in range(1, l + 1)}
+            for off in range(na):
+                nu[lo[0] + off] = lo[0] + nb + off
+            for off in range(nb):
+                nu[lo[0] + na + off] = lo[0] + off
+            for p in perms:
+                # marking labels follow the leaves: q(nu(x)) = p(x)
+                q = [0] * l
+                for x in range(1, l + 1):
+                    q[nu[x] - 1] = p[x - 1]
+                pairs.setdefault(frozenset(((p, s_i), (tuple(q), t_i))), tag)
+    return pairs
+
+
+def _expand_generators(tc):
+    """The tile pairs of a TileComplex: the S_l orbit of each generator."""
+    pairs = {}
+    for tag, s_i, t_i, nu in tc.identifications:
+        for p in permutations(range(1, tc.l + 1)):
+            q = [0] * tc.l
+            for a, image in enumerate(nu):
+                q[image - 1] = p[a]
+            key = frozenset(((p, s_i), (tuple(q), t_i)))
+            assert pairs.setdefault(key, tag) == tag
+    return pairs
+
+
+# (5, 2) also agrees (5,648,040 pairs) but is too slow for the suite.
+TILE_SIZES = [
+    (l, k)
+    for l in range(6)
+    for k in range(3)
+    if trees.params_stable(l, k) and (l, k) != (5, 2)
+]
+
+
 class TestCorners:
     def test_facet_kinds(self):
         poset = strata.face_poset("Q", 2, 0)
@@ -135,6 +194,43 @@ class TestTiles:
         for l in (2, 3):
             assert strata.orientation_consistency(strata.tile_complex(l, 1))
 
+    @pytest.mark.parametrize("l,k", TILE_SIZES)
+    def test_generators_match_reference(self, l, k):
+        tc = strata.tile_complex(l, k)
+        ref = _reference_tile_pairs(l, k)
+        assert _expand_generators(tc) == ref
+        assert tc.pair_counts() == dict(Counter(ref.values()))
+        # oracle: tile parities differ across every type-I pair
+        assert strata.orientation_consistency(tc) == all(
+            signs.perm_parity(p) != signs.perm_parity(q)
+            for key, tag in ref.items()
+            if tag == "I"
+            for (p, _), (q, _) in [tuple(key)]
+        )
+
+    @pytest.mark.parametrize(
+        "l,k,counts",
+        [
+            (3, 3, {"I": 9102, "II": 37044, "III": 16212}),
+            (4, 1, {"I": 2268, "II": 3168, "III": 540}),
+            (4, 0, {"I": 108, "II": 48}),
+        ],
+    )
+    def test_pair_counts_pinned(self, l, k, counts):
+        assert strata.tile_complex(l, k).pair_counts() == counts
+
+    def test_even_type_one_move_is_inconsistent(self):
+        tc = strata.tile_complex(3, 1)
+        n = next(
+            n for n, g in enumerate(tc.identifications) if g[0] == "I"
+        )
+        tag, s_i, t_i, _ = tc.identifications[n]
+        moves = list(tc.identifications)
+        moves[n] = (tag, s_i, t_i, (1, 2, 3))
+        bad = strata.TileComplex(3, 1, tc.poset, moves)
+        assert strata.orientation_consistency(tc)
+        assert not strata.orientation_consistency(bad)
+
     def test_local_group_internal_ghost(self):
         chain = PlanarTree(
             vertex(1, False, (vertex(0, False, (vertex(1, False, ()),)),))
@@ -148,6 +244,16 @@ class TestTiles:
 
 
 class TestCollarAndExport:
+    def test_strata_cap(self, monkeypatch):
+        # K (4, 0) has 11 strata: a poset of exactly MAX_STRATA is built
+        monkeypatch.setattr(strata, "MAX_STRATA", 11)
+        assert len(strata.face_poset("K", 4, 0).strata) == 11
+        monkeypatch.setattr(strata, "MAX_STRATA", 10)
+        with pytest.raises(CapError):
+            strata.face_poset("K", 4, 0)
+        with pytest.raises(CapError):
+            strata.tile_complex(4, 0)
+
     def test_collar_counts(self):
         cells, gluings = strata.collar_cells(3, 0)
         assert len(cells) == 3
