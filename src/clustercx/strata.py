@@ -193,85 +193,101 @@ def face_poset(family, l, k):
 #
 # A counting recursion mirroring the tree enumeration, tallying strata by
 # (codim, sum of per-vertex dimensions).  The dimension sum is accumulated
-# vertex by vertex, independently of the codim bookkeeping, so comparing
-# the profile against dimension(family, l, k) checks the poset grading on
+# vertex by vertex, independently of the edge count, so comparing the
+# profile against dimension(family, l, k) checks the poset grading on
 # families far too large to list.
-
-def _acc(out, key, n):
-    out[key] = out.get(key, 0) + n
+#
+# Each family side has one table builder cached on the totals (l, k) alone.
+# It returns the slot sequences and the subtrees with those totals:
+#
+# * a sequence is keyed by (edges, s, D), with s the slot count and
+#   D = (sum of child subtree dims) + s.  A vertex with i marks over the
+#   sequence then has dim D - 2 + 2i, or D - 1 + 2i when colored.  Only
+#   the stability thresholds read s (s + 2i >= 2 uncolored, >= 1 colored),
+#   so s is kept as min(s, 2).
+# * a sequence whose only slot is a subtree with the same totals (l, k)
+#   needs the subtree table at (l, k), which is built from the sequences
+#   at (l, k).  The loop breaks because an uncolored vertex without marks
+#   (i = 0) needs 2 slots, so it never reads that one-child sequence; a
+#   vertex with i >= 1 marks reads the sequences at (l, k - i), and a
+#   colored root reads the uncolored tables.  So the sequences are built
+#   without the one-child entry, then the subtrees from them, and the
+#   one-child entry comes last.
+#
+# The colored side adds the number of colored vertices to each key: a
+# quilted stratum has codim = edges - (colored - 1).
 
 
 @lru_cache(maxsize=None)
-def _pv_profile(l, k, emax):
-    """{(e, dimsum): count} over stable uncolored subtrees."""
-    out = {}
-    for i in range(k + 1):
-        for (e, s, d), n in _pss_profile(l, k - i, emax).items():
-            if s + 1 + 2 * i >= 3:
-                _acc(out, (e, d + s - 2 + 2 * i), n)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _pss_profile(l, k, emax):
-    """{(e, slots, dimsum): count} over uncolored slot sequences."""
-    out = {}
-    if l == 0 and k == 0:
-        out[(0, 0, 0)] = 1
+def _plain_tables(l, k):
+    """({(e, s, D): count} over uncolored slot sequences,
+    {(e, dim): count} over stable uncolored subtrees) with totals (l, k)."""
+    seqs = {(0, 0, 0): 1} if l == k == 0 else {}
     if l >= 1:
-        for (e, s, d), n in _pss_profile(l - 1, k, emax).items():
-            _acc(out, (e, s + 1, d), n)
-    if emax < 1:
-        return out
+        for (e, s, D), n in _plain_tables(l - 1, k)[0].items():
+            key = (e, min(s + 1, 2), D + 1)
+            seqs[key] = seqs.get(key, 0) + n
+    # a subtree in the first slot; (0, 0) has no stable subtree, and
+    # (l, k) is the one-child entry added below
     for lc in range(l + 1):
         for kc in range(k + 1):
-            for (ec, dc), nc in _pv_profile(lc, kc, emax - 1).items():
-                rest = _pss_profile(l - lc, k - kc, emax - 1 - ec)
-                for (e, s, d), n in rest.items():
-                    _acc(out, (e + 1 + ec, s + 1, d + dc), n * nc)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _cb_profile(l, k, emax):
-    """{(e, ncol, dimsum): count} over below-color colored subtrees."""
-    out = {}
+            if (lc, kc) in ((0, 0), (l, k)):
+                continue
+            rest = _plain_tables(l - lc, k - kc)[0]
+            for (ec, dc), nc in _plain_tables(lc, kc)[1].items():
+                for (e, s, D), n in rest.items():
+                    key = (e + 1 + ec, min(s + 1, 2), D + 1 + dc)
+                    seqs[key] = seqs.get(key, 0) + n * nc
+    subtrees = {}
     for i in range(k + 1):
-        for (e, s, d), n in _pss_profile(l, k - i, emax).items():
-            if s + 1 + 2 * i >= 2:
-                _acc(out, (e, 1, d + s - 1 + 2 * i), n)
-        for (e, nc, s, d), n in _bss_profile(l, k - i, emax).items():
-            if s + 1 + 2 * i >= 3:
-                _acc(out, (e, nc, d + s - 2 + 2 * i), n)
-    return out
+        src = seqs if i == 0 else _plain_tables(l, k - i)[0]
+        for (e, s, D), n in src.items():
+            if s + 2 * i >= 2:
+                key = (e, D - 2 + 2 * i)
+                subtrees[key] = subtrees.get(key, 0) + n
+    for (e, d), n in subtrees.items():
+        key = (e + 1, 1, d + 1)
+        seqs[key] = seqs.get(key, 0) + n
+    return seqs, subtrees
 
 
 @lru_cache(maxsize=None)
-def _bss_profile(l, k, emax):
-    """{(e, ncol, slots, dimsum): count} over below-color slot sequences."""
-    out = {}
-    if l == 0 and k == 0:
-        out[(0, 0, 0, 0)] = 1
-    if emax < 1:
-        return out
+def _colored_tables(l, k):
+    """({(e, ncol, s, D): count} over below-color slot sequences,
+    {(e, ncol, dim): count} over the subtrees filling one such slot) with
+    totals (l, k).  A slot subtree is colored below the seam when l >= 1
+    and a plain leafless side branch when l = 0."""
+    seqs = {(0, 0, 0, 0): 1} if l == k == 0 else {}
     for lc in range(l + 1):
         for kc in range(k + 1):
-            if lc >= 1:
-                child = _cb_profile(lc, kc, emax - 1)
-            else:
-                child = {
-                    (e, 0, d): n
-                    for (e, d), n in _pv_profile(0, kc, emax - 1).items()
-                }
-            for (ec, ncc, dc), nc in child.items():
-                rest = _bss_profile(l - lc, k - kc, emax - 1 - ec)
-                for (e, ncr, s, d), n in rest.items():
-                    _acc(
-                        out,
-                        (e + 1 + ec, ncc + ncr, s + 1, d + dc),
-                        n * nc,
-                    )
-    return out
+            if (lc, kc) in ((0, 0), (l, k)):
+                continue
+            rest = _colored_tables(l - lc, k - kc)[0]
+            for (ec, ncc, dc), nc in _colored_tables(lc, kc)[1].items():
+                for (e, ncr, s, D), n in rest.items():
+                    key = (e + 1 + ec, ncc + ncr, min(s + 1, 2), D + 1 + dc)
+                    seqs[key] = seqs.get(key, 0) + n * nc
+    if l == 0:
+        plain = _plain_tables(0, k)[1]
+        subtrees = {(e, 0, d): n for (e, d), n in plain.items()}
+    else:
+        subtrees = {}
+        for i in range(k + 1):
+            # a colored root over uncolored slots
+            for (e, s, D), n in _plain_tables(l, k - i)[0].items():
+                if s + 2 * i >= 1:
+                    key = (e, 1, D - 1 + 2 * i)
+                    subtrees[key] = subtrees.get(key, 0) + n
+            # an uncolored hub over below-color slots
+            src = seqs if i == 0 else _colored_tables(l, k - i)[0]
+            for (e, nc, s, D), n in src.items():
+                if s + 2 * i >= 2:
+                    key = (e, nc, D - 2 + 2 * i)
+                    subtrees[key] = subtrees.get(key, 0) + n
+    for (e, nc, d), n in subtrees.items():
+        key = (e + 1, nc, 1, d + 1)
+        seqs[key] = seqs.get(key, 0) + n
+    return seqs, subtrees
 
 
 def grading_profile(family, l, k):
@@ -279,22 +295,20 @@ def grading_profile(family, l, k):
 
     Agrees with counting the materialized poset, but runs on families with
     millions of strata; the dimension tally is accumulated per vertex, so
-    it independently cross-checks the dim/codim grading.
+    it independently cross-checks the dim/codim grading.  Returns a new
+    dict on every call.
     """
     family = _norm_family(family)
     trees.check_caps(l, k)
-    out = {}
+    # dimension() raises StabilityError on parameters with no stratum
     if family in ("K", "Ks"):
-        top = dimension("K", l, k)
-        for (e, d), n in _pv_profile(l, k, top).items():
-            _acc(out, (e, d), n)
-        return out
-    top = dimension("Q", l, k)
-    emax = top + max(l - 1, 0)
-    for (e, ncol, d), n in _cb_profile(l, k, emax).items():
-        codim = e - (ncol - 1)
-        if 0 <= codim <= top:
-            _acc(out, (codim, d), n)
+        dimension("K", l, k)
+        return dict(_plain_tables(l, k)[1])
+    dimension("Q", l, k)
+    out = {}
+    for (e, ncol, d), n in _colored_tables(l, k)[1].items():
+        key = (e - (ncol - 1), d)
+        out[key] = out.get(key, 0) + n
     return out
 
 
@@ -302,7 +316,7 @@ def f_vector(family, l, k):
     """Cell counts in ascending dimension, summed from the grading profile."""
     counts = {}
     for (_, d), n in grading_profile(family, l, k).items():
-        _acc(counts, d, n)
+        counts[d] = counts.get(d, 0) + n
     return tuple(counts[d] for d in sorted(counts))
 
 

@@ -14,7 +14,14 @@ edges are addressed by the path of slot indices from the root.
 
 from functools import lru_cache
 
-from .errors import CapError, EdgeError, OrderError, ShapeError, StabilityError
+from .errors import (
+    CapError,
+    EdgeError,
+    OrderError,
+    RangeError,
+    ShapeError,
+    StabilityError,
+)
 
 LEAF = "x"
 
@@ -210,7 +217,11 @@ def replace_vertex(tree, path, new_v):
 
 
 def check_caps(l, k):
-    if l > MAX_LEAVES or k > MAX_MARKS or l < 0 or k < 0:
+    if l < 0 or k < 0:
+        raise RangeError(
+            "l and k must be nonnegative (got l=%d, k=%d)" % (l, k)
+        )
+    if l > MAX_LEAVES or k > MAX_MARKS:
         raise CapError(
             "enumeration capped at l <= %d, k <= %d (got l=%d, k=%d)"
             % (MAX_LEAVES, MAX_MARKS, l, k)

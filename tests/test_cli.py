@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from clustercx import barcx, cli
+from clustercx import barcx, cli, strata
 
 
 def run(capsys, *argv):
@@ -73,6 +73,30 @@ class TestBasics:
         _, out1 = run(capsys, "strata", "--family", "K", "--l", "4", "--k", "1", "--json")
         _, out2 = run(capsys, "strata", "--family", "K", "--l", "4", "--k", "1", "--json")
         assert out1 == out2
+
+    def test_quilted_at_caps(self, capsys):
+        # cold tables, so the timed export pays for the whole count
+        strata._plain_tables.cache_clear()
+        strata._colored_tables.cache_clear()
+        started = time.time()
+        code, out = run(
+            capsys, "export", "--family", "Q", "--l", "10", "--k", "4", "--json"
+        )
+        assert code == 1
+        assert json.loads(out)["error"] == "CapError"
+        assert time.time() - started < 10.0
+        code, out = run(
+            capsys, "strata", "--family", "Q", "--l", "10", "--k", "4", "--json"
+        )
+        assert code == 0
+        assert json.loads(out)["data"]["total"] == 49050974222403
+
+    def test_negative_arguments(self, capsys):
+        code, out = run(
+            capsys, "strata", "--family", "K", "--l", "-1", "--k", "0", "--json"
+        )
+        assert code == 1
+        assert json.loads(out)["error"] == "RangeError"
 
 
 class TestChecks:

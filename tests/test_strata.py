@@ -2,12 +2,18 @@
 
 import json
 from collections import Counter
+from functools import lru_cache
 from itertools import permutations
 
 import pytest
 
 from clustercx import signs, strata, trees
-from clustercx.errors import CapError, GhostCornerError
+from clustercx.errors import (
+    CapError,
+    GhostCornerError,
+    RangeError,
+    StabilityError,
+)
 from clustercx.trees import LEAF, PlanarTree, vertex
 
 
@@ -35,6 +41,101 @@ def _contraction_order_coverings(poset):
         for b in range(n)
         if less[a][b] and not any(less[a][c] and less[c][b] for c in range(n))
     ]
+
+
+# Oracle for ``grading_profile``: the counting recursion keyed by
+# (l, k, emax), where emax bounds the edges left to spend.  The bound ends
+# the self-reference pss(l, k) -> pv(l, k) -> pss(l, k) and carries the
+# exact slot count, which the library's (l, k) tables do without.
+
+
+def _acc(out, key, n):
+    out[key] = out.get(key, 0) + n
+
+
+@lru_cache(maxsize=None)
+def _ref_pv(l, k, emax):
+    """{(e, dimsum): count} over stable uncolored subtrees."""
+    out = {}
+    for i in range(k + 1):
+        for (e, s, d), n in _ref_pss(l, k - i, emax).items():
+            if s + 1 + 2 * i >= 3:
+                _acc(out, (e, d + s - 2 + 2 * i), n)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _ref_pss(l, k, emax):
+    """{(e, slots, dimsum): count} over uncolored slot sequences."""
+    out = {}
+    if l == 0 and k == 0:
+        out[(0, 0, 0)] = 1
+    if l >= 1:
+        for (e, s, d), n in _ref_pss(l - 1, k, emax).items():
+            _acc(out, (e, s + 1, d), n)
+    if emax < 1:
+        return out
+    for lc in range(l + 1):
+        for kc in range(k + 1):
+            for (ec, dc), nc in _ref_pv(lc, kc, emax - 1).items():
+                rest = _ref_pss(l - lc, k - kc, emax - 1 - ec)
+                for (e, s, d), n in rest.items():
+                    _acc(out, (e + 1 + ec, s + 1, d + dc), n * nc)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _ref_cb(l, k, emax):
+    """{(e, ncol, dimsum): count} over below-color colored subtrees."""
+    out = {}
+    for i in range(k + 1):
+        for (e, s, d), n in _ref_pss(l, k - i, emax).items():
+            if s + 1 + 2 * i >= 2:
+                _acc(out, (e, 1, d + s - 1 + 2 * i), n)
+        for (e, nc, s, d), n in _ref_bss(l, k - i, emax).items():
+            if s + 1 + 2 * i >= 3:
+                _acc(out, (e, nc, d + s - 2 + 2 * i), n)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _ref_bss(l, k, emax):
+    """{(e, ncol, slots, dimsum): count} over below-color slot sequences."""
+    out = {}
+    if l == 0 and k == 0:
+        out[(0, 0, 0, 0)] = 1
+    if emax < 1:
+        return out
+    for lc in range(l + 1):
+        for kc in range(k + 1):
+            if lc >= 1:
+                child = _ref_cb(lc, kc, emax - 1)
+            else:
+                child = {
+                    (e, 0, d): n
+                    for (e, d), n in _ref_pv(0, kc, emax - 1).items()
+                }
+            for (ec, ncc, dc), nc in child.items():
+                rest = _ref_bss(l - lc, k - kc, emax - 1 - ec)
+                for (e, ncr, s, d), n in rest.items():
+                    _acc(out, (e + 1 + ec, ncc + ncr, s + 1, d + dc), n * nc)
+    return out
+
+
+def _reference_grading_profile(family, l, k):
+    out = {}
+    if family in ("K", "Ks"):
+        top = strata.dimension("K", l, k)
+        for (e, d), n in _ref_pv(l, k, top).items():
+            _acc(out, (e, d), n)
+        return out
+    top = strata.dimension("Q", l, k)
+    emax = top + max(l - 1, 0)
+    for (e, ncol, d), n in _ref_cb(l, k, emax).items():
+        codim = e - (ncol - 1)
+        if 0 <= codim <= top:
+            _acc(out, (codim, d), n)
+    return out
 
 
 class TestGradings:
@@ -69,6 +170,48 @@ class TestGradings:
             for (codim, dim), n in strata.grading_profile(fam, l, k).items():
                 assert dim + codim == ambient
                 assert n > 0
+
+    # the reference takes about 0.7 s for these; Q up to the caps (10, 4)
+    # also agrees but takes about 10 s
+    @pytest.mark.parametrize(
+        "fam, lmax, kmax", [("K", 10, 4), ("Ks", 10, 4), ("Q", 7, 3)]
+    )
+    def test_profile_matches_reference(self, fam, lmax, kmax):
+        unstable = set()
+        for l in range(lmax + 1):
+            for k in range(kmax + 1):
+                try:
+                    want = _reference_grading_profile(fam, l, k)
+                except StabilityError:
+                    unstable.add((l, k))
+                    with pytest.raises(StabilityError):
+                        strata.grading_profile(fam, l, k)
+                    continue
+                assert strata.grading_profile(fam, l, k) == want, (l, k)
+        if fam == "Q":
+            assert unstable == {(0, k) for k in range(kmax + 1)}
+        else:
+            assert unstable == {(0, 0), (1, 0)}
+
+    def test_profile_is_a_fresh_dict(self):
+        for fam, l, k in [("K", 5, 1), ("Ks", 4, 1), ("Q", 3, 1)]:
+            prof = strata.grading_profile(fam, l, k)
+            want, fv = dict(prof), strata.f_vector(fam, l, k)
+            prof[next(iter(prof))] += 1
+            prof[(99, 99)] = 1
+            assert strata.grading_profile(fam, l, k) == want
+            assert strata.f_vector(fam, l, k) == fv
+
+    def test_negative_arguments(self):
+        for fam, l, k in [("K", -1, 0), ("Ks", 3, -1), ("Q", -2, 1)]:
+            with pytest.raises(RangeError, match="nonnegative"):
+                strata.grading_profile(fam, l, k)
+        with pytest.raises(RangeError):
+            trees.enumerate_types(4, -1, 0)
+        with pytest.raises(RangeError):
+            trees.enumerate_colored_types(-1, 0, 0)
+        with pytest.raises(CapError):
+            strata.grading_profile("K", 11, 0)
 
 
 class TestBoundary:
