@@ -14,7 +14,7 @@ from .errors import (
     ShapeError,
     SurgeryError,
 )
-from .trees import LEAF, PlanarTree, replace_vertex, vertex
+from .trees import LEAF, PlanarTree, check_nonnegative, replace_vertex, vertex
 
 
 class EndpointCondition:
@@ -329,8 +329,7 @@ def enumerate_end_labelings(l, c, family):
     are the maps {1..l} -> {1..c+1} whose values below c+1 are strictly
     increasing.
     """
-    if c < 0:
-        raise ShapeError("c must be nonnegative")
+    check_nonnegative(l=l, c=c)
     if family in ("otimes", "x"):
         out = set()
 

@@ -132,14 +132,16 @@ class FacePoset:
         self.k = k
         self.strata = strata
         self._coverings = None
-        self._index = {s: i for i, s in enumerate(strata)}
+        # the strata share one family tag and no permutation, so their
+        # trees alone key them
+        self._index = {s.tree: i for i, s in enumerate(strata)}
 
     @property
     def coverings(self):
         if self._coverings is None:
             self._coverings = sorted(
                 {
-                    (a, self._index[f])
+                    (a, self.index(f))
                     for a, s in enumerate(self.strata)
                     for f, _ in boundary_faces(s)
                 }
@@ -147,7 +149,11 @@ class FacePoset:
         return self._coverings
 
     def index(self, stratum):
-        return self._index[stratum]
+        n = self._index[stratum.tree]
+        s = self.strata[n]
+        if s.family != stratum.family or s.perm != stratum.perm:
+            raise KeyError(stratum)
+        return n
 
 
 def _k_strata(l, k):
@@ -645,20 +651,38 @@ class TileComplex:
         return {tag: self.n_tiles * c // 2 for tag, c in n.items()}
 
 
+def _ghost_walk(v, path, lo, out):
+    """Leaf count of the subtree v, whose first leaf has number lo.
+
+    Appends to out, in preorder, one (path, vertex, lo, n, nb) per non-root
+    two-slot ghost: its first leaf number lo, its leaf count n and the leaf
+    count nb of its second slot, all read off this one walk.
+    """
+    i, _, slots = v
+    at = len(out) if path and not i and len(slots) == 2 else None
+    if at is not None:
+        out.append(None)
+    n = c = 0
+    for idx, s in enumerate(slots):
+        c = _ghost_walk(s, path + (idx,), lo + n, out) if s != LEAF else 1
+        n += c
+    if at is not None:
+        out[at] = (path, v, lo, n, c)
+    return n
+
+
 def _transposition_moves(tree):
     """Transposition strata: two-slot ghost components and the move data.
 
     Yields (type_tag, new_tree, nu) where nu, a tuple of 1-based images,
     sends old leaf numbers to their planar position after swapping the
-    ghost's two slots.
+    ghost's two slots.  Ghosts without leaves move nothing and are skipped.
     """
-    for path, (i, col, slots) in tree.vertices():
-        if i != 0 or len(slots) != 2 or not path:
+    ghosts = []
+    total = _ghost_walk(tree.root, (), 1, ghosts)
+    for path, (_, col, (a, b)), lo, n, nb in ghosts:
+        if not n:
             continue
-        lo = tree.leaf_numbers_under(path)
-        if not lo:
-            continue
-        a, b = slots
         if a == LEAF and b == LEAF:
             tag = "I"
         elif a == LEAF or b == LEAF:
@@ -666,18 +690,22 @@ def _transposition_moves(tree):
         else:
             tag = "III"
         new_tree = trees.replace_vertex(tree, path, vertex(0, col, (b, a)))
-        nb = 1 if b == LEAF else trees._count_leaves(b)
-        nu = list(range(1, tree.num_leaves + 1))
-        nu[lo[0] - 1 : lo[-1]] = lo[nb:] + lo[:nb]
-        yield tag, new_tree, tuple(nu)
+        # the first slot's leaves move up by nb, the second's down to lo
+        nu = (
+            tuple(range(1, lo))
+            + tuple(range(lo + nb, lo + n))
+            + tuple(range(lo, lo + nb))
+            + tuple(range(lo + n, total + 1))
+        )
+        yield tag, new_tree, nu
 
 
 def tile_complex(l, k):
     """The symmetric tile complex: the move generators of every stratum."""
     poset = face_poset("Ks", l, k)
-    sidx = {s.tree: n for n, s in enumerate(poset.strata)}
+    tree_index = poset._index
     moves = [
-        (tag, s_i, sidx[new_tree], nu)
+        (tag, s_i, tree_index[new_tree], nu)
         for s_i, s in enumerate(poset.strata)
         for tag, new_tree, nu in _transposition_moves(s.tree)
     ]
@@ -769,6 +797,7 @@ class CollarCell:
 def collar_cells(l, k):
     """One cell per stratum; cells glue along covering relations, where the
     finer cell's labeling extends the coarser one by 1-labels."""
+    trees.check_caps(l, k)
     if dimension("K", l, k) < 1:
         raise StabilityError("collar needs positive dimension")
     poset = face_poset("K", l, k)

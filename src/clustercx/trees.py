@@ -216,11 +216,20 @@ def replace_vertex(tree, path, new_v):
 # -- enumeration --------------------------------------------------------
 
 
-def check_caps(l, k):
-    if l < 0 or k < 0:
+def check_nonnegative(**counts):
+    """Raise RangeError unless every named count is nonnegative."""
+    if any(n < 0 for n in counts.values()):
         raise RangeError(
-            "l and k must be nonnegative (got l=%d, k=%d)" % (l, k)
+            "%s must be nonnegative (got %s)"
+            % (
+                " and ".join(counts),
+                ", ".join("%s=%d" % kv for kv in counts.items()),
+            )
         )
+
+
+def check_caps(l, k):
+    check_nonnegative(l=l, k=k)
     if l > MAX_LEAVES or k > MAX_MARKS:
         raise CapError(
             "enumeration capped at l <= %d, k <= %d (got l=%d, k=%d)"

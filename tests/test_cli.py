@@ -98,6 +98,20 @@ class TestBasics:
         assert code == 1
         assert json.loads(out)["error"] == "RangeError"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["labelings", "--l", "-1", "--c", "1"],
+            ["labelings", "--l", "2", "--c", "-1"],
+            ["collar", "--l", "-1", "--k", "0"],
+            ["collar", "--l", "3", "--k", "-1"],
+        ],
+    )
+    def test_negative_arguments_every_command(self, capsys, argv):
+        code, out = run(capsys, *argv, "--json")
+        assert code == 1
+        assert json.loads(out)["error"] == "RangeError"
+
 
 class TestChecks:
     def test_check_ainf_pass(self, capsys, family_files):

@@ -302,6 +302,40 @@ TILE_SIZES = [
 ]
 
 
+def _reference_transposition_moves(tree):
+    """Oracle for ``strata._transposition_moves``: per ghost, leaf numbers
+    from ``leaf_numbers_under`` and slot counts from ``_count_leaves``."""
+    for path, (i, col, slots) in tree.vertices():
+        if i != 0 or len(slots) != 2 or not path:
+            continue
+        lo = tree.leaf_numbers_under(path)
+        if not lo:
+            continue
+        a, b = slots
+        if a == LEAF and b == LEAF:
+            tag = "I"
+        elif a == LEAF or b == LEAF:
+            tag = "II"
+        else:
+            tag = "III"
+        new_tree = trees.replace_vertex(tree, path, vertex(0, col, (b, a)))
+        nb = 1 if b == LEAF else trees._count_leaves(b)
+        nu = list(range(1, tree.num_leaves + 1))
+        nu[lo[0] - 1 : lo[-1]] = lo[nb:] + lo[:nb]
+        yield tag, new_tree, tuple(nu)
+
+
+# Every stable size with l <= 7, k <= 3 whose Ks poset has at most 50,000
+# strata: up to (3, 3), (5, 2) and (7, 1).
+ORDERED_MOVE_SIZES = [
+    (l, k)
+    for l in range(8)
+    for k in range(4)
+    if trees.params_stable(l, k)
+    and sum(strata.grading_profile("Ks", l, k).values()) <= 50_000
+]
+
+
 class TestCorners:
     def test_facet_kinds(self):
         poset = strata.face_poset("Q", 2, 0)
@@ -350,6 +384,16 @@ class TestTiles:
             if tag == "I"
             for (p, _), (q, _) in [tuple(key)]
         )
+
+    @pytest.mark.parametrize("l,k", ORDERED_MOVE_SIZES)
+    def test_generators_match_ordered_reference(self, l, k):
+        tc = strata.tile_complex(l, k)
+        sidx = {s.tree: n for n, s in enumerate(tc.poset.strata)}
+        assert tc.identifications == [
+            (tag, s_i, sidx[new_tree], nu)
+            for s_i, s in enumerate(tc.poset.strata)
+            for tag, new_tree, nu in _reference_transposition_moves(s.tree)
+        ]
 
     @pytest.mark.parametrize(
         "l,k,counts",
