@@ -18,19 +18,14 @@ is relative to that product orientation.
 import json
 import math
 from collections import Counter
-from functools import lru_cache
 from itertools import combinations
 
 from . import trees
-from .errors import CapError, GhostCornerError, ShapeError, StabilityError
+from .errors import GhostCornerError, ShapeError, StabilityError
 from .signs import sign_concat, sign_lower_quilt, sign_upper_quilt, perm_parity
 from .trees import LEAF, vertex
 
 FAMILIES = ("K", "Q", "Ks")
-
-# Largest poset face_poset materializes.  A stratum with its coverings
-# takes about 1.2 KB, so the cap keeps a poset under about 600 MB.
-MAX_STRATA = 500_000
 
 
 def _norm_family(family):
@@ -156,163 +151,56 @@ class FacePoset:
         return n
 
 
-def _k_strata(l, k):
-    out = []
-    top = dimension("K", l, k)
-    for codim in range(top + 1):
-        for t in trees.enumerate_types(l, k, codim):
-            out.append(Stratum("K", t))
-    return out
-
-
-def _q_strata(l, k):
-    out = []
-    top = dimension("Q", l, k)
-    # codim = edges - (colored - 1) and colored <= l bounds the edge count
-    for e in range(top + l):
-        for t in trees.enumerate_colored_types(l, k, e):
-            s = Stratum("Q", t)
-            if 0 <= s.codim <= top:
-                out.append(s)
-    out.sort(key=lambda s: s.codim)
-    return out
+def _strata(family, l, k):
+    """The strata at (l, k) in id order: by codim, then by edge count, then
+    in the canonical order of the trees."""
+    top = dimension(family, l, k)
+    if family != "Q":
+        return [
+            Stratum(family, t)
+            for codim in range(top + 1)
+            for t in trees.enumerate_types(l, k, codim)
+        ]
+    # edges = codim + (colored - 1), and a tree has at most l colored vertices
+    out = [
+        Stratum(family, t)
+        for e in range(top + l)
+        for t in trees.enumerate_colored_types(l, k, e)
+    ]
+    return sorted(out, key=lambda s: s.codim)
 
 
 def face_poset(family, l, k):
     """Poset of all strata at (l, k); covering relations computed lazily.
 
-    The strata are counted first, and a poset of more than MAX_STRATA
-    raises CapError before anything is enumerated.
+    A poset of more than trees.MAX_STRATA strata raises CapError before
+    anything is enumerated.
     """
     family = _norm_family(family)
-    total = sum(grading_profile(family, l, k).values())
-    if total > MAX_STRATA:
-        raise CapError(
-            "%s poset at l=%d, k=%d has %d strata, above the cap of %d"
-            % (family, l, k, total, MAX_STRATA)
-        )
-    strata = _k_strata(l, k) if family in ("K", "Ks") else _q_strata(l, k)
-    return FacePoset(family, l, k, strata)
-
-
-# -- grading profile without materializing strata --------------------------
-#
-# A counting recursion mirroring the tree enumeration, tallying strata by
-# (codim, sum of per-vertex dimensions).  The dimension sum is accumulated
-# vertex by vertex, independently of the edge count, so comparing the
-# profile against dimension(family, l, k) checks the poset grading on
-# families far too large to list.
-#
-# Each family side has one table builder cached on the totals (l, k) alone.
-# It returns the slot sequences and the subtrees with those totals:
-#
-# * a sequence is keyed by (edges, s, D), with s the slot count and
-#   D = (sum of child subtree dims) + s.  A vertex with i marks over the
-#   sequence then has dim D - 2 + 2i, or D - 1 + 2i when colored.  Only
-#   the stability thresholds read s (s + 2i >= 2 uncolored, >= 1 colored),
-#   so s is kept as min(s, 2).
-# * a sequence whose only slot is a subtree with the same totals (l, k)
-#   needs the subtree table at (l, k), which is built from the sequences
-#   at (l, k).  The loop breaks because an uncolored vertex without marks
-#   (i = 0) needs 2 slots, so it never reads that one-child sequence; a
-#   vertex with i >= 1 marks reads the sequences at (l, k - i), and a
-#   colored root reads the uncolored tables.  So the sequences are built
-#   without the one-child entry, then the subtrees from them, and the
-#   one-child entry comes last.
-#
-# The colored side adds the number of colored vertices to each key: a
-# quilted stratum has codim = edges - (colored - 1).
-
-
-@lru_cache(maxsize=None)
-def _plain_tables(l, k):
-    """({(e, s, D): count} over uncolored slot sequences,
-    {(e, dim): count} over stable uncolored subtrees) with totals (l, k)."""
-    seqs = {(0, 0, 0): 1} if l == k == 0 else {}
-    if l >= 1:
-        for (e, s, D), n in _plain_tables(l - 1, k)[0].items():
-            key = (e, min(s + 1, 2), D + 1)
-            seqs[key] = seqs.get(key, 0) + n
-    # a subtree in the first slot; (0, 0) has no stable subtree, and
-    # (l, k) is the one-child entry added below
-    for lc in range(l + 1):
-        for kc in range(k + 1):
-            if (lc, kc) in ((0, 0), (l, k)):
-                continue
-            rest = _plain_tables(l - lc, k - kc)[0]
-            for (ec, dc), nc in _plain_tables(lc, kc)[1].items():
-                for (e, s, D), n in rest.items():
-                    key = (e + 1 + ec, min(s + 1, 2), D + 1 + dc)
-                    seqs[key] = seqs.get(key, 0) + n * nc
-    subtrees = {}
-    for i in range(k + 1):
-        src = seqs if i == 0 else _plain_tables(l, k - i)[0]
-        for (e, s, D), n in src.items():
-            if s + 2 * i >= 2:
-                key = (e, D - 2 + 2 * i)
-                subtrees[key] = subtrees.get(key, 0) + n
-    for (e, d), n in subtrees.items():
-        key = (e + 1, 1, d + 1)
-        seqs[key] = seqs.get(key, 0) + n
-    return seqs, subtrees
-
-
-@lru_cache(maxsize=None)
-def _colored_tables(l, k):
-    """({(e, ncol, s, D): count} over below-color slot sequences,
-    {(e, ncol, dim): count} over the subtrees filling one such slot) with
-    totals (l, k).  A slot subtree is colored below the seam when l >= 1
-    and a plain leafless side branch when l = 0."""
-    seqs = {(0, 0, 0, 0): 1} if l == k == 0 else {}
-    for lc in range(l + 1):
-        for kc in range(k + 1):
-            if (lc, kc) in ((0, 0), (l, k)):
-                continue
-            rest = _colored_tables(l - lc, k - kc)[0]
-            for (ec, ncc, dc), nc in _colored_tables(lc, kc)[1].items():
-                for (e, ncr, s, D), n in rest.items():
-                    key = (e + 1 + ec, ncc + ncr, min(s + 1, 2), D + 1 + dc)
-                    seqs[key] = seqs.get(key, 0) + n * nc
-    if l == 0:
-        plain = _plain_tables(0, k)[1]
-        subtrees = {(e, 0, d): n for (e, d), n in plain.items()}
-    else:
-        subtrees = {}
-        for i in range(k + 1):
-            # a colored root over uncolored slots
-            for (e, s, D), n in _plain_tables(l, k - i)[0].items():
-                if s + 2 * i >= 1:
-                    key = (e, 1, D - 1 + 2 * i)
-                    subtrees[key] = subtrees.get(key, 0) + n
-            # an uncolored hub over below-color slots
-            src = seqs if i == 0 else _colored_tables(l, k - i)[0]
-            for (e, nc, s, D), n in src.items():
-                if s + 2 * i >= 2:
-                    key = (e, nc, D - 2 + 2 * i)
-                    subtrees[key] = subtrees.get(key, 0) + n
-    for (e, nc, d), n in subtrees.items():
-        key = (e + 1, nc, 1, d + 1)
-        seqs[key] = seqs.get(key, 0) + n
-    return seqs, subtrees
+    trees.check_caps(l, k)
+    return FacePoset(family, l, k, _strata(family, l, k))
 
 
 def grading_profile(family, l, k):
     """Stratum counts by (codim, dimension-sum-over-vertices).
 
-    Agrees with counting the materialized poset, but runs on families with
-    millions of strata; the dimension tally is accumulated per vertex, so
-    it independently cross-checks the dim/codim grading.  Returns a new
-    dict on every call.
+    Read from the COUNT reading of the tree grammar, so it runs on families
+    with millions of strata.  The dimension sum is tallied vertex by
+    vertex, independently of the edge count, so comparing it against
+    dimension(family, l, k) checks the grading.  Returns a new dict on
+    every call.
     """
     family = _norm_family(family)
     trees.check_caps(l, k)
     # dimension() raises StabilityError on parameters with no stratum
-    if family in ("K", "Ks"):
-        dimension("K", l, k)
-        return dict(_plain_tables(l, k)[1])
-    dimension("Q", l, k)
+    dimension(family, l, k)
     out = {}
-    for (e, ncol, d), n in _colored_tables(l, k)[1].items():
+    if family in ("K", "Ks"):
+        for (e, _, d), n in trees.plain(trees.COUNT, l, k)[1].items():
+            out[(e, d)] = n
+        return out
+    # a quilted stratum has codim = edges - (colored - 1)
+    for (e, ncol, d), n in trees.colored(trees.COUNT, l, k)[1].items():
         key = (e - (ncol - 1), d)
         out[key] = out.get(key, 0) + n
     return out

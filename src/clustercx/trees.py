@@ -27,6 +27,10 @@ LEAF = "x"
 
 MAX_LEAVES = 10
 MAX_MARKS = 4
+# Most trees the LIST reading builds for one (l, k), all edge counts
+# together.  A stratum with its coverings takes about 1.2 KB, so the cap
+# keeps a face poset under about 600 MB.
+MAX_STRATA = 500_000
 
 
 def vertex(i, col, slots):
@@ -37,7 +41,7 @@ def _is_vertex(item):
     return isinstance(item, tuple)
 
 
-def _stable_vertex(v, at_root=False):
+def _stable_vertex(v):
     i, col, slots = v
     need = 2 if col else 3
     # one boundary special point for the root marking / parent node
@@ -242,34 +246,155 @@ def params_stable(l, k):
     return l + 1 + 2 * k >= 3
 
 
-@lru_cache(maxsize=None)
-def _plain_vertices(l, k, e):
-    """All stable uncolored vertices with subtree totals (l, k, e)."""
-    out = []
-    for i in range(k + 1):
-        for slots in _plain_slot_seqs(l, k - i, e):
-            v = vertex(i, False, slots)
-            if _stable_vertex(v):
-                out.append(v)
-    return tuple(out)
+# -- the tree grammar -----------------------------------------------------
+#
+# One grammar describes the strata trees and two readings interpret it:
+# COUNT tallies the trees, LIST builds them.  Each table builder takes a
+# reading G, is cached on G and the totals (l, k) alone, and returns
+# (sequences, subtrees): the slot sequences and the stable subtrees with
+# l leaves and k marks, keyed and valued by G.
+#
+# * A sequence has a leaf or a subtree of totals (lc, kc) in its first
+#   slot, followed by a sequence with the rest.  (0, 0) has no stable
+#   subtree.  A sequence whose only slot is a subtree with the same totals
+#   (l, k) needs the subtree table at (l, k), which is built from the
+#   sequences at (l, k).  The loop breaks because an uncolored vertex
+#   without marks (i = 0) needs 2 slots, so it never reads that one-child
+#   sequence; a vertex with i >= 1 marks reads the sequences at (l, k - i),
+#   and a colored root reads the uncolored tables.  So the sequences are
+#   built without the one-child entry, then the subtrees from them, and
+#   the one-child entry comes last.
+# * Below the seam every leaf path must still meet exactly one colored
+#   vertex.  A subtree there is a colored root over uncolored slots or an
+#   uncolored hub over below-seam slots; with no leaves it is a plain
+#   leafless side branch.
+#
+# Built in this order, LIST gives the trees of each edge count in the
+# canonical order that stratum ids follow.
+
+
+class _Count:
+    """Tree counts.  A sequence is keyed by (edges, colored, s, D), with s
+    the slot count and D = (sum of child subtree dims) + s; a subtree by
+    (edges, colored, dim).  A vertex with i marks over a sequence has dim
+    D - 2 + 2i, plus 1 when colored.  Only the stability thresholds read s
+    (s + 2i >= 2 uncolored, >= 1 colored), so s is kept as min(s, 2).
+    Uncolored keys carry colored = 0."""
+
+    def unit(self):
+        return {(0, 0, 0, 0): 1}
+
+    def leaf(self, seqs, rests):
+        for (e, nc, s, D), n in rests.items():
+            key = (e, nc, min(s + 1, 2), D + 1)
+            seqs[key] = seqs.get(key, 0) + n
+
+    def graft(self, seqs, children, rests):
+        # the rest moves one slot right, behind the new first slot
+        rests = [
+            (e + 1, nc, min(s + 1, 2), D + 1, n)
+            for (e, nc, s, D), n in rests.items()
+        ]
+        for (ec, ncc, dc), m in children.items():
+            for e, nc, s, D, n in rests:
+                key = (e + ec, nc + ncc, s, D + dc)
+                seqs[key] = seqs.get(key, 0) + m * n
+
+    def close(self, subtrees, seqs, i, col):
+        for (e, nc, s, D), n in seqs.items():
+            if s + 2 * i >= 2 - col:
+                key = (e, nc + col, D - 2 + 2 * i + col)
+                subtrees[key] = subtrees.get(key, 0) + n
+
+
+COUNT = _Count()
+
+
+class _List:
+    """The trees themselves, keyed by edge count: lists of slot tuples for
+    sequences and of vertices for subtrees."""
+
+    def unit(self):
+        return {0: [()]}
+
+    def leaf(self, seqs, rests):
+        for e, rs in rests.items():
+            seqs.setdefault(e, []).extend((LEAF,) + r for r in rs)
+
+    def graft(self, seqs, children, rests):
+        for ec in sorted(children):
+            for child in children[ec]:
+                for e, rs in rests.items():
+                    seqs.setdefault(ec + 1 + e, []).extend(
+                        (child,) + r for r in rs
+                    )
+
+    def close(self, subtrees, seqs, i, col):
+        for e, ss in seqs.items():
+            vs = (vertex(i, col, s) for s in ss)
+            subtrees.setdefault(e, []).extend(filter(_stable_vertex, vs))
+
+
+LIST = _List()
+
+
+def _first_slots(l, k):
+    """Totals of a subtree in a sequence's first slot, in canonical order,
+    without (0, 0) and the one-child entry (l, k)."""
+    return [
+        (lc, kc)
+        for lc in range(l + 1)
+        for kc in range(k + 1)
+        if (lc, kc) not in ((0, 0), (l, k))
+    ]
 
 
 @lru_cache(maxsize=None)
-def _plain_slot_seqs(l, k, e):
-    """Ordered slot sequences consuming l leaves, k marks, e edges."""
-    if l == 0 and k == 0 and e == 0:
-        return ((),)
-    seqs = []
+def plain(G, l, k):
+    """Uncolored (sequences, subtrees) with totals (l, k), read by G."""
+    seqs = G.unit() if l == k == 0 else {}
     if l >= 1:
-        for rest in _plain_slot_seqs(l - 1, k, e):
-            seqs.append((LEAF,) + rest)
-    for lc in range(l + 1):
-        for kc in range(k + 1):
-            for ec in range(e):
-                for child in _plain_vertices(lc, kc, ec):
-                    for rest in _plain_slot_seqs(l - lc, k - kc, e - 1 - ec):
-                        seqs.append((child,) + rest)
-    return tuple(seqs)
+        G.leaf(seqs, plain(G, l - 1, k)[0])
+    for lc, kc in _first_slots(l, k):
+        G.graft(seqs, plain(G, lc, kc)[1], plain(G, l - lc, k - kc)[0])
+    subtrees = {}
+    for i in range(k + 1):
+        src = seqs if i == 0 else plain(G, l, k - i)[0]
+        G.close(subtrees, src, i, False)
+    G.graft(seqs, subtrees, G.unit())
+    return seqs, subtrees
+
+
+@lru_cache(maxsize=None)
+def colored(G, l, k):
+    """Below-seam (sequences, subtrees) with totals (l, k), read by G."""
+    seqs = G.unit() if l == k == 0 else {}
+    for lc, kc in _first_slots(l, k):
+        G.graft(seqs, colored(G, lc, kc)[1], colored(G, l - lc, k - kc)[0])
+    if l == 0:
+        subtrees = plain(G, 0, k)[1]
+    else:
+        # all colored roots, then all uncolored hubs: the canonical order
+        subtrees = {}
+        for i in range(k + 1):
+            G.close(subtrees, plain(G, l, k - i)[0], i, True)
+        for i in range(k + 1):
+            src = seqs if i == 0 else colored(G, l, k - i)[0]
+            G.close(subtrees, src, i, False)
+    G.graft(seqs, subtrees, G.unit())
+    return seqs, subtrees
+
+
+def _listed(table, l, k, e):
+    """The LIST reading of ``table`` at (l, k) and ``e`` edges, refused
+    when the COUNT reading finds more than MAX_STRATA trees at (l, k)."""
+    total = sum(table(COUNT, l, k)[1].values())
+    if total > MAX_STRATA:
+        raise CapError(
+            "%d %s trees at l=%d, k=%d, above the cap of %d"
+            % (total, table.__name__, l, k, MAX_STRATA)
+        )
+    return [PlanarTree(v) for v in table(LIST, l, k)[1].get(e, ())]
 
 
 def enumerate_types(l, k, codim):
@@ -287,46 +412,7 @@ def enumerate_types(l, k, codim):
                 "unstable (l,k)=(%d,%d) admits no refined strata" % (l, k)
             )
         raise StabilityError("no stable type with l=%d, k=%d" % (l, k))
-    return [PlanarTree(v) for v in _plain_vertices(l, k, codim)]
-
-
-@lru_cache(maxsize=None)
-def _colored_below(l, k, e):
-    """Subtrees sitting below the colors: every leaf path must still meet
-    exactly one colored vertex inside the subtree.  Requires l >= 1."""
-    out = []
-    # the subtree root itself is colored; everything above is colorless
-    for i in range(k + 1):
-        for slots in _plain_slot_seqs(l, k - i, e):
-            v = vertex(i, True, slots)
-            if _stable_vertex(v):
-                out.append(v)
-    # uncolored hub: no leaf slots; leaf-bearing children are below-color
-    # subtrees, leafless children are plain side branches
-    for i in range(k + 1):
-        for slots in _below_slot_seqs(l, k - i, e):
-            v = vertex(i, False, slots)
-            if _stable_vertex(v):
-                out.append(v)
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _below_slot_seqs(l, k, e):
-    if l == 0 and k == 0 and e == 0:
-        return ((),)
-    seqs = []
-    for lc in range(l + 1):
-        for kc in range(k + 1):
-            for ec in range(e):
-                if lc >= 1:
-                    children = _colored_below(lc, kc, ec)
-                else:
-                    children = _plain_vertices(0, kc, ec)
-                for child in children:
-                    for rest in _below_slot_seqs(l - lc, k - kc, e - 1 - ec):
-                        seqs.append((child,) + rest)
-    return tuple(seqs)
+    return _listed(plain, l, k, codim)
 
 
 def enumerate_colored_types(l, k, n_edges):
@@ -335,7 +421,7 @@ def enumerate_colored_types(l, k, n_edges):
     check_caps(l, k)
     if l < 1:
         raise StabilityError("colored trees need at least one leaf")
-    return [PlanarTree(v) for v in _colored_below(l, k, n_edges)]
+    return _listed(colored, l, k, n_edges)
 
 
 def maximal_types(l, k):

@@ -6,6 +6,7 @@ arithmetic, no tolerances) and its wall-clock budget.
 
 import itertools
 import json
+import math
 import random
 import time
 from fractions import Fraction
@@ -94,12 +95,24 @@ def _polygon_f_vector(l):
     return tuple(counts.get(top - d, 0) for d in range(0, top + 1))
 
 
+def _kirkman_cayley(m, j):
+    """Dissections of a convex m-gon by j pairwise non-crossing diagonals."""
+    return math.comb(m - 3, j) * math.comb(m + j - 1, j) // (j + 1)
+
+
 def test_criterion_02_associahedron_f_vectors():
     with _Clock() as c:
         assert strata.f_vector("K", 4, 0) == (5, 5, 1)
         assert strata.f_vector("K", 5, 0) == (14, 21, 9, 1)
         assert _polygon_f_vector(4) == (5, 5, 1)
         assert _polygon_f_vector(5) == (14, 21, 9, 1)
+        # closed form up to the leaf cap: a d-face is a dissection of the
+        # (l+1)-gon by l - 2 - d diagonals
+        for l in range(2, 11):
+            want = tuple(
+                _kirkman_cayley(l + 1, l - 2 - d) for d in range(l - 1)
+            )
+            assert strata.f_vector("K", l, 0) == want, l
     assert c.elapsed < 5.0
 
 

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from clustercx import barcx, cli, strata
+from clustercx import barcx, cli, trees
 
 
 def run(capsys, *argv):
@@ -50,10 +50,20 @@ class TestBasics:
         assert code == 0 and out.strip() == "5 5 1"
 
     def test_export_quilted_with_marks_pinned(self, capsys):
-        code, out = run(capsys, "export", "--family", "Q", "--l", "2", "--k", "1")
-        assert code == 0
-        digest = hashlib.sha256(out.encode()).hexdigest()
-        assert digest == "c09d2444a7b4834bf9bee3301939dbf8c2b0b506968b7f3b3df967aa841a84f0"
+        # stratum ids follow the enumeration order, so these pin it too
+        pins = {
+            ("Q", 2, 1): "c09d2444a7b4834bf9bee3301939dbf8c2b0b506968b7f3b3df967aa841a84f0",
+            ("K", 6, 0): "f4022d486d1a9487e26c9216196b09f4ed78ebe2491c34f84c5cb9a046b43205",
+            ("Q", 4, 0): "9d5c58ddd2f431729b0eee6aa98f1e08947cf81a2d2e7888b6252aa6c3bcee96",
+            ("Q", 3, 1): "0033457903ea8d93ef2829e92e98de075c0f3c7c91167a96ab2a813fcbfada1e",
+            ("Ks", 4, 1): "5dacff2a1bb97d6832396f3f6c0ceffce731b253f6d3f707ca70079b73695ad6",
+        }
+        for (family, l, k), want in pins.items():
+            code, out = run(
+                capsys, "export", "--family", family, "--l", str(l), "--k", str(k)
+            )
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == want, family
 
     def test_sign_concat(self, capsys):
         code, out = run(capsys, "sign", "concat", "--l1", "2", "--j", "2", "--l2", "2")
@@ -76,8 +86,8 @@ class TestBasics:
 
     def test_quilted_at_caps(self, capsys):
         # cold tables, so the timed export pays for the whole count
-        strata._plain_tables.cache_clear()
-        strata._colored_tables.cache_clear()
+        trees.plain.cache_clear()
+        trees.colored.cache_clear()
         started = time.time()
         code, out = run(
             capsys, "export", "--family", "Q", "--l", "10", "--k", "4", "--json"

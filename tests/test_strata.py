@@ -4,6 +4,7 @@ import json
 from collections import Counter
 from functools import lru_cache
 from itertools import permutations
+from math import comb
 
 import pytest
 
@@ -193,6 +194,27 @@ class TestGradings:
         else:
             assert unstable == {(0, 0), (1, 0)}
 
+    def test_cyclohedron_f_vectors(self):
+        # K with one interior mark is the cyclohedron W_{l+1}
+        for l in range(1, 11):
+            want = tuple(comb(l, j) * comb(2 * l - j, l) for j in range(l + 1))
+            assert strata.f_vector("K", l, 1) == want, l
+
+    def test_multiplihedron_vertices(self):
+        got = [strata.f_vector("Q", l, 0)[0] for l in range(1, 7)]
+        assert got == [1, 2, 6, 21, 80, 322]
+
+    def test_euler_characteristic(self):
+        # every closed cell is a ball
+        for fam in ("K", "Q"):
+            for l in range(trees.MAX_LEAVES + 1):
+                for k in range(trees.MAX_MARKS + 1):
+                    try:
+                        fv = strata.f_vector(fam, l, k)
+                    except StabilityError:
+                        continue
+                    assert sum((-1) ** d * n for d, n in enumerate(fv)) == 1
+
     def test_profile_is_a_fresh_dict(self):
         for fam, l, k in [("K", 5, 1), ("Ks", 4, 1), ("Q", 3, 1)]:
             prof = strata.grading_profile(fam, l, k)
@@ -353,6 +375,16 @@ class TestCorners:
             cp = strata.corner_decomposition(s)
             assert len(cp.factors) == s.codim + 1
 
+    def test_symmetric_poset_keeps_its_family(self):
+        poset = strata.face_poset("Ks", 3, 0)
+        assert {s.family for s in poset.strata} == {"Ks"}
+        ghost = PlanarTree(
+            vertex(0, False, (LEAF, vertex(0, False, (LEAF, LEAF))))
+        )
+        s = poset.strata[poset.index(strata.Stratum("Ks", ghost))]
+        with pytest.raises(GhostCornerError):
+            strata.corner_decomposition(s)
+
     def test_ghost_corner_error(self):
         t = PlanarTree(
             vertex(1, False, ((vertex(0, False, (LEAF, LEAF))), LEAF))
@@ -433,9 +465,9 @@ class TestTiles:
 class TestCollarAndExport:
     def test_strata_cap(self, monkeypatch):
         # K (4, 0) has 11 strata: a poset of exactly MAX_STRATA is built
-        monkeypatch.setattr(strata, "MAX_STRATA", 11)
+        monkeypatch.setattr(trees, "MAX_STRATA", 11)
         assert len(strata.face_poset("K", 4, 0).strata) == 11
-        monkeypatch.setattr(strata, "MAX_STRATA", 10)
+        monkeypatch.setattr(trees, "MAX_STRATA", 10)
         with pytest.raises(CapError):
             strata.face_poset("K", 4, 0)
         with pytest.raises(CapError):

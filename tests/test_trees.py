@@ -1,5 +1,7 @@
 """Planar-tree enumeration, contraction order, and serialization."""
 
+import time
+from functools import lru_cache
 from math import comb
 
 import pytest
@@ -12,6 +14,101 @@ from clustercx.trees import LEAF, PlanarTree, vertex
 
 def catalan(n):
     return comb(2 * n, n) // (n + 1)
+
+
+# Oracle for the LIST reading of the tree grammar: the enumeration
+# recursions keyed by the edge budget e, which the library's (l, k)-keyed
+# grammar replaced.
+
+
+@lru_cache(maxsize=None)
+def _reference_plain_vertices(l, k, e):
+    """All stable uncolored vertices with subtree totals (l, k, e)."""
+    out = []
+    for i in range(k + 1):
+        for slots in _reference_plain_slot_seqs(l, k - i, e):
+            v = vertex(i, False, slots)
+            if trees._stable_vertex(v):
+                out.append(v)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _reference_plain_slot_seqs(l, k, e):
+    """Ordered slot sequences consuming l leaves, k marks, e edges."""
+    if l == 0 and k == 0 and e == 0:
+        return ((),)
+    seqs = []
+    if l >= 1:
+        for rest in _reference_plain_slot_seqs(l - 1, k, e):
+            seqs.append((LEAF,) + rest)
+    for lc in range(l + 1):
+        for kc in range(k + 1):
+            for ec in range(e):
+                for child in _reference_plain_vertices(lc, kc, ec):
+                    for rest in _reference_plain_slot_seqs(
+                        l - lc, k - kc, e - 1 - ec
+                    ):
+                        seqs.append((child,) + rest)
+    return tuple(seqs)
+
+
+@lru_cache(maxsize=None)
+def _reference_colored_below(l, k, e):
+    """Subtrees below the colors: every leaf path still meets exactly one
+    colored vertex inside the subtree.  Requires l >= 1."""
+    out = []
+    for i in range(k + 1):
+        for slots in _reference_plain_slot_seqs(l, k - i, e):
+            v = vertex(i, True, slots)
+            if trees._stable_vertex(v):
+                out.append(v)
+    for i in range(k + 1):
+        for slots in _reference_below_slot_seqs(l, k - i, e):
+            v = vertex(i, False, slots)
+            if trees._stable_vertex(v):
+                out.append(v)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _reference_below_slot_seqs(l, k, e):
+    if l == 0 and k == 0 and e == 0:
+        return ((),)
+    seqs = []
+    for lc in range(l + 1):
+        for kc in range(k + 1):
+            for ec in range(e):
+                if lc >= 1:
+                    children = _reference_colored_below(lc, kc, ec)
+                else:
+                    children = _reference_plain_vertices(0, kc, ec)
+                for child in children:
+                    for rest in _reference_below_slot_seqs(
+                        l - lc, k - kc, e - 1 - ec
+                    ):
+                        seqs.append((child,) + rest)
+    return tuple(seqs)
+
+
+def _class_size(table, l, k):
+    return sum(table(trees.COUNT, l, k)[1].values())
+
+
+# Every stable (l, k) within the caps whose class has at most 60,000
+# trees: plain up to (7, 1), (5, 2) and (2, 4), colored up to (7, 0),
+# (5, 1) and (2, 3).
+LISTED_CLASSES = [
+    ("plain", l, k)
+    for l in range(trees.MAX_LEAVES + 1)
+    for k in range(trees.MAX_MARKS + 1)
+    if trees.params_stable(l, k) and _class_size(trees.plain, l, k) <= 60_000
+] + [
+    ("colored", l, k)
+    for l in range(1, trees.MAX_LEAVES + 1)
+    for k in range(trees.MAX_MARKS + 1)
+    if _class_size(trees.colored, l, k) <= 60_000
+]
 
 
 class TestEnumeration:
@@ -52,6 +149,32 @@ class TestEnumeration:
             for t in trees.enumerate_colored_types(3, 0, n_edges):
                 assert t.check_colored_axiom()
                 assert t.n_colored >= 1
+
+
+    @pytest.mark.parametrize("kind, l, k", LISTED_CLASSES)
+    def test_listing_matches_reference(self, kind, l, k):
+        if kind == "plain":
+            listed, reference = trees.enumerate_types, _reference_plain_vertices
+        else:
+            listed, reference = (
+                trees.enumerate_colored_types,
+                _reference_colored_below,
+            )
+        # no tree has 2l + 2k edges or more, on either side
+        total = 0
+        for e in range(2 * l + 2 * k):
+            got = [t.root for t in listed(l, k, e)]
+            assert got == list(reference(l, k, e)), e
+            total += len(got)
+        assert total == _class_size(getattr(trees, kind), l, k)
+
+    def test_listing_refused_above_cap(self):
+        # K (10, 4) has about 3.1e11 trees and Q (10, 4) about 4.9e13
+        for listed in (trees.enumerate_types, trees.enumerate_colored_types):
+            started = time.monotonic()
+            with pytest.raises(CapError, match="above the cap"):
+                listed(10, 4, 0)
+            assert time.monotonic() - started < 1.0
 
 
 class TestContraction:
