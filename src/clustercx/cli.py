@@ -24,8 +24,6 @@ def _report(args, verdict, data, counterexample=None, started=None):
     }
     if counterexample is not None:
         obj["counterexample"] = counterexample
-    if getattr(args, "seed", None) is not None:
-        obj["seed"] = args.seed
     if args.json:
         print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
     else:
@@ -276,8 +274,7 @@ def _cmd_audit(args):
 
 
 def _cmd_labelings(args):
-    fam = "otimes" if args.family in ("otimes", "x") else "bullet"
-    labs = indexcalc.enumerate_end_labelings(args.l, args.c, fam)
+    labs = indexcalc.enumerate_end_labelings(args.l, args.c, args.family)
     data = {
         "count": len(labs),
         "labelings": sorted(list(x) for x in labs),
@@ -296,7 +293,6 @@ def build_parser():
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine report")
-    common.add_argument("--seed", type=int, default=None)
     sub = p.add_subparsers(dest="cmd", required=True)
 
     def add_parser(name, **kw):

@@ -330,7 +330,7 @@ def enumerate_end_labelings(l, c, family):
     increasing.
     """
     check_nonnegative(l=l, c=c)
-    if family in ("otimes", "x"):
+    if family == "otimes":
         out = set()
 
         def rec(chain):
@@ -346,7 +346,7 @@ def enumerate_end_labelings(l, c, family):
 
         rec([])
         return out
-    if family in ("bullet", "."):
+    if family == "bullet":
         out = set()
 
         def rec(vals, last_small):
@@ -360,16 +360,6 @@ def enumerate_end_labelings(l, c, family):
         rec([], 0)
         return out
     raise ShapeError("family must be otimes or bullet")
-
-
-def chain_pairs(chain):
-    """The pair form of a chained labeling: position i carries
-    (j_{i-1}, j_i) and position 0 carries (j_0, j_l)."""
-    l = len(chain) - 1
-    pairs = {0: (chain[0], chain[l])}
-    for i in range(1, l + 1):
-        pairs[i] = (chain[i - 1], chain[i])
-    return pairs
 
 
 def induced_component_labeling(lab, intervals, family, c=None):
@@ -387,7 +377,7 @@ def induced_component_labeling(lab, intervals, family, c=None):
         if lo - 1 < prev_hi or (hi >= lo and lo < 1):
             raise ShapeError("intervals must be increasing and disjoint")
         prev_hi = max(prev_hi, hi, lo - 1)
-    if family in ("otimes", "x"):
+    if family == "otimes":
         chain = tuple(lab)
         new = [chain[intervals[0][0] - 1] if intervals else chain[0]]
         for lo, hi in intervals:
@@ -397,7 +387,7 @@ def induced_component_labeling(lab, intervals, family, c=None):
         if len(set(new)) == 1:
             return (0,) * len(new)
         return tuple(new)
-    if family in ("bullet", "."):
+    if family == "bullet":
         if c is None:
             raise ShapeError("pointed induction needs c")
         vals = tuple(lab)

@@ -235,45 +235,37 @@ def _check_witness(t1, t2, witness):
     return witness, emap
 
 
-def _down_chain(edge, contracted):
-    """Contracted edges strictly below ``edge`` reachable through
-    contracted edges (the bottom endpoint's rootward chain)."""
-    out = []
-    e = tuple(edge)
-    while len(e) > 1:
-        parent = e[:-1]
-        if parent in contracted:
-            out.append(parent)
-            e = parent
-        else:
-            break
-    return out
+def _contraction_fold(t1, t2, witness):
+    """The contraction of t2 onto t1, edge by edge: one (new_e, down, ups)
+    per surviving edge e of t2, where ``down`` is e followed by the
+    contracted edges straight below it and ``ups`` lists the chains of
+    contracted edges from e up to a colored vertex (none when e's top
+    vertex is itself colored)."""
+    witness, emap = _check_witness(t1, t2, witness)
 
-
-def _up_chains(tree, edge, contracted):
-    """Products of contracted edges above ``edge`` reaching a colored
-    vertex through contracted edges: lists of edge paths, one per
-    reachable colored vertex."""
-    top = tree.vertex_at(edge)
-    if top[1]:
-        return []
-    found = []
-
-    def rec(v, path, acc):
+    def ups_from(v, path):
+        out = []
         for idx, item in enumerate(v[2]):
-            if not isinstance(item, tuple):
+            if item == LEAF:
                 continue
-            child_edge = path + (idx,)
-            if child_edge not in contracted:
-                continue
-            chain = acc + [child_edge]
-            if item[1]:
-                found.append(chain)
-            else:
-                rec(item, child_edge, chain)
+            e = path + (idx,)
+            if e in witness:
+                if item[1]:
+                    out.append([e])
+                else:
+                    out.extend([e] + c for c in ups_from(item, e))
+        return out
 
-    rec(top, tuple(edge), [])
-    return found
+    fold = []
+    for e, new_e in emap.items():
+        down = [e]
+        below = e[:-1]
+        while below in witness:
+            down.append(below)
+            below = below[:-1]
+        top = t2.vertex_at(e)
+        fold.append((new_e, down, [] if top[1] else ups_from(top, e)))
+    return fold
 
 
 def restrict_balanced(lab, t1, t2, witness=None):
@@ -282,13 +274,11 @@ def restrict_balanced(lab, t1, t2, witness=None):
     a colored vertex, keeping the color products intact."""
     if not is_balanced(lab):
         raise BalanceError("input labeling is not balanced")
-    witness, emap = _check_witness(t1, t2, witness)
     out = {}
-    for e, new_e in emap.items():
-        value = lab[e]
-        for lp in _down_chain(e, witness):
-            value = value * lab[lp]
-        ups = _up_chains(lab.tree, e, witness)
+    for new_e, down, ups in _contraction_fold(t1, t2, witness):
+        value = lab[down[0]]
+        for x in down[1:]:
+            value = value * lab[x]
         if ups:
             prods = [_prod(lab[x] for x in chain) for chain in ups]
             assert all(p == prods[0] for p in prods[1:]), (
@@ -356,15 +346,11 @@ def exponents(tree, tmax=None, witness=None):
             m[e] = Fraction(1, 2 ** b[e])
     if tmax is None:
         return ExponentData(b, m, dict(m))
-    witness, emap = _check_witness(tree, tmax, witness)
     n = {}
-    for e, new_e in emap.items():
-        total = m[e]
-        for lp in _down_chain(e, witness):
-            total += m[lp]
-        ups = _up_chains(tmax, e, witness)
-        if ups:
-            total += sum(m[x] for x in ups[0])
+    for new_e, down, ups in _contraction_fold(tree, tmax, witness):
+        total = m[down[0]]
+        for x in down[1:] + (ups[0] if ups else []):
+            total += m[x]
         n[new_e] = total
     return ExponentData(b, m, n)
 
@@ -431,17 +417,6 @@ def chi_quilted(lab, eps):
     return EdgeLabeling(tree, out)
 
 
-def color_products_sym(lab):
-    """Color products for labelings with symbolic values."""
-    out = []
-    for chain in _colored_paths(lab.tree):
-        p = EpsFrac.rational(1)
-        for e in chain:
-            p = p * lab[e]
-        out.append(p)
-    return out
-
-
 # -- simple-ratio charts -----------------------------------------------------
 
 
@@ -465,23 +440,29 @@ class MarkedDisk:
 
 
 def _marking_sequence(tree):
-    """Planar sequence of markings: ('x', leaf#) and ('z', vertex path)."""
+    """The planar sequence of markings, ('x', leaf#) and ('z', vertex
+    path), and the meets: for each two-slot vertex path, the index j of the
+    gap between markings j and j + 1 that separates its two branches."""
     seq = []
-    counter = [0]
+    meets = {}
+    leaves = 0
 
     def rec(v, prefix):
+        nonlocal leaves
         if v[0] == 1 and not v[2]:
             seq.append(("z", prefix))
             return
         for idx, item in enumerate(v[2]):
+            if idx == 1 and len(v[2]) == 2:
+                meets[prefix] = len(seq) - 1
             if item == LEAF:
-                counter[0] += 1
-                seq.append(("x", counter[0]))
+                leaves += 1
+                seq.append(("x", leaves))
             else:
                 rec(item, prefix + (idx,))
 
     rec(tree.root, ())
-    return seq
+    return seq, meets
 
 
 def _is_chart_maximal(tree):
@@ -504,63 +485,35 @@ def simple_ratio_chart(disk, tree):
     """
     if not _is_chart_maximal(tree):
         raise ShapeError("chart needs a maximal combinatorial type")
-    seq = _marking_sequence(tree)
+    seq, meets = _marking_sequence(tree)
     l = tree.num_leaves
     k = tree.num_marks
     if len(disk.xs) != l or len(disk.zs) != k:
         raise ShapeError("disk does not match the tree's marking counts")
     z_order = [p for kind, p in seq if kind == "z"]
     z_at = {p: disk.zs[h] for h, p in enumerate(z_order)}
-    pos = []
-    for kind, ref in seq:
-        if kind == "x":
-            pos.append(disk.xs[ref - 1])
-        else:
-            pos.append(z_at[ref][0])
+    pos = [
+        disk.xs[ref - 1] if kind == "x" else z_at[ref][0]
+        for kind, ref in seq
+    ]
     if any(pos[i] >= pos[i + 1] for i in range(len(pos) - 1)):
         raise OrderError("marking positions violate the planar order")
-
     delta = {}
-
-    def span(v, prefix, start):
-        """Returns (count of markings in subtree); fills delta."""
-        i, col, slots = v
+    for path, (_, col, slots) in tree.vertices():
         if col:
             if disk.seam is None:
                 raise ShapeError("quilted type needs a seam height")
             if disk.seam == 0:
                 raise DegenerateError("zero seam height")
-            delta[prefix] = disk.seam
-            item = slots[0]
-            if item == LEAF:
-                return 1
-            return span(item, prefix + (0,), start)
-        if i == 1 and not slots:
-            h = z_at[prefix][1]
-            if h == 0:
+            delta[path] = disk.seam
+        elif slots:
+            j = meets[path]
+            delta[path] = pos[j + 1] - pos[j]
+        else:
+            delta[path] = z_at[path][1]
+            if delta[path] == 0:
                 raise DegenerateError("zero mark height")
-            delta[prefix] = h
-            return 1
-        n1 = (
-            1
-            if slots[0] == LEAF
-            else span(slots[0], prefix + (0,), start)
-        )
-        n2 = (
-            1
-            if slots[1] == LEAF
-            else span(slots[1], prefix + (1,), start + n1)
-        )
-        gap = pos[start + n1] - pos[start + n1 - 1]
-        if gap == 0:
-            raise DegenerateError("coincident markings")
-        delta[prefix] = gap
-        return n1 + n2
-
-    span(tree.root, (), 0)
-    labels = {}
-    for e in tree.edges():
-        labels[e] = delta[e] / delta[e[:-1]]
+    labels = {e: delta[e] / delta[e[:-1]] for e in tree.edges()}
     return EdgeLabeling(tree, labels)
 
 
@@ -575,45 +528,23 @@ def chart_inverse(lab):
         delta[e] = lab[e] * delta[e[:-1]]
         if delta[e] == 0:
             raise DegenerateError("zero label")
-    seq = _marking_sequence(tree)
-    n = len(seq)
-    # gap between consecutive markings = Delta of their meet vertex
-    gaps = {}
-
-    def walk(v, prefix, start):
-        i, col, slots = v
-        if col:
-            item = slots[0]
-            return 1 if item == LEAF else walk(item, prefix + (0,), start)
-        if i == 1 and not slots:
-            return 1
-        n1 = 1 if slots[0] == LEAF else walk(slots[0], prefix + (0,), start)
-        n2 = (
-            1
-            if slots[1] == LEAF
-            else walk(slots[1], prefix + (1,), start + n1)
-        )
-        gaps[start + n1 - 1] = delta[prefix]
-        return n1 + n2
-
-    walk(tree.root, (), 0)
+    seq, meets = _marking_sequence(tree)
+    # the gap after marking j is Delta of the vertex whose branches meet there
+    gaps = {j: delta[p] for p, j in meets.items()}
     pos = [Fraction(0)]
-    for j in range(n - 1):
+    for j in range(len(seq) - 1):
         pos.append(pos[-1] + gaps[j])
     xs = []
     zs = []
-    z_heights = {}
     seam = None
-    for path, (i, col, slots) in tree.vertices():
+    for path, (_, col, _) in tree.vertices():
         if col:
             seam = delta[path]
-        elif i == 1 and not slots:
-            z_heights[path] = delta[path]
-    for idx, (kind, ref) in enumerate(seq):
+    for p, (kind, ref) in zip(pos, seq):
         if kind == "x":
-            xs.append(pos[idx])
+            xs.append(p)
         else:
-            zs.append((pos[idx], z_heights[ref]))
+            zs.append((p, delta[ref]))
     return MarkedDisk(xs, zs, seam)
 
 

@@ -30,12 +30,8 @@ FAMILIES = ("K", "Q", "Ks")
 
 def _norm_family(family):
     f = str(family)
-    if f in ("K", "K*", "Kx"):
-        return "K"
-    if f in ("Q",):
-        return "Q"
-    if f in ("Ks", "K.", "Kdot", "Kb"):
-        return "Ks"
+    if f in FAMILIES:
+        return f
     raise ShapeError("unknown family %r" % (family,))
 
 
@@ -422,85 +418,55 @@ def corner_decomposition(stratum):
         )
     if stratum.perm is None:
         raise ShapeError("symmetric stratum needs a tile permutation")
-    orderings = [
-        _induced_ordering(tree, path, stratum.perm) for path, _ in verts
-    ]
-    shuffle = _corner_shuffle(tree, stratum.perm)
+    orderings, grafted = _corner_orderings(tree, stratum.perm)
+    # the tile values of the leaves in grafted order
+    shuffle = tuple(stratum.perm[a - 1] for a in grafted)
     return CornerProduct(
         factors, grafts, orderings=orderings, shuffle=shuffle
     )
 
 
-def _slot_leaf_keys(tree, path, perm):
-    """Per-slot key of one vertex: the tile-ordering value of a leaf slot,
-    or the minimum value over the subtree of a child slot."""
-    v = tree.vertex_at(path)
-    nums = iter(tree.leaf_numbers_under(path))
-    keys = []
-    for idx, item in enumerate(v[2]):
-        if item == LEAF:
-            keys.append(perm[next(nums) - 1])
-        else:
-            sub = tree.leaf_numbers_under(path + (idx,))
-            keys.append(min(perm[a - 1] for a in sub))
-            for _ in sub:
-                next(nums)
-    return keys
+def _corner_orderings(tree, perm):
+    """The induced slot ordering of every vertex, in preorder, and the
+    grafted leaf sequence, from one post-order walk.
 
+    A leaf slot's key is its tile value perm[a - 1]; a child slot's key is
+    the least key in its subtree (the minimum rule).  Each vertex ranks its
+    slots by key, and grafting lists the slots' leaf numbers in rank order.
+    A leafless branch has no key, so it raises ShapeError.
+    """
+    orderings = []
+    leaves = 0
 
-def _induced_ordering(tree, path, perm):
-    """Rank-normalized ordering of one component's slots (minimum rule)."""
-    keys = _slot_leaf_keys(tree, path, perm)
-    ranked = sorted(range(len(keys)), key=lambda t: keys[t])
-    order = [0] * len(keys)
-    for rank, t in enumerate(ranked, start=1):
-        order[t] = rank
-    return tuple(order)
-
-
-def _corner_shuffle(tree, perm):
-    """Leaf shuffle comparing the tile ordering with the one obtained by
-    grafting the induced component orderings in planar order."""
-    l = tree.num_leaves
-    grafted = _grafted_ordering(tree, perm)
-    inv = [0] * l
-    for a in range(1, l + 1):
-        inv[grafted[a - 1] - 1] = a
-    return tuple(perm[inv[a - 1] - 1] for a in range(1, l + 1))
-
-
-def _grafted_ordering(tree, perm):
-    """Global ordering induced by composing the per-component orderings
-    down the tree, the minimum rule deciding each component's slot order."""
-    def rec(path):
-        v = tree.vertex_at(path)
-        keys = _slot_leaf_keys(tree, path, perm)
-        slot_rank = _induced_ordering(tree, path, perm)
-        # per-slot lists of leaf numbers in planar order
-        groups = []
-        nums = iter(tree.leaf_numbers_under(path))
+    def walk(v, path):
+        """(key, grafted leaf numbers) of the subtree v at path."""
+        nonlocal leaves
+        at = len(orderings)
+        orderings.append(None)
+        keys, groups = [], []
         for idx, item in enumerate(v[2]):
             if item == LEAF:
-                groups.append([next(nums)])
+                leaves += 1
+                key, group = perm[leaves - 1], [leaves]
             else:
-                sub = rec(path + (idx,))
-                groups.append(sub)
-                for _ in sub:
-                    next(nums)
-        ordered = [None] * len(groups)
-        for t, rank in enumerate(slot_rank):
-            ordered[rank - 1] = groups[t]
-        out = []
-        for g in ordered:
-            out.extend(g)
-        return out
+                key, group = walk(item, path + (idx,))
+                if key is None:
+                    raise ShapeError(
+                        "branch at %r has no leaves, so the minimum rule "
+                        "gives it no ordering key" % (path + (idx,),)
+                    )
+            keys.append(key)
+            groups.append(group)
+        ranked = sorted(range(len(keys)), key=keys.__getitem__)
+        order = [0] * len(keys)
+        grafted = []
+        for rank, t in enumerate(ranked, start=1):
+            order[t] = rank
+            grafted += groups[t]
+        orderings[at] = tuple(order)
+        return (keys[ranked[0]] if keys else None), grafted
 
-    seq = rec(())
-    l = tree.num_leaves
-    order = [0] * l
-    for rank, leaf in enumerate(seq, start=1):
-        order[leaf - 1] = rank
-    return tuple(order)
+    return orderings, walk(tree.root, ())[1]
 
 
 # -- symmetric tile complex ----------------------------------------------

@@ -278,8 +278,8 @@ def test_criterion_10_collar_smoothing_maps():
                 lab = L.random_balanced(t, rng)
                 chi = L.chi_quilted(lab, Fraction(1, 2))
                 assert all(
-                    p == L.color_products_sym(chi)[0]
-                    for p in L.color_products_sym(chi)
+                    p == L.color_products(chi)[0]
+                    for p in L.color_products(chi)
                 )
                 key_in = json.dumps(L.labeling_to_obj(lab), sort_keys=True)
                 key_out = json.dumps(

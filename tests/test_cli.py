@@ -72,6 +72,10 @@ class TestBasics:
     def test_usage_error(self, capsys):
         assert cli.main(["nosuch"]) == 2
 
+    def test_seed_is_not_an_option(self, capsys):
+        code, out = run(capsys, "fvector", "--l", "4", "--seed", "3")
+        assert code == 2 and out == ""
+
     def test_strata_json(self, capsys):
         code, out = run(capsys, "strata", "--family", "Q", "--l", "3", "--json")
         assert code == 0

@@ -201,6 +201,13 @@ class TestInducedLabelings:
             chain, [(1, 2), (3, 2), (3, 4)], "otimes"
         ) == (0, 1, 1, 3)
 
+    @pytest.mark.parametrize("alias", ["x", "."])
+    def test_family_aliases_refused(self, alias):
+        with pytest.raises(ShapeError):
+            I.enumerate_end_labelings(2, 1, alias)
+        with pytest.raises(ShapeError):
+            I.induced_component_labeling((0, 1, 1), [(1, 2)], alias, c=1)
+
     @pytest.mark.parametrize("family", ["otimes", "bullet"])
     def test_coherence(self, family):
         rng = random.Random(5)

@@ -7,7 +7,14 @@ from fractions import Fraction
 import pytest
 
 from clustercx import labelings as L, trees
-from clustercx.errors import BalanceError, RangeError
+from clustercx.errors import (
+    BalanceError,
+    DegenerateError,
+    OrderError,
+    RangeError,
+    ShapeError,
+)
+from clustercx.trees import LEAF, PlanarTree, vertex
 
 
 def colored_pool():
@@ -76,7 +83,7 @@ class TestChi:
             chi = L.chi_quilted(lab, Fraction(1, 2))
             y = L.color_products(lab)[0]
             want = L.EpsFrac.rational(1 + y) * L.EpsFrac.eps_power(1)
-            assert all(p == want for p in L.color_products_sym(chi))
+            assert all(p == want for p in L.color_products(chi))
 
     def test_quilted_rejects_unbalanced(self):
         pool = [t for t in colored_pool() if not t.root[1] and t.n_edges >= 2]
@@ -102,7 +109,7 @@ class TestChi:
 
 
 def _random_disk(rng, t, seam=None):
-    seq = L._marking_sequence(t)
+    seq, _ = L._marking_sequence(t)
     posn = sorted(rng.sample(range(-60, 60), len(seq)))
     xs, zs = [], []
     for idx, (kind, ref) in enumerate(seq):
@@ -140,6 +147,48 @@ class TestCharts:
             assert lab == lab2
 
 
+# maximal types: plain (3, 0), quilted (2, 0) under one seam, and (1, 1)
+PLAIN3 = PlanarTree(vertex(0, False, (vertex(0, False, (LEAF, LEAF)), LEAF)))
+QUILTED2 = PlanarTree(vertex(0, True, (vertex(0, False, (LEAF, LEAF)),)))
+MARKED11 = PlanarTree(vertex(0, False, (LEAF, vertex(1, False, ()))))
+
+
+class TestChartErrors:
+    @pytest.mark.parametrize(
+        "tree, disk, error, message",
+        [
+            (QUILTED2, ([0, 1],), ShapeError,
+             "quilted type needs a seam height"),
+            (QUILTED2, ([0, 1], (), 0), DegenerateError, "zero seam height"),
+            (MARKED11, ([5], [(0, 1)]), OrderError,
+             "marking positions violate the planar order"),
+            (PLAIN3, ([0, 1],), ShapeError,
+             "disk does not match the tree's marking counts"),
+            (MARKED11, ([0, 1],), ShapeError,
+             "disk does not match the tree's marking counts"),
+            (PlanarTree(vertex(0, False, (LEAF, LEAF, LEAF))), ([0, 1, 2],),
+             ShapeError, "chart needs a maximal combinatorial type"),
+        ],
+    )
+    def test_chart(self, tree, disk, error, message):
+        with pytest.raises(error) as info:
+            L.simple_ratio_chart(L.MarkedDisk(*disk), tree)
+        assert str(info.value) == message
+
+    def test_inverse_non_maximal(self):
+        t = trees.enumerate_types(4, 0, 1)[0]
+        lab = L.EdgeLabeling(t, {e: Fraction(1) for e in t.edges()})
+        with pytest.raises(ShapeError) as info:
+            L.chart_inverse(lab)
+        assert str(info.value) == "chart needs a maximal combinatorial type"
+
+    def test_inverse_zero_label(self):
+        lab = L.EdgeLabeling(PLAIN3, {(0,): Fraction(0)})
+        with pytest.raises(DegenerateError) as info:
+            L.chart_inverse(lab)
+        assert str(info.value) == "zero label"
+
+
 class TestSerialization:
     def test_round_trip(self):
         rng = random.Random(6)
@@ -162,3 +211,43 @@ class TestExponents:
             for chain in paths:
                 if chain:
                     assert sum(exp.m[e] for e in chain) == 1
+
+    def test_n_sums_to_one_per_color_chain_after_contraction(self):
+        chains = 0
+        for l, k in [(2, 0), (3, 0), (4, 0), (2, 1), (3, 1)]:
+            for e in range(1, 2 * l + 2 * k + 2):
+                for t2 in trees.enumerate_colored_types(l, k, e):
+                    edges = t2.edges()
+                    for r in range(1, len(edges) + 1):
+                        for S in itertools.combinations(edges, r):
+                            t1, _ = trees.contract_set(t2, S)
+                            if t1.root[1] or not t1.check_colored_axiom():
+                                continue
+                            n = L.exponents(t1, tmax=t2, witness=S).n
+                            for chain in L._colored_paths(t1):
+                                assert sum(n[x] for x in chain) == 1
+                                chains += 1
+        assert chains == 3368
+
+    def test_n_pinned_on_a_multi_edge_contraction(self):
+        # uncolored root -> B -> A -> F along edges (0,), (0, 0), (0, 0, 0),
+        # each with colored one-leaf children c (F has two); B is contracted
+        # into the root and both children of F into F
+        c = vertex(0, True, (LEAF,))
+        f = vertex(0, False, (c, c))
+        t2 = PlanarTree(
+            vertex(0, False, (vertex(0, False, (vertex(0, False, (f, c)), c)), c))
+        )
+        S = [(0,), (0, 0, 0, 0), (0, 0, 0, 1)]
+        t1, _ = trees.contract_set(t2, S)
+        cf = vertex(0, True, (LEAF, LEAF))
+        assert t1 == PlanarTree(vertex(0, False, (vertex(0, False, (cf, c)), c, c)))
+        want = {
+            (0,): Fraction(3, 4),  # A's own 1/4 plus the contracted B below
+            (0, 0): Fraction(1, 4),  # F's 1/8 plus the contracted 1/8 above
+            (0, 1): Fraction(1, 4),
+            (1,): Fraction(1),
+            (2,): Fraction(1),
+        }
+        assert L.exponents(t1, tmax=t2, witness=S).n == want
+        assert L.exponents(t1, tmax=t2).n == want

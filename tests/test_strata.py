@@ -13,6 +13,7 @@ from clustercx.errors import (
     CapError,
     GhostCornerError,
     RangeError,
+    ShapeError,
     StabilityError,
 )
 from clustercx.trees import LEAF, PlanarTree, vertex
@@ -358,6 +359,85 @@ ORDERED_MOVE_SIZES = [
 ]
 
 
+def _reference_slot_leaf_keys(tree, path, perm):
+    """Oracle: per-slot key of one vertex, the tile-ordering value of a
+    leaf slot or the minimum value over the subtree of a child slot."""
+    v = tree.vertex_at(path)
+    nums = iter(tree.leaf_numbers_under(path))
+    keys = []
+    for idx, item in enumerate(v[2]):
+        if item == LEAF:
+            keys.append(perm[next(nums) - 1])
+        else:
+            sub = tree.leaf_numbers_under(path + (idx,))
+            keys.append(min(perm[a - 1] for a in sub))
+            for _ in sub:
+                next(nums)
+    return keys
+
+
+def _reference_induced_ordering(tree, path, perm):
+    """Oracle: rank-normalized ordering of one component's slots."""
+    keys = _reference_slot_leaf_keys(tree, path, perm)
+    ranked = sorted(range(len(keys)), key=lambda t: keys[t])
+    order = [0] * len(keys)
+    for rank, t in enumerate(ranked, start=1):
+        order[t] = rank
+    return tuple(order)
+
+
+def _reference_grafted_ordering(tree, perm):
+    """Oracle: the global ordering composed down the tree from the
+    per-component orderings."""
+
+    def rec(path):
+        v = tree.vertex_at(path)
+        slot_rank = _reference_induced_ordering(tree, path, perm)
+        groups = []
+        nums = iter(tree.leaf_numbers_under(path))
+        for idx, item in enumerate(v[2]):
+            if item == LEAF:
+                groups.append([next(nums)])
+            else:
+                sub = rec(path + (idx,))
+                groups.append(sub)
+                for _ in sub:
+                    next(nums)
+        ordered = [None] * len(groups)
+        for t, rank in enumerate(slot_rank):
+            ordered[rank - 1] = groups[t]
+        return [a for g in ordered for a in g]
+
+    order = [0] * tree.num_leaves
+    for rank, leaf in enumerate(rec(()), start=1):
+        order[leaf - 1] = rank
+    return tuple(order)
+
+
+def _reference_corner_shuffle(tree, perm):
+    """Oracle: the leaf shuffle comparing the tile ordering with the
+    grafted one."""
+    l = tree.num_leaves
+    grafted = _reference_grafted_ordering(tree, perm)
+    inv = [0] * l
+    for a in range(1, l + 1):
+        inv[grafted[a - 1] - 1] = a
+    return tuple(perm[inv[a - 1] - 1] for a in range(1, l + 1))
+
+
+def _symmetric_corner_cases():
+    """Every non-ghost Ks stratum of positive codim with 1 <= l <= 4 and
+    k <= 3, under every tile permutation."""
+    for l in range(1, 5):
+        for k in range(4):
+            if not trees.params_stable(l, k):
+                continue
+            for s in strata.face_poset("Ks", l, k).strata:
+                if s.codim and not s.ghost_paths():
+                    for perm in permutations(range(1, l + 1)):
+                        yield strata.Stratum("Ks", s.tree, perm)
+
+
 class TestCorners:
     def test_facet_kinds(self):
         poset = strata.face_poset("Q", 2, 0)
@@ -384,6 +464,38 @@ class TestCorners:
         s = poset.strata[poset.index(strata.Stratum("Ks", ghost))]
         with pytest.raises(GhostCornerError):
             strata.corner_decomposition(s)
+
+    def test_symmetric_orderings_match_reference(self):
+        valid = leafless = 0
+        for s in _symmetric_corner_cases():
+            verts = s.tree.vertices()
+            if any(p and not trees._count_leaves(v) for p, v in verts):
+                with pytest.raises(ShapeError, match="has no leaves"):
+                    strata.corner_decomposition(s)
+                leafless += 1
+                continue
+            cp = strata.corner_decomposition(s)
+            assert cp.orderings == [
+                _reference_induced_ordering(s.tree, p, s.perm)
+                for p, _ in verts
+            ]
+            assert cp.shuffle == _reference_corner_shuffle(s.tree, s.perm)
+            valid += 1
+        assert (valid, leafless) == (2182, 2973)
+
+    def test_leafless_branch_has_no_ordering(self):
+        t = PlanarTree(vertex(1, False, (LEAF, vertex(1, False, ()))))
+        with pytest.raises(ShapeError) as info:
+            strata.corner_decomposition(strata.Stratum("Ks", t, perm=(1,)))
+        assert str(info.value) == (
+            "branch at (1,) has no leaves, so the minimum rule gives it no "
+            "ordering key"
+        )
+
+    @pytest.mark.parametrize("alias", ["K*", "Kx", "K.", "Kdot", "Kb"])
+    def test_family_aliases_refused(self, alias):
+        with pytest.raises(ShapeError):
+            strata.face_poset(alias, 3, 0)
 
     def test_ghost_corner_error(self):
         t = PlanarTree(
