@@ -74,7 +74,6 @@ class OperationFamily:
         n=2,
         NL=2,
         c=0,
-        positive_energy=True,
         suspended=False,
     ):
         if role not in _ROLE_SHIFT:
@@ -84,7 +83,6 @@ class OperationFamily:
         self.NL = NL
         self.c = c
         self.gens = {g.sym: g for g in generators}
-        self.positive_energy = positive_energy
         self.suspended = suspended
         table = {}
         missing = []
@@ -130,7 +128,7 @@ class OperationFamily:
                 for (sym, d), coef in outs.items():
                     if sym not in self.gens:
                         raise ShapeError("unknown generator %r" % (sym,))
-                    if self.positive_energy and d < 0:
+                    if d < 0:
                         raise ShapeError(
                             "negative energy exponent t^%d in arity %d" % (d, l)
                         )
@@ -302,7 +300,6 @@ def suspend(fam):
         n=fam.n,
         NL=fam.NL,
         c=fam.c,
-        positive_energy=fam.positive_energy,
         suspended=not fam.suspended,
     )
 
@@ -714,33 +711,12 @@ def example_library():
 
     poly = _assoc_family(names, pmul)
 
-    ext = OperationFamily(
-        "m",
-        [Generator("1", 0), Generator("t", 1)],
-        {
-            2: {
-                ("1", "1"): [("1", 0, 1)],
-                ("1", "t"): [("t", 0, 1)],
-                ("t", "1"): [("t", 0, 1)],
-                ("t", "t"): [],
-            }
-        },
-        n=2,
-    )
+    def unital(u):
+        return lambda a, b: b if a == u else a if b == u else None
 
-    circle = OperationFamily(
-        "m",
-        [Generator("M", 0), Generator("m", 1)],
-        {
-            2: {
-                ("M", "M"): [("M", 0, 1)],
-                ("M", "m"): [("m", 0, 1)],
-                ("m", "M"): [("m", 0, 1)],
-                ("m", "m"): [],
-            }
-        },
-        n=1,
-        NL=2,
+    ext = _assoc_family(["1", "t"], unital("1"), coidx={"1": 0, "t": 1})
+    circle = _assoc_family(
+        ["M", "m"], unital("M"), n=1, coidx={"M": 0, "m": 1}
     )
 
     def template():

@@ -250,13 +250,13 @@ def _cmd_index(args):
 
 
 def _surgery_record(args, obj):
-    tree = trees.from_obj(obj["tree"])
-    spec = json.loads(args.surgery)
-    return indexcalc.reduce(tree, spec), spec
+    return indexcalc.reduce(
+        trees.from_obj(obj["tree"]), json.loads(args.surgery)
+    )
 
 
 def _cmd_reduce(args):
-    rec, spec = _surgery_record(args, _load_json(args.file))
+    rec = _surgery_record(args, _load_json(args.file))
     data = {
         "tag": rec.tag,
         "after": trees.to_obj(rec.after),
@@ -266,7 +266,7 @@ def _cmd_reduce(args):
 
 
 def _cmd_audit(args):
-    rec, spec = _surgery_record(args, _load_json(args.file))
+    rec = _surgery_record(args, _load_json(args.file))
     rep = indexcalc.reduction_index_audit(
         rec, args.assumed_index, n=args.n, NL=args.NL
     )

@@ -8,6 +8,8 @@ planar trees plus the counters (removed marks, interior incidences,
 complex nodes) the index-drop inequalities consume.
 """
 
+from itertools import combinations, combinations_with_replacement
+
 from .errors import (
     DegenerateError,
     MonotoneError,
@@ -44,13 +46,19 @@ class BoundaryConditionIndex:
                     )
 
 
+def _maslov_total(muF):
+    if isinstance(muF, BoundaryConditionIndex):
+        return muF.total
+    return int(muF)
+
+
 def _as_tree(ct):
     if isinstance(ct, PlanarTree):
         return ct
     return ct.stratum.tree
 
 
-def index_cr(ct, ec, muF, n=2, interior_incidences=0, complex_nodes=None):
+def index_cr(ct, ec, muF, n=2, interior_incidences=0):
     """Index of the linearized operator over a cluster type:
     mu+(root) - sum of leaf mu+ + Maslov, minus n per interior incidence
     point and per complex node."""
@@ -61,15 +69,12 @@ def index_cr(ct, ec, muF, n=2, interior_incidences=0, complex_nodes=None):
             "endpoint condition has %d leaves, type has %d"
             % (len(ec.mu_leaves), l)
         )
-    if complex_nodes is None:
-        complex_nodes = getattr(ct, "n_complex_nodes", 0)
-    total = muF.total if isinstance(muF, BoundaryConditionIndex) else int(muF)
     return (
         ec.mu_root
         - sum(ec.mu_leaves)
-        + total
+        + _maslov_total(muF)
         - n * interior_incidences
-        - n * complex_nodes
+        - n * getattr(ct, "n_complex_nodes", 0)
     )
 
 
@@ -107,13 +112,12 @@ def kernel_dim(l, k):
 
 def trajectory_index(mu_minus, mu_plus, muF):
     """mu(x-) - mu(x+) + mu(F)."""
-    total = muF.total if isinstance(muF, BoundaryConditionIndex) else int(muF)
-    return int(mu_minus) - int(mu_plus) + total
+    return int(mu_minus) - int(mu_plus) + _maslov_total(muF)
 
 
 def trajectory_energy(muF, tau, NL):
     """Energy exponent d with omega = tau * mu(F) = d * tau * N_L."""
-    total = muF.total if isinstance(muF, BoundaryConditionIndex) else int(muF)
+    total = _maslov_total(muF)
     if total % NL:
         raise MonotoneError(
             "Maslov %d not divisible by N_L = %d" % (total, NL)
@@ -331,33 +335,19 @@ def enumerate_end_labelings(l, c, family):
     """
     check_nonnegative(l=l, c=c)
     if family == "otimes":
-        out = set()
-
-        def rec(chain):
-            if len(chain) == l + 1:
-                if len(set(chain)) == 1:
-                    out.add((0,) * (l + 1))
-                else:
-                    out.add(tuple(chain))
-                return
-            lo = chain[-1] if chain else 0
-            for j in range(lo, c + 1):
-                rec(chain + [j])
-
-        rec([])
-        return out
+        return {
+            (0,) * (l + 1) if chain[0] == chain[-1] else chain
+            for chain in combinations_with_replacement(range(c + 1), l + 1)
+        }
     if family == "bullet":
         out = set()
-
-        def rec(vals, last_small):
-            if len(vals) == l:
-                out.add(tuple(vals))
-                return
-            rec(vals + [c + 1], last_small)
-            for j in range(last_small + 1, c + 1):
-                rec(vals + [j], j)
-
-        rec([], 0)
+        for r in range(min(l, c) + 1):
+            for at in combinations(range(l), r):
+                for small in combinations(range(1, c + 1), r):
+                    vals = [c + 1] * l
+                    for p, j in zip(at, small):
+                        vals[p] = j
+                    out.add(tuple(vals))
         return out
     raise ShapeError("family must be otimes or bullet")
 

@@ -112,17 +112,6 @@ class EpsFrac:
     def __hash__(self):
         raise TypeError("EpsFrac is not hashable (no normal form)")
 
-    def is_zero(self):
-        return not self.num
-
-    def as_rational(self):
-        """The value as a Fraction, when no eps symbol actually occurs."""
-        if any(e for e in self.num) or any(e for e in self.den):
-            raise ShapeError("value involves a formal power of eps")
-        num = self.num.get(Fraction(0), Fraction(0))
-        den = self.den.get(Fraction(0), Fraction(0))
-        return num / den
-
     def __repr__(self):
         def side(p):
             if not p:
@@ -174,22 +163,26 @@ class EdgeLabeling:
         return "EdgeLabeling(%r, %r)" % (self.tree, self.labels)
 
 
-def _colored_paths(tree):
-    """Edge paths from the root up to each colored vertex, as lists of
-    edge identifiers (bottom-up)."""
+def _color_walk(tree):
+    """(path, vertex, seen) in preorder, ``seen`` telling whether a colored
+    vertex lies strictly below the vertex at ``path``."""
+    hit = {}
     out = []
-
-    def rec(v, prefix, chain):
-        if v[1]:
-            out.append(chain)
-            return
-        for idx, item in enumerate(v[2]):
-            if isinstance(item, tuple):
-                path = prefix + (idx,)
-                rec(item, path, chain + [path])
-
-    rec(tree.root, (), [])
+    for path, v in tree.vertices():
+        seen = bool(path) and hit[path[:-1]]
+        hit[path] = seen or v[1]
+        out.append((path, v, seen))
     return out
+
+
+def _colored_paths(tree):
+    """Edge paths from the root up to each colored vertex with no colored
+    vertex below it, as lists of edge identifiers (bottom-up)."""
+    return [
+        [path[:j] for j in range(1, len(path) + 1)]
+        for path, v, seen in _color_walk(tree)
+        if v[1] and not seen
+    ]
 
 
 def color_products(lab):
@@ -298,23 +291,10 @@ def _edge_regions(tree):
     """Classify each edge: 'above' (a colored vertex lies strictly below
     it or at its bottom endpoint), 'touch' (its top endpoint is colored),
     or 'below'."""
-    regions = {}
-
-    def rec(v, prefix, seen_color):
-        for idx, item in enumerate(v[2]):
-            if not isinstance(item, tuple):
-                continue
-            e = prefix + (idx,)
-            if seen_color:
-                regions[e] = "above"
-            elif item[1]:
-                regions[e] = "touch"
-            else:
-                regions[e] = "below"
-            rec(item, e, seen_color or item[1])
-
-    rec(tree.root, (), tree.root[1])
-    return regions
+    return {
+        path: "above" if seen else "touch" if v[1] else "below"
+        for path, v, seen in _color_walk(tree)[1:]
+    }
 
 
 class ExponentData:
@@ -525,9 +505,13 @@ def chart_inverse(lab):
         raise ShapeError("chart needs a maximal combinatorial type")
     delta = {(): Fraction(1)}
     for e in tree.edges():
-        delta[e] = lab[e] * delta[e[:-1]]
-        if delta[e] == 0:
+        if lab[e] < 0:
+            raise RangeError(
+                "negative label %s on edge %s" % (lab[e], edge_id(e))
+            )
+        if lab[e] == 0:
             raise DegenerateError("zero label")
+        delta[e] = lab[e] * delta[e[:-1]]
     seq, meets = _marking_sequence(tree)
     # the gap after marking j is Delta of the vertex whose branches meet there
     gaps = {j: delta[p] for p, j in meets.items()}

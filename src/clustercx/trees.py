@@ -76,35 +76,29 @@ class PlanarTree:
 
     @property
     def num_marks(self):
-        return _count_marks(self.root)
+        return sum(v[0] for _, v in self.vertices())
 
     @property
     def n_edges(self):
-        return _count_edges(self.root)
-
-    @property
-    def codim(self):
-        """Codimension in the unquilted family: one per interior edge."""
-        return self.n_edges
+        return len(self.vertices()) - 1
 
     @property
     def n_colored(self):
-        return _count_colored(self.root)
+        return sum(v[1] for _, v in self.vertices())
 
     @property
     def is_colored(self):
         return self.n_colored > 0
 
     def edges(self):
-        """Interior edges as root-paths of slot indices, depth-first order."""
-        out = []
-        _collect_edges(self.root, (), out)
-        return out
+        """Interior edges as root-paths of slot indices, depth-first order:
+        each non-root vertex of the preorder walk names the edge below it."""
+        return [p for p, _ in self.vertices()[1:]]
 
     def vertices(self):
         """(path, vertex) pairs in depth-first preorder; root path is ()."""
         out = []
-        _collect_vertices(self.root, (), out)
+        _preorder(self.root, (), out)
         return out
 
     def vertex_at(self, path):
@@ -136,7 +130,7 @@ class PlanarTree:
     def check_colored_axiom(self):
         """True iff every root-to-leaf path meets exactly one colored vertex
         and colored vertices only occur on root-to-leaf paths."""
-        return _colored_ok(self.root, seen=False) and _colors_on_leaf_paths(self.root)
+        return _colored_leaves(self.root, False) is not None
 
 
 _SPECIAL_COROLLAS = {vertex(0, False, (LEAF,))}
@@ -146,59 +140,30 @@ def _count_leaves(v):
     return sum(1 if s == LEAF else _count_leaves(s) for s in v[2])
 
 
-def _count_marks(v):
-    return v[0] + sum(_count_marks(s) for s in v[2] if _is_vertex(s))
-
-
-def _count_edges(v):
-    return sum(1 + _count_edges(s) for s in v[2] if _is_vertex(s))
-
-
-def _count_colored(v):
-    own = 1 if v[1] else 0
-    return own + sum(_count_colored(s) for s in v[2] if _is_vertex(s))
-
-
-def _collect_edges(v, prefix, out):
+def _preorder(v, path, out):
+    # a type test, not _is_vertex: every tree fact reads this walk
+    out.append((path, v))
     for idx, s in enumerate(v[2]):
-        if _is_vertex(s):
-            path = prefix + (idx,)
-            out.append(path)
-            _collect_edges(s, path, out)
+        if type(s) is tuple:
+            _preorder(s, path + (idx,), out)
 
 
-def _collect_vertices(v, prefix, out):
-    out.append((prefix, v))
-    for idx, s in enumerate(v[2]):
-        if _is_vertex(s):
-            _collect_vertices(s, prefix + (idx,), out)
-
-
-def _colored_ok(v, seen):
-    i, col, slots = v
-    here = seen or col
+def _colored_leaves(v, seen):
+    """Leaf count of the subtree at ``v``, or None when it breaks the
+    colored axiom: a second colored vertex on a path (``seen`` says one
+    lies below ``v``), a leaf with no colored vertex below it, or a
+    colored vertex with no leaf above it."""
+    _, col, slots = v
     if col and seen:
-        return False
+        return None
+    here = seen or col
+    n = 0
     for s in slots:
-        if s == LEAF:
-            if not here:
-                return False
-        elif _count_leaves(s) > 0:
-            if not _colored_ok(s, here):
-                return False
-        else:
-            # leafless side branch: no leaf paths to constrain
-            if _count_colored(s) > 0:
-                return False
-    return True
-
-
-def _colors_on_leaf_paths(v):
-    # colored vertices with no leaves above them are rejected by _colored_ok
-    # through the leafless-branch clause; colored leafless roots remain.
-    if v[1] and _count_leaves(v) == 0:
-        return False
-    return True
+        m = (1 if here else None) if s == LEAF else _colored_leaves(s, here)
+        if m is None:
+            return None
+        n += m
+    return None if col and not n else n
 
 
 def replace_vertex(tree, path, new_v):

@@ -205,6 +205,20 @@ class TestIndexCommands:
             "orientation_consistent": True,
         }
 
+    def test_chart_invert_negative_label(self, capsys, tmp_path):
+        # the maximal (2, 1) tree with a mark between its two leaves
+        mark = {"i": 1, "col": False, "children": []}
+        inner = {"i": 0, "col": False, "children": ["x", mark]}
+        obj = {
+            "tree": {"i": 0, "col": False, "children": [inner, "x"]},
+            "labels": {"0": "-1/2", "0.1": "-3"},
+        }
+        p = tmp_path / "neg.json"
+        p.write_text(json.dumps(obj))
+        code, out = run(capsys, "chart", str(p), "--invert", "--json")
+        assert code == 1
+        assert json.loads(out)["error"] == "RangeError"
+
     def test_domain_error_exit_1(self, capsys, family_files):
         spec = '{"type":"I","disk":[],"d":3}'
         code, out = run(

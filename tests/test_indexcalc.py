@@ -1,5 +1,6 @@
 """Index formulas, reduction surgeries, audits, and end labelings."""
 
+import itertools
 import random
 from math import comb
 
@@ -162,6 +163,24 @@ class TestEndLabelings:
                     comb(l, s) * comb(c, s) for s in range(0, min(l, c) + 1)
                 )
                 assert gotb == want
+
+    def test_brute_force(self):
+        # every nondecreasing chain, constants merged; every map whose
+        # values below c + 1 strictly increase
+        for l in range(5):
+            for c in range(4):
+                chains = {
+                    ch if ch[0] != ch[-1] else (0,) * (l + 1)
+                    for ch in itertools.product(range(c + 1), repeat=l + 1)
+                    if list(ch) == sorted(ch)
+                }
+                assert I.enumerate_end_labelings(l, c, "otimes") == chains
+                maps = set()
+                for vals in itertools.product(range(1, c + 2), repeat=l):
+                    small = [j for j in vals if j <= c]
+                    if all(a < b for a, b in zip(small, small[1:])):
+                        maps.add(vals)
+                assert I.enumerate_end_labelings(l, c, "bullet") == maps
 
     def test_brute_force_l1_c1(self):
         brute = set()

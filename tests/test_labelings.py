@@ -147,10 +147,14 @@ class TestCharts:
             assert lab == lab2
 
 
-# maximal types: plain (3, 0), quilted (2, 0) under one seam, and (1, 1)
+# maximal types: plain (3, 0), quilted (2, 0) under one seam, (1, 1) and
+# (2, 1)
 PLAIN3 = PlanarTree(vertex(0, False, (vertex(0, False, (LEAF, LEAF)), LEAF)))
 QUILTED2 = PlanarTree(vertex(0, True, (vertex(0, False, (LEAF, LEAF)),)))
 MARKED11 = PlanarTree(vertex(0, False, (LEAF, vertex(1, False, ()))))
+MARKED21 = PlanarTree(
+    vertex(0, False, (vertex(0, False, (LEAF, vertex(1, False, ()))), LEAF))
+)
 
 
 class TestChartErrors:
@@ -187,6 +191,19 @@ class TestChartErrors:
         with pytest.raises(DegenerateError) as info:
             L.chart_inverse(lab)
         assert str(info.value) == "zero label"
+
+    def test_inverse_negative_label(self):
+        # the labels would give xs [0, 1/2] and a mark at -1/2, out of the
+        # planar order x1 < z < x2
+        lab = L.EdgeLabeling(
+            MARKED21, {(0,): Fraction(-1, 2), (0, 1): Fraction(-3)}
+        )
+        with pytest.raises(RangeError) as info:
+            L.chart_inverse(lab)
+        assert str(info.value) == "negative label -1/2 on edge 0"
+        lab = L.EdgeLabeling(MARKED21, {(0,): Fraction(1), (0, 1): Fraction(-3)})
+        with pytest.raises(RangeError):
+            L.chart_inverse(lab)
 
 
 class TestSerialization:
