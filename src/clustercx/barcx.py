@@ -7,7 +7,7 @@ The module assembles the word differential, the morphism and homotopy
 sums with their facet signs, and checks the defining relations on every
 basis word inside a finite truncation window.  Every facet, Koszul and
 Getzler-Jones sign is a call into ``signs``, whose formulas the tests pin;
-the morphism and homotopy sums share one block-composition sum.
+the morphism and homotopy sums share one recursion on the first block.
 
 Degrees: a generator carries its co-index mu+ (number of positive Hessian
 directions); a word of exponent d has mu = sum of co-indices + d*N_L and
@@ -15,16 +15,15 @@ cardinality q = number of factors.  Structure constants must shift mu by
 2 - arity (differentials), 1 - arity (morphisms) or -arity (homotopies).
 """
 
-from functools import lru_cache
-from itertools import combinations, product as _iproduct
+from itertools import product as _iproduct
 
 from .errors import BlockError, ShapeError
 from .signs import (
     epsilon_gj,
+    first_block_parity,
     koszul_apply,
     koszul_sign,
     sign_concat,
-    sign_upper_quilt,
     suspension_sign,
 )
 
@@ -108,6 +107,7 @@ class OperationFamily:
                 % ", ".join("arity %d at %r" % mp for mp in missing)
             )
         self.ops = table
+        self._arities = tuple(sorted(l for l, rules in table.items() if rules))
         self._validate()
 
     def _validate(self):
@@ -141,7 +141,7 @@ class OperationFamily:
                         )
 
     def arities(self):
-        return sorted(l for l, rules in self.ops.items() if rules)
+        return self._arities
 
     def mu(self, sym):
         return self.gens[sym].coidx
@@ -218,13 +218,15 @@ def _comb_map(word_map, comb):
     return out
 
 
-def _once(fn):
+def _once(fn, known=()):
     """The word map gens -> fn(gens), computing each word once while the
-    map lives.  A checker builds one per inner map of its relation and
-    drops it on return; outer words go to fn directly, never through it.
+    map lives; ``known`` gives images fixed in advance.  A checker builds
+    one per inner map of its relation and drops it on return; outer words
+    go to fn directly, never through it, though the morphism and homotopy
+    maps store the suffixes of outer words, which their recursion reads.
     Under ``jobs > 1`` two threads may compute one word; both store the
     same image, since fn depends on gens alone."""
-    images = {}
+    images = dict(known)
 
     def word_map(gens):
         image = images.get(gens)
@@ -444,98 +446,130 @@ def check_unit(fam, unit_sym, window):
     return Report("unit", window, not failures, n_checked, failures)
 
 
-@lru_cache(maxsize=None)
-def _compositions(total):
-    """Arity compositions of total: by number of parts, then
-    lexicographically."""
-    out = []
-    for q in range(1, total + 1):
-        for cuts in combinations(range(1, total), q - 1):
-            bounds = (0,) + cuts + (total,)
-            out.append(tuple(b - a for a, b in zip(bounds, bounds[1:])))
-    return tuple(out)
+# The morphism and homotopy sums by recursion on the first block: H is the
+# coalgebra map with components h, so for w = u v with first block u of
+# arity l, H(w) = sum h_l(u) (x) H(v) and K(w) = sum k_l(u) (x) H0(v) +
+# h1_l(u) (x) K(v).  A tail term of r factors is signed by
+# first_block_parity with D(u) = sum of mu over u and the tail's operation
+# degree, r - |v| under H0 and r - 1 - |v| under K; K adds its position
+# parity, 1 + r with k first and l with h1 first.  This equals the sum over
+# arity compositions with sign_upper_quilt and each block's Koszul sign,
+# but no composition with a block that has no constants is ever listed.
+
+_UNIT = {((), 0): 1}  # H of the empty word
 
 
-def _block_sum(out, fams, comp, gens, degs, d, parity=0):
-    """Add to ``out`` the operations fams[i] applied to the consecutive
-    blocks of gens of arities comp[i], signed by sign_upper_quilt(comp),
-    (-1)^parity and each block's Koszul sign: an arity-l operation of
-    role shift s has degree s - l and moves past the earlier inputs.
-    Adds nothing when some block has no structure constants."""
-    blocks = []
-    sign = -1 if parity % 2 else 1
-    pos = 0
-    for fam, l in zip(fams, comp):
-        rules = fam.apply(l, gens[pos : pos + l])
+def _first_blocks(out, fam, gens, degs, d, tail, parity):
+    """Add to ``out`` the terms fam_l(u) (x) tail(v) over the first blocks
+    u = gens[:l] with constants in fam, a term whose tail has r factors
+    signed by (-1)^parity(l, D(u), r, |v|)."""
+    q = len(gens)
+    for l in fam.arities():
+        if not 0 < l <= q:  # a block has at least one input
+            continue
+        rules = fam.apply(l, gens[:l])
         if not rules:
-            return
-        blocks.append(rules.items())
-        sign *= koszul_apply(_ROLE_SHIFT[fam.role] - l, pos + 1, l, degs)
-        pos += l
-    sign *= sign_upper_quilt(comp)
-    for terms in _iproduct(*blocks):
-        coef = sign
-        td = d
-        for (_, dd), c in terms:
-            coef *= c
-            td += dd
-        _add_term(out, tuple(sym for (sym, _), _ in terms), td, coef)
+            continue
+        head = sum(degs[:l])
+        for (g2, d2), c2 in tail(gens[l:]).items():
+            if parity(l, head, len(g2), q - l) % 2:
+                c2 = -c2
+            for (sym, dd), c in rules.items():
+                _add_term(out, (sym,) + g2, d + dd + d2, c * c2)
+
+
+def _morphism_maps(hfam, mu=None):
+    """(image, H): image(gens, d) is H(gens) t^d from the first blocks of
+    gens, and H the word map image(gens) that computes each word once and
+    serves the suffix images.  A checker keeps H for its inner words and
+    sends outer words to image, so only inner words and suffixes are held.
+
+    With ``mu`` None these are morphism_H's maps: they need an h family,
+    validate each word and take the degrees from hfam.  The homotopy sum
+    passes its own degrees for its H0 tail and checks neither."""
+    if mu is None:
+        if hfam.role != "h":
+            raise ShapeError("morphism_H needs an h family")
+        mu = hfam.mu
+        validate = hfam.validate_word
+    else:
+        validate = None
+
+    def image(gens, d=0):
+        if validate is not None:
+            validate(gens)
+        out = {}
+        _first_blocks(
+            out, hfam, gens, [mu(s) for s in gens], d, H,
+            lambda l, head, r, nv: first_block_parity(l, head, r, r - nv),
+        )
+        return out
+
+    H = _once(image, {(): _UNIT})
+    return image, H
+
+
+def _homotopy_maps(h0, h1, kfam):
+    """(image, K) as _morphism_maps gives them for H, for the homotopy sum
+    K = k (x) H0 + h1 (x) K, all degrees taken from kfam."""
+    if kfam.role != "k":
+        raise ShapeError("homotopy_K needs a k family")
+    H0 = _morphism_maps(h0, kfam.mu)[1]
+
+    def image(gens, d=0):
+        degs = [kfam.mu(s) for s in gens]
+        out = {}
+        _first_blocks(
+            out, kfam, gens, degs, d, H0,
+            lambda l, head, r, nv: 1 + r + first_block_parity(l, head, r, r - nv),
+        )
+        _first_blocks(
+            out, h1, gens, degs, d, K,
+            lambda l, head, r, nv: l + first_block_parity(l, head, r, r - 1 - nv),
+        )
+        return out
+
+    K = _once(image, {(): {}})
+    return image, K
 
 
 def morphism_H(hfam, gens, d=0):
-    """H(w) = sum over arity compositions of the quilted facet sign
-    sign_upper_quilt(comp) times h applied blockwise, each block with the
-    Koszul sign of moving its h past the earlier inputs."""
-    if hfam.role != "h":
-        raise ShapeError("morphism_H needs an h family")
-    hfam.validate_word(gens)
-    degs = [hfam.mu(s) for s in gens]
-    out = {}
-    for comp in _compositions(len(gens)):
-        _block_sum(out, [hfam] * len(comp), comp, gens, degs, d)
-    return out
+    """H(w) t^d, the morphism sum over the first blocks of w: each block u
+    with constants contributes h_l(u) (x) H(v) for the rest v of w, with
+    the first-block sign; the suffix images are computed once per call."""
+    return _morphism_maps(hfam)[0](gens, d)
 
 
 def check_chain_map(hfam, m0, m1, window, jobs=1):
     """Residues of H o delta(1) - delta(0) o H over basis words of the
     source complex (whose differential is m1)."""
-    H = _once(lambda g: morphism_H(hfam, g))
+    outer, H = _morphism_maps(hfam)
     delta0 = _once(lambda g: delta(m0, g))
 
     def residue(gens):
-        return _sub(
-            _comb_map(H, delta(m1, gens)), _comb_map(delta0, morphism_H(hfam, gens))
-        )
+        return _sub(_comb_map(H, delta(m1, gens)), _comb_map(delta0, outer(gens)))
 
     return _run_over_words("chain-map", m1, window, residue, jobs)
 
 
 def homotopy_K(h0, h1, kfam, gens, d=0):
-    """K(w): one homotopy block k at position p, morphism blocks h1
-    before and h0 after, signed as H is and further by
-    (-1)^(q + sum_{i<p}(l_i - 1))."""
-    if kfam.role != "k":
-        raise ShapeError("homotopy_K needs a k family")
-    degs = [kfam.mu(s) for s in gens]
-    out = {}
-    for comp in _compositions(len(gens)):
-        q = len(comp)
-        for p in range(1, q + 1):
-            fams = [h1] * (p - 1) + [kfam] + [h0] * (q - p)
-            parity = q + sum(comp[i] - 1 for i in range(p - 1))
-            _block_sum(out, fams, comp, gens, degs, d, parity)
-    return out
+    """K(w) t^d over the first blocks u of w: k_l(u) (x) H0(v) and
+    h1_l(u) (x) K(v), signed as H is and further by the homotopy position
+    parity.  Degrees come from kfam, and words are not validated."""
+    return _homotopy_maps(h0, h1, kfam)[0](gens, d)
 
 
 def check_homotopy(h0, h1, kfam, m0, m1, window, jobs=1):
     """Residues of H(1) - H(0) - K o delta(1) - delta(0) o K."""
-    K = _once(lambda g: homotopy_K(h0, h1, kfam, g))
+    outer1 = _morphism_maps(h1)[0]
+    outer0 = _morphism_maps(h0)[0]
+    outer, K = _homotopy_maps(h0, h1, kfam)
     delta0 = _once(lambda g: delta(m0, g))
 
     def residue(gens):
-        out = _sub(morphism_H(h1, gens), morphism_H(h0, gens))
+        out = _sub(outer1(gens), outer0(gens))
         out = _sub(out, _comb_map(K, delta(m1, gens)))
-        return _sub(out, _comb_map(delta0, homotopy_K(h0, h1, kfam, gens)))
+        return _sub(out, _comb_map(delta0, outer(gens)))
 
     return _run_over_words("homotopy", m1, window, residue, jobs)
 

@@ -40,6 +40,16 @@ def sign_upper_quilt(ls):
     return _pm(sum((q - i) * (ls[i - 1] - 1) for i in range(1, q + 1)))
 
 
+def first_block_parity(l, head_degree, r, tail_degree):
+    """Parity of putting an arity-l block first, before a tail of r blocks,
+    in a quilted block sum: the part r*(l-1) of sign_upper_quilt that the
+    first block adds, plus the Koszul parity of moving the tail's
+    operations, of total degree tail_degree, past the first block's
+    inputs, of total degree head_degree.  Folding it from the last block
+    gives sign_upper_quilt times every block's koszul_apply sign."""
+    return (r * (l - 1) + head_degree * tail_degree) % 2
+
+
 def perm_parity(perm):
     """Parity (0 or 1) of a permutation given as a tuple of 1-based images."""
     perm = list(perm)

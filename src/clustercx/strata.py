@@ -620,10 +620,18 @@ class ClusterType:
     label in (0,1)), or 'broken'.  Complex (interior) nodes are tracked as
     a count."""
 
+    STATES = frozenset(("node", "line", "broken"))
+
     def __init__(self, stratum, edge_states, n_complex_nodes=0):
         edges = set(stratum.tree.edges())
         if set(edge_states) != edges:
             raise ShapeError("edge states must cover the interior edges")
+        if not self.STATES.issuperset(edge_states.values()):
+            unknown = set(edge_states.values()) - self.STATES
+            raise ShapeError(
+                "unknown edge state %s: a state is 'node', 'line' or 'broken'"
+                % ", ".join(sorted(map(repr, unknown)))
+            )
         self.stratum = stratum
         self.edge_states = dict(edge_states)
         self.n_complex_nodes = n_complex_nodes

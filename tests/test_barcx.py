@@ -431,7 +431,65 @@ def _random_setups(seed, count):
         yield tuple(_random_ops(rng, role, coidx) for role in "mmhhk")
 
 
+def _labelled(fam, labels, c):
+    """fam with interval labels on some generators and c intervals."""
+    gens = [B.Generator(s, g.coidx, labels.get(s, "f")) for s, g in fam.gens.items()]
+    ops = {
+        l: {pat: [(s, d, k) for (s, d), k in outs.items()] for pat, outs in rules.items()}
+        for l, rules in fam.ops.items()
+    }
+    return B.OperationFamily(fam.role, gens, ops, n=fam.n, NL=fam.NL, c=c)
+
+
+# arities of (h0, h1, k): h of arity 1 only or {2, 3} only, an empty k, a k
+# of arity 1 only, so that most first blocks have no constants; arity-0
+# constants, which no block composition uses, must be ignored
+_SPARSE_ARITIES = [
+    ((1,), (1,), (1, 2, 3)),
+    ((2, 3), (2, 3), (1, 2, 3)),
+    ((1,), (2, 3), ()),
+    ((2, 3), (1,), (1,)),
+    ((1, 2, 3), (2, 3), (1,)),
+    ((2, 3), (1, 2, 3), ()),
+    ((1,), (1, 2, 3), (2, 3)),
+    ((0, 1), (0, 2, 3), (0, 1)),
+]
+
+
+def _sparse_setups(seed):
+    """Seeded (h0, h1, k) triples of the sparse arities above, each once
+    plain and once with two interval-labelled generators (c = 2)."""
+    rng = random.Random(seed)
+    for arities in _SPARSE_ARITIES:
+        coidx = {"g%d" % i: rng.randint(0, 2) for i in range(3)}
+        fams = [
+            _random_ops(rng, role, coidx, arities=a, density=0.8)
+            for role, a in zip("hhk", arities)
+        ]
+        yield fams
+        labels = {"g1": (0, 1), "g2": (1, 2)}
+        yield [_labelled(f, labels, 2) for f in fams]
+
+
 class TestReferenceOracle:
+    def test_sparse_word_maps_match_reference(self):
+        window = B.TruncationWindow(qmax=5)
+        nonzero_H = nonzero_K = labelled_words = 0
+        for h0, h1, k in _sparse_setups(21):
+            words = B.basis_words(h0, window)
+            labelled_words += len(words) < 363
+            for gens in words:
+                for d in (0, 2):
+                    H = B.morphism_H(h1, gens, d)
+                    assert H == _reference_morphism_H(h1, gens, d)
+                    K = B.homotopy_K(h0, h1, k, gens, d)
+                    assert K == _reference_homotopy_K(h0, h1, k, gens, d)
+                assert B.morphism_H(h0, gens) == _reference_morphism_H(h0, gens)
+                nonzero_H += bool(H)
+                nonzero_K += bool(K)
+        assert labelled_words == len(_SPARSE_ARITIES)
+        assert nonzero_H > 800 and nonzero_K > 800
+
     def test_word_maps_match_reference(self):
         window = B.TruncationWindow(qmax=4)
         shorter_H = shorter_K = 0

@@ -219,6 +219,26 @@ class TestIndexCommands:
         assert code == 1
         assert json.loads(out)["error"] == "RangeError"
 
+    def test_index_unknown_edge_state(self, capsys, tmp_path):
+        obj = {
+            "tree": {
+                "i": 0,
+                "col": False,
+                "children": [{"i": 0, "col": False, "children": ["x", "x"]}, "x"],
+            },
+            "edge_states": {"0": "complex"},
+            "mu_root": 1,
+            "mu_leaves": [0, 0, 0],
+        }
+        p = tmp_path / "ct_complex.json"
+        p.write_text(json.dumps(obj))
+        code, out = run(capsys, "index", str(p), "--json")
+        assert code == 1
+        assert json.loads(out)["error"] == "ShapeError"
+        obj["edge_states"] = {"0": "broken"}
+        p.write_text(json.dumps(obj))
+        assert run(capsys, "index", str(p), "--json")[0] == 0
+
     def test_domain_error_exit_1(self, capsys, family_files):
         spec = '{"type":"I","disk":[],"d":3}'
         code, out = run(

@@ -105,6 +105,133 @@ FIXTURES = {
     "surgery.json": {"tree": SURGERY},
 }
 
+
+def _family(role, gens, ops, n=2, c=0):
+    """A family file: gens {sym: co-index}, ops {arity: {inputs: outs}}
+    with outs a list of (sym, d, coef)."""
+    return {
+        "n": n,
+        "NL": 2,
+        "c": c,
+        "generators": [
+            {"sym": s, "coidx": mu, "label": "f"} for s, mu in sorted(gens.items())
+        ],
+        "ops": {
+            role: {
+                str(l): [
+                    {
+                        "in": list(pattern),
+                        "out": [{"sym": s, "d": d, "coef": k} for s, d, k in outs],
+                    }
+                    for pattern, outs in rules.items()
+                ]
+                for l, rules in ops.items()
+            }
+        },
+    }
+
+
+# the example product, its deformation and identity-like morphisms on it
+_LIB = barcx.example_library()
+POLY = barcx.family_to_obj(_LIB["polynomial"])
+POLY_BAD = barcx.family_to_obj(_LIB["polynomial"])
+for _rule in POLY_BAD["ops"]["m"]["2"]:
+    if _rule["in"] == ["a", "a"]:
+        _rule["out"] = [{"sym": "a2", "d": 0, "coef": 2}]
+_POLY_GENS = {s: 0 for s in ("1", "a", "a2", "a3", "a4")}
+
+
+def _scaled_identity(c):
+    return _family("h", _POLY_GENS, {1: {(s,): [(s, 0, c)] for s in _POLY_GENS}})
+
+
+# non-associative families with constants in arities 1, 2 and 3 on an even
+# generator x and an odd one y, so the residues carry every sign of the
+# morphism and homotopy sums, shortened words and energy exponents
+_XY = {"x": 0, "y": 1}
+MIXED_M1 = _family(
+    "m",
+    _XY,
+    {
+        1: {("x",): [("y", 0, 1)]},
+        2: {
+            ("x", "x"): [("x", 0, 1)],
+            ("x", "y"): [("y", 0, 1)],
+            ("y", "x"): [("y", 0, -1)],
+            ("y", "y"): [("x", 1, 2)],
+        },
+        3: {
+            ("x", "x", "y"): [("x", 0, 3)],
+            ("x", "y", "y"): [("y", 0, 1)],
+            ("y", "x", "y"): [("y", 0, -1)],
+            ("y", "y", "y"): [("x", 1, 1)],
+        },
+    },
+)
+MIXED_M0 = _family(
+    "m",
+    _XY,
+    {
+        1: {("x",): [("y", 0, -1)]},
+        2: {
+            ("x", "x"): [("x", 0, 1)],
+            ("x", "y"): [("y", 0, 2)],
+            ("y", "y"): [("x", 1, -1)],
+        },
+        3: {("y", "y", "x"): [("y", 0, 1)]},
+    },
+)
+MIXED_H = _family(
+    "h",
+    _XY,
+    {
+        1: {("x",): [("x", 0, 1)], ("y",): [("y", 0, 1)]},
+        2: {
+            ("x", "y"): [("x", 0, 1)],
+            ("y", "x"): [("x", 0, 2)],
+            ("y", "y"): [("y", 0, -1)],
+        },
+        3: {
+            ("y", "y", "x"): [("x", 0, 1)],
+            ("x", "y", "y"): [("x", 0, -1)],
+            ("y", "y", "y"): [("y", 0, 1)],
+        },
+    },
+)
+MIXED_H0 = _family(
+    "h",
+    _XY,
+    {
+        1: {("x",): [("x", 0, 1)], ("y",): [("y", 0, -1)]},
+        3: {("y", "x", "y"): [("x", 0, 2)]},
+    },
+)
+MIXED_K = _family(
+    "k",
+    _XY,
+    {
+        1: {("y",): [("x", 0, 1)]},
+        2: {("y", "y"): [("x", 0, -1)]},
+        3: {("y", "y", "y"): [("x", 0, 2)]},
+    },
+)
+FIXTURES.update(
+    {
+        "poly.json": POLY,
+        "poly_bad.json": POLY_BAD,
+        "circle.json": barcx.family_to_obj(_LIB["circle"]),
+        "id_h.json": _scaled_identity(1),
+        "double_h.json": _scaled_identity(2),
+        "zero_k.json": _family("k", _POLY_GENS, {}),
+        "mixed_m1.json": MIXED_M1,
+        "mixed_m0.json": MIXED_M0,
+        "mixed_h.json": MIXED_H,
+        "mixed_h0.json": MIXED_H0,
+        "mixed_k.json": MIXED_K,
+        "mixed_zero_k.json": _family("k", _XY, {}),
+    }
+)
+
 SURGERIES = {
     "I": '{"type":"I","disk":[],"d":2}',
     "IIa": '{"type":"IIa","disk":[0],"dest":[],"at":1}',
@@ -154,7 +281,46 @@ def _cases():
         out.append(
             ["labelings", "--l", "4", "--c", "3", "--family", fam, "--json"]
         )
+    out += _algebra_cases()
     return out
+
+
+def _algebra_cases():
+    out = [
+        ["check-ainf", "poly.json", "--qmax", "3"],
+        ["check-ainf", "circle.json", "--suspended", "--qmax", "4"],
+        ["check-ainf", "poly_bad.json", "--qmax", "3"],
+        ["check-ainf", "poly_bad.json", "--suspended", "--qmax", "3"],
+        ["check-ainf", "mixed_m1.json", "--qmax", "3"],
+    ]
+    for h, source, target in (
+        ("id_h", "poly", "poly"),
+        ("double_h", "poly", "poly"),
+        ("id_h", "poly_bad", "poly"),
+        ("mixed_h", "mixed_m1", "mixed_m0"),
+        ("mixed_h0", "mixed_m1", "mixed_m1"),
+    ):
+        out.append(
+            ["check-morphism", "--morphism", h + ".json", "--source",
+             source + ".json", "--target", target + ".json", "--qmax", "3"]
+        )
+    out.append(
+        ["check-morphism", "--morphism", "mixed_h.json", "--source",
+         "mixed_m1.json", "--target", "mixed_m0.json", "--qmax", "4",
+         "--emax", "0", "--jobs", "2"]
+    )
+    for h0, h1, k, source, target in (
+        ("id_h", "id_h", "zero_k", "poly", "poly"),
+        ("double_h", "id_h", "zero_k", "poly", "poly"),
+        ("mixed_h0", "mixed_h", "mixed_k", "mixed_m1", "mixed_m0"),
+        ("mixed_h", "mixed_h", "mixed_zero_k", "mixed_m1", "mixed_m1"),
+    ):
+        out.append(
+            ["check-homotopy", "--h0", h0 + ".json", "--h1", h1 + ".json",
+             "--homotopy", k + ".json", "--source", source + ".json",
+             "--target", target + ".json", "--qmax", "3"]
+        )
+    return [argv + ["--json"] for argv in out]
 
 
 CASES = _cases()
@@ -301,6 +467,36 @@ GOLDEN = {
         ("776b46062c9f5bcf47f1464588d3408ada5f6d0158661820d108575f25f66ff4", 0),
     "labelings --l 4 --c 3 --family bullet --json":
         ("5c4a32ce6ba1c4590cdba6b2b7b28b5fcacad845a98b355c7a4e34db04f52c37", 0),
+    "check-ainf poly.json --qmax 3 --json":
+        ("b341a4639f9e486735d503b2bc50ed969c8a20d537c75a8950bfb4069e23f948", 0),
+    "check-ainf circle.json --suspended --qmax 4 --json":
+        ("1648268b4c97744e7c21b1f7e5f0f4e52d671770f15bfd04e55cbdea10c8f2ba", 0),
+    "check-ainf poly_bad.json --qmax 3 --json":
+        ("e42faa89ed2bb8765664470714d83243b6f88140fedd81e38a8113e9e98e658f", 1),
+    "check-ainf poly_bad.json --suspended --qmax 3 --json":
+        ("b33ab7f564ad04ee94ff4a98ad98df1401c38c0cd53263f113e44d300830c675", 1),
+    "check-ainf mixed_m1.json --qmax 3 --json":
+        ("2cf466c6a16d26e42f34c31ff94de97f71332e1baca9525239ab54a7805fae26", 1),
+    "check-morphism --morphism id_h.json --source poly.json --target poly.json --qmax 3 --json":
+        ("f9c4aea8047b24f20c3e1f72034d783674f1d2faa1423cf6598908386bdc8f9b", 0),
+    "check-morphism --morphism double_h.json --source poly.json --target poly.json --qmax 3 --json":
+        ("2be8db67e89942cfbde6d7f6e8f2dce887b0e162235343e872c8f6c5c78645f9", 1),
+    "check-morphism --morphism id_h.json --source poly_bad.json --target poly.json --qmax 3 --json":
+        ("aea7563b4462d1d3b200e886d78f6f9f28c4ffdbe08835e8ae95b11ab86c8d8f", 1),
+    "check-morphism --morphism mixed_h.json --source mixed_m1.json --target mixed_m0.json --qmax 3 --json":
+        ("f3292d3540b45a95ee9c34b83ac1a15d41d8b8c6681bfc17a644bce5fbc36b42", 1),
+    "check-morphism --morphism mixed_h0.json --source mixed_m1.json --target mixed_m1.json --qmax 3 --json":
+        ("c4333e5c298eaa7f59ce998d12867d86edc2a62d826290fa4dbbf34e27f77aa6", 1),
+    "check-morphism --morphism mixed_h.json --source mixed_m1.json --target mixed_m0.json --qmax 4 --emax 0 --jobs 2 --json":
+        ("d30ba034a6b3a42cfd1af9d54dd4757fafe4ce5b3f1b5d51365783151f9edc66", 1),
+    "check-homotopy --h0 id_h.json --h1 id_h.json --homotopy zero_k.json --source poly.json --target poly.json --qmax 3 --json":
+        ("519bc8b3aefe3f27f82500bcb4c0566a66a92668cefb461230d79821e088f58a", 0),
+    "check-homotopy --h0 double_h.json --h1 id_h.json --homotopy zero_k.json --source poly.json --target poly.json --qmax 3 --json":
+        ("9090bb0f3225efd0fd79e8d0998c339d55b90c26f1c536d8437e4b085077f4f5", 1),
+    "check-homotopy --h0 mixed_h0.json --h1 mixed_h.json --homotopy mixed_k.json --source mixed_m1.json --target mixed_m0.json --qmax 3 --json":
+        ("a6768551641ce4bfbdbb3170f21c106f9795fdcd6d860159ef46792612b4948b", 1),
+    "check-homotopy --h0 mixed_h.json --h1 mixed_h.json --homotopy mixed_zero_k.json --source mixed_m1.json --target mixed_m1.json --qmax 3 --json":
+        ("e44d49ff81c8a9526cc3a38ce88926be2008412e1f469be1c4e0437bcaaddf31", 0),
 }
 
 
@@ -324,3 +520,35 @@ LIBRARY = {
 def test_example_family(name):
     obj = barcx.family_to_obj(barcx.example_library()[name])
     assert hashlib.sha256(json.dumps(obj).encode()).hexdigest() == LIBRARY[name]
+
+
+def _load(obj, role):
+    return barcx.family_from_obj(obj, role=role)
+
+
+def _full_reports():
+    """Whole reports, every failing word with its residue, of the checks
+    on the mixed families: the command line prints three witnesses only."""
+    window = barcx.TruncationWindow(qmax=4)
+    m1, m0 = _load(MIXED_M1, "m"), _load(MIXED_M0, "m")
+    h, h0, k = _load(MIXED_H, "h"), _load(MIXED_H0, "h"), _load(MIXED_K, "k")
+    return {
+        "chain-map h": lambda: barcx.check_chain_map(h, m0, m1, window),
+        "chain-map h0": lambda: barcx.check_chain_map(h0, m1, m1, window),
+        "homotopy h0 h k": lambda: barcx.check_homotopy(h0, h, k, m0, m1, window),
+        "homotopy h h0 k": lambda: barcx.check_homotopy(h, h0, k, m1, m1, window),
+    }
+
+
+REPORTS = {
+    "chain-map h": "f7471e9a3d2263e252b16bb5645843c76e54b2e530778bfb79d884f2e0877e83",
+    "chain-map h0": "c4becdf58cbdf3596cf473a2cbeb7cd972781f7384e7e1e631602726ecb38f39",
+    "homotopy h h0 k": "163e87d1285856a8a29939007f3d2167a242bced472c0e214c57f9a450437f83",
+    "homotopy h0 h k": "7b2e7eb54df5ae543f4f5477afa74fe94fae72703531c4d74995f266951044b0",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORTS))
+def test_full_report(name):
+    obj = _full_reports()[name]().to_obj()
+    assert hashlib.sha256(json.dumps(obj).encode()).hexdigest() == REPORTS[name]

@@ -50,6 +50,14 @@ class TestCokerDim:
         assert I.coker_dim(S.ClusterType(s1, {e: "node"}), 3, 1) == 2
         assert I.coker_dim(S.ClusterType(top, {}, n_complex_nodes=1), 2, 1) == 0
 
+    def test_unknown_edge_state(self):
+        s1 = [s for s in S.face_poset("K", 3, 0).strata if s.codim == 1][0]
+        e = list(s1.tree.edges())[0]
+        with pytest.raises(ShapeError, match="'complex'"):
+            S.ClusterType(s1, {e: "complex"})
+        for state in ("node", "line", "broken"):
+            assert S.ClusterType(s1, {e: state}).edge_states == {e: state}
+
     def test_unstable_special_cases(self):
         top = [
             s for s in S.face_poset("K", 2, 1).strata if s.codim == 0

@@ -1,5 +1,7 @@
 """Orientation-sign formulas and Koszul bookkeeping."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -66,3 +68,47 @@ class TestKoszul:
     def test_suspension_involution(self, degs):
         s = signs.suspension_sign(degs)
         assert s * s == 1
+
+
+def _compositions(total):
+    for cuts in product((0, 1), repeat=total - 1):
+        comp, part = [], 1
+        for cut in cuts:
+            if cut:
+                comp.append(part)
+                part = 0
+            part += 1
+        yield tuple(comp + [part])
+
+
+class TestFirstBlock:
+    def test_compositions_listed(self):
+        assert [len(list(_compositions(n))) for n in range(1, 7)] == [1, 2, 4, 8, 16, 32]
+
+    def test_fold_matches_quilt_and_koszul(self):
+        # blocks of arities comp whose operations have role shifts s (an
+        # operation of arity l has degree s - l): the first-block parities
+        # folded from the last block give the quilted facet sign times each
+        # block's Koszul sign, on every composition of length <= 6
+        checked = 0
+        for total in range(1, 7):
+            for comp in _compositions(total):
+                q = len(comp)
+                for degs in product((0, 1), repeat=total):
+                    for shifts in product((0, 1), repeat=q):
+                        want = signs.sign_upper_quilt(comp)
+                        pos = 0
+                        for l, s in zip(comp, shifts):
+                            want *= signs.koszul_apply(s - l, pos + 1, l, degs)
+                            pos += l
+                        parity = tail_degree = 0
+                        for i in reversed(range(q)):
+                            l = comp[i]
+                            pos -= l
+                            parity += signs.first_block_parity(
+                                l, sum(degs[pos : pos + l]), q - 1 - i, tail_degree
+                            )
+                            tail_degree += shifts[i] - l
+                        assert want == (-1) ** parity, (comp, degs, shifts)
+                        checked += 1
+        assert checked == sum(2 ** (n + 1) * 3 ** (n - 1) for n in range(1, 7))
