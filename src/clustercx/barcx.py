@@ -183,6 +183,28 @@ def basis_words(fam, window):
     return out
 
 
+def _one_table(*fams):
+    """Raise ShapeError unless the families share one generator table: the
+    same symbols, each with one co-index and label, and one c.  The words
+    of a check are then valid for all of its families at once."""
+    tables = [{s: (g.coidx, g.label) for s, g in f.gens.items()} for f in fams]
+    for sym in sorted(set().union(*tables)):
+        entries = [t.get(sym) for t in tables]
+        if len(set(entries)) > 1:
+            got = "; ".join(
+                "missing" if e is None else "co-index %d, label %r" % e
+                for e in entries
+            )
+            raise ShapeError(
+                "the families of one check differ at generator %r: %s" % (sym, got)
+            )
+    if len({f.c for f in fams}) > 1:
+        raise ShapeError(
+            "the families of one check differ in c: %s"
+            % ", ".join(str(f.c) for f in fams)
+        )
+
+
 # -- combinations ------------------------------------------------------------
 
 
@@ -221,11 +243,9 @@ def _comb_map(word_map, comb):
 def _once(fn, known=()):
     """The word map gens -> fn(gens), computing each word once while the
     map lives; ``known`` gives images fixed in advance.  A checker builds
-    one per inner map of its relation and drops it on return; outer words
-    go to fn directly, never through it, though the morphism and homotopy
-    maps store the suffixes of outer words, which their recursion reads.
-    Under ``jobs > 1`` two threads may compute one word; both store the
-    same image, since fn depends on gens alone."""
+    one per inner map of its relation and drops it on return.  Under
+    ``jobs > 1`` two threads may compute one word; both store the same
+    image, since fn depends on gens alone."""
     images = dict(known)
 
     def word_map(gens):
@@ -247,12 +267,21 @@ def delta(fam, gens, d=0, suspended=None):
     The (j, l) term carries sign_concat(q_out, j, l) times the Koszul
     sign of the degree-l operation past the prefix; suspended families
     use the Koszul sign of a degree-1 operation on the degrees mu - 1.
+    The word is validated first.
     """
+    fam.validate_word(gens)
+    return _delta(fam, gens, d, suspended)
+
+
+def _delta(fam, gens, d=0, suspended=None):
+    """delta on a word known to be valid.  An output word replaces a block
+    of gens by one symbol; it is validated only when that symbol carries
+    an interval label, since dropping labelled factors keeps the labels
+    of a valid word in order."""
     if fam.role != "m":
         raise ShapeError("delta needs a differential family")
     if suspended is None:
         suspended = fam.suspended
-    fam.validate_word(gens)
     Q = len(gens)
     degs = [fam.mu(s) - 1 if suspended else fam.mu(s) for s in gens]
     out = {}
@@ -270,7 +299,8 @@ def delta(fam, gens, d=0, suspended=None):
                 sign = sign_concat(q_out, j, l) * koszul_apply(l, j, l, degs)
             for (sym, dd), coef in rules.items():
                 new = gens[: j - 1] + (sym,) + gens[j - 1 + l :]
-                fam.validate_word(new)
+                if fam.gens[sym].label != "f":
+                    fam.validate_word(new)
                 _add_term(out, new, d + dd, sign * coef)
     return out
 
@@ -399,9 +429,9 @@ def check_a_infinity(fam, window, jobs=1, via_suspension=False):
     if via_suspension:
         name = "a-infinity(suspended)"
         fam = fam if fam.suspended else suspend(fam)
-    inner = _once(lambda g: delta(fam, g))
+    inner = _once(lambda g: _delta(fam, g))
     return _run_over_words(
-        name, fam, window, lambda gens: _comb_map(inner, delta(fam, gens)), jobs
+        name, fam, window, lambda gens: _comb_map(inner, _delta(fam, gens)), jobs
     )
 
 
@@ -438,7 +468,7 @@ def check_unit(fam, unit_sym, window):
     for gens in words:
         n_checked += 1
         lhs = delta(fam, (unit_sym,) + gens)
-        for (g2, d2), c in delta(fam, gens).items():
+        for (g2, d2), c in _delta(fam, gens).items():
             _add_term(lhs, (unit_sym,) + g2, d2, c)
         residue = _truncate(_sub(lhs, {(gens, 0): 1}), window.emax)
         if residue:
@@ -478,29 +508,18 @@ def _first_blocks(out, fam, gens, degs, d, tail, parity):
                 _add_term(out, (sym,) + g2, d + dd + d2, c * c2)
 
 
-def _morphism_maps(hfam, mu=None):
+def _morphism_maps(hfam):
     """(image, H): image(gens, d) is H(gens) t^d from the first blocks of
     gens, and H the word map image(gens) that computes each word once and
     serves the suffix images.  A checker keeps H for its inner words and
-    sends outer words to image, so only inner words and suffixes are held.
-
-    With ``mu`` None these are morphism_H's maps: they need an h family,
-    validate each word and take the degrees from hfam.  The homotopy sum
-    passes its own degrees for its H0 tail and checks neither."""
-    if mu is None:
-        if hfam.role != "h":
-            raise ShapeError("morphism_H needs an h family")
-        mu = hfam.mu
-        validate = hfam.validate_word
-    else:
-        validate = None
+    sends outer words to image, so only inner words and suffixes are held."""
+    if hfam.role != "h":
+        raise ShapeError("morphism_H needs an h family")
 
     def image(gens, d=0):
-        if validate is not None:
-            validate(gens)
         out = {}
         _first_blocks(
-            out, hfam, gens, [mu(s) for s in gens], d, H,
+            out, hfam, gens, [hfam.mu(s) for s in gens], d, H,
             lambda l, head, r, nv: first_block_parity(l, head, r, r - nv),
         )
         return out
@@ -509,12 +528,11 @@ def _morphism_maps(hfam, mu=None):
     return image, H
 
 
-def _homotopy_maps(h0, h1, kfam):
+def _homotopy_maps(h1, kfam, H0):
     """(image, K) as _morphism_maps gives them for H, for the homotopy sum
-    K = k (x) H0 + h1 (x) K, all degrees taken from kfam."""
+    K = k (x) H0 + h1 (x) K, with H0 the word map of h0's H."""
     if kfam.role != "k":
         raise ShapeError("homotopy_K needs a k family")
-    H0 = _morphism_maps(h0, kfam.mu)[1]
 
     def image(gens, d=0):
         degs = [kfam.mu(s) for s in gens]
@@ -537,17 +555,21 @@ def morphism_H(hfam, gens, d=0):
     """H(w) t^d, the morphism sum over the first blocks of w: each block u
     with constants contributes h_l(u) (x) H(v) for the rest v of w, with
     the first-block sign; the suffix images are computed once per call."""
-    return _morphism_maps(hfam)[0](gens, d)
+    image = _morphism_maps(hfam)[0]
+    hfam.validate_word(gens)
+    return image(gens, d)
 
 
 def check_chain_map(hfam, m0, m1, window, jobs=1):
     """Residues of H o delta(1) - delta(0) o H over basis words of the
-    source complex (whose differential is m1)."""
+    source complex (whose differential is m1).  The images of H are
+    validated as words of m0 by delta(0)."""
+    _one_table(hfam, m0, m1)
     outer, H = _morphism_maps(hfam)
     delta0 = _once(lambda g: delta(m0, g))
 
     def residue(gens):
-        return _sub(_comb_map(H, delta(m1, gens)), _comb_map(delta0, outer(gens)))
+        return _sub(_comb_map(H, _delta(m1, gens)), _comb_map(delta0, outer(gens)))
 
     return _run_over_words("chain-map", m1, window, residue, jobs)
 
@@ -555,20 +577,25 @@ def check_chain_map(hfam, m0, m1, window, jobs=1):
 def homotopy_K(h0, h1, kfam, gens, d=0):
     """K(w) t^d over the first blocks u of w: k_l(u) (x) H0(v) and
     h1_l(u) (x) K(v), signed as H is and further by the homotopy position
-    parity.  Degrees come from kfam, and words are not validated."""
-    return _homotopy_maps(h0, h1, kfam)[0](gens, d)
+    parity."""
+    _one_table(h0, h1, kfam)
+    image = _homotopy_maps(h1, kfam, _morphism_maps(h0)[1])[0]
+    kfam.validate_word(gens)
+    return image(gens, d)
 
 
 def check_homotopy(h0, h1, kfam, m0, m1, window, jobs=1):
-    """Residues of H(1) - H(0) - K o delta(1) - delta(0) o K."""
+    """Residues of H(1) - H(0) - K o delta(1) - delta(0) o K; one H0 word
+    map serves the outer H(0) and the tails of K."""
+    _one_table(h0, h1, kfam, m0, m1)
     outer1 = _morphism_maps(h1)[0]
-    outer0 = _morphism_maps(h0)[0]
-    outer, K = _homotopy_maps(h0, h1, kfam)
+    outer0, H0 = _morphism_maps(h0)
+    outer, K = _homotopy_maps(h1, kfam, H0)
     delta0 = _once(lambda g: delta(m0, g))
 
     def residue(gens):
         out = _sub(outer1(gens), outer0(gens))
-        out = _sub(out, _comb_map(K, delta(m1, gens)))
+        out = _sub(out, _comb_map(K, _delta(m1, gens)))
         return _sub(out, _comb_map(delta0, outer(gens)))
 
     return _run_over_words("homotopy", m1, window, residue, jobs)

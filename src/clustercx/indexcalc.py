@@ -12,6 +12,7 @@ from itertools import combinations, combinations_with_replacement
 
 from .errors import (
     DegenerateError,
+    EdgeError,
     MonotoneError,
     ShapeError,
     SurgeryError,
@@ -159,9 +160,23 @@ class ClusterSurgeryRecord:
 
 def _vertex_at(tree, path):
     try:
-        return tree.vertex_at(tuple(path))
-    except Exception:
+        return tree.vertex_at(path)
+    except EdgeError:
         raise SurgeryError("no vertex at path %r" % (path,))
+
+
+def _path(value, key):
+    """The surgery path named ``key``: a list of slot indices."""
+    if not isinstance(value, (list, tuple)) or any(type(i) is not int for i in value):
+        raise SurgeryError("%s must be a list of slot indices, got %r" % (key, value))
+    return tuple(value)
+
+
+def _int(value, key):
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise SurgeryError("%s must be an integer, got %r" % (key, value))
 
 
 def _prune_leafless(v):
@@ -197,10 +212,12 @@ def reduce(ct, spec):
                {"removed_marks", "interior_incidences", "complex_nodes"}.
     """
     before = _as_tree(ct)
+    if not isinstance(spec, dict):
+        raise SurgeryError("a surgery spec is an object, got %r" % (spec,))
     tag = spec.get("type")
     if tag == "I":
-        path = tuple(spec.get("disk", ()))
-        d = int(spec.get("d", 1))
+        path = _path(spec.get("disk", ()), "disk")
+        d = _int(spec.get("d", 1), "d")
         i, col, slots = _vertex_at(before, path)
         if d < 1 or (d > 1 and (i == 0 or i % d)):
             raise SurgeryError(
@@ -212,16 +229,16 @@ def reduce(ct, spec):
             before, after, "I(%d)" % d, removed_marks=i - i // d
         )
     if tag == "IIa":
-        path = tuple(spec["disk"])
-        dest = tuple(spec["dest"])
-        at = int(spec.get("at", 0))
+        path = _path(spec["disk"], "disk")
+        dest = _path(spec["dest"], "dest")
+        at = _int(spec.get("at", 0), "at")
         if not path:
             raise SurgeryError("type IIa cannot remove the root disk")
         if dest == path or dest[: len(path)] == path:
             raise SurgeryError("destination lies inside the removed disk")
         i, col, slots = _vertex_at(before, path)
         parent, idx = path[:-1], path[-1]
-        pi, pcol, pslots = before.vertex_at(parent)
+        pi, pcol, pslots = _vertex_at(before, parent)
         dropped = replace_vertex(
             before, parent, vertex(pi, pcol, pslots[:idx] + pslots[idx + 1 :])
         )
@@ -231,7 +248,7 @@ def reduce(ct, spec):
             step = dest[len(parent)]
             if step > idx:
                 dest = dest[: len(parent)] + (step - 1,) + dest[len(parent) + 1 :]
-        di, dcol, dslots = dropped.vertex_at(dest)
+        di, dcol, dslots = _vertex_at(dropped, dest)
         if not 0 <= at <= len(dslots):
             raise SurgeryError("slot position %d out of range" % at)
         new_dest = vertex(di, dcol, dslots[:at] + slots + dslots[at:])
@@ -240,9 +257,9 @@ def reduce(ct, spec):
             before, after, "IIa", removed_marks=i
         )
     if tag == "IIb":
-        path = tuple(spec["disk"])
-        child = int(spec["dest"])
-        at = int(spec.get("at", 0))
+        path = _path(spec["disk"], "disk")
+        child = _int(spec["dest"], "dest")
+        at = _int(spec.get("at", 0), "at")
         i, col, slots = _vertex_at(before, path)
         if not 0 <= child < len(slots) or slots[child] == LEAF:
             raise SurgeryError("type IIb needs a disk child to promote")
@@ -267,14 +284,11 @@ def reduce(ct, spec):
             removed_marks=before.num_marks - after.num_marks,
         )
     if tag in ("gen-I", "gen-II", "gen-III"):
-        return ClusterSurgeryRecord(
-            before,
-            before,
-            tag,
-            removed_marks=int(spec.get("removed_marks", 0)),
-            interior_incidences=int(spec.get("interior_incidences", 0)),
-            complex_nodes=int(spec.get("complex_nodes", 0)),
-        )
+        counts = {
+            key: _int(spec.get(key, 0), key)
+            for key in ("removed_marks", "interior_incidences", "complex_nodes")
+        }
+        return ClusterSurgeryRecord(before, before, tag, **counts)
     raise SurgeryError("unknown surgery type %r" % (tag,))
 
 

@@ -102,8 +102,12 @@ class PlanarTree:
         return out
 
     def vertex_at(self, path):
+        """The vertex a path of slot indices leads to from the root;
+        EdgeError unless each index is a slot of the vertex before it."""
         v = self.root
         for idx in path:
+            if not 0 <= idx < len(v[2]):
+                raise EdgeError("path %r has no slot %d" % (path, idx))
             item = v[2][idx]
             if not _is_vertex(item):
                 raise EdgeError("path %r runs into a leaf" % (path,))

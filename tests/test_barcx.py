@@ -605,3 +605,75 @@ class TestNegativeControls:
         monkeypatch.setattr(B, "koszul_apply", lambda *args: 1)
         report = B.check_leibniz(lib[name], B.TruncationWindow(qmax=4))
         assert not report.passed
+
+
+def _interval_families():
+    """h, k and m on x (unlabelled), u (label (1, 2)) and v (label (0, 1))
+    with c = 2: h is the identity, k sends u to x and m sends x to v, so
+    the word (u, x), valid on its own, has the out-of-order delta image
+    (u, v)."""
+
+    def fam(role, ops):
+        gens = [B.Generator("x", 0), B.Generator("u", 1, (1, 2)), B.Generator("v", 1, (0, 1))]
+        return B.OperationFamily(role, gens, ops, n=2, c=2)
+
+    h = fam("h", {1: {(s,): [(s, 0, 1)] for s in "xuv"}})
+    k = fam("k", {1: {("u",): [("x", 0, 1)]}})
+    m = fam("m", {1: {("x",): [("v", 0, 1)]}})
+    return h, k, m
+
+
+class TestOneGeneratorTable:
+    def test_homotopy_K_validates_its_word(self):
+        h, k, _ = _interval_families()
+        with pytest.raises(BlockError, match="out of order"):
+            B.morphism_H(h, ("u", "v"))
+        with pytest.raises(BlockError, match="out of order"):
+            B.homotopy_K(h, h, k, ("u", "v"))
+        got = B.homotopy_K(h, h, k, ("u", "x"))
+        assert got == _reference_homotopy_K(h, h, k, ("u", "x")) == {(("x", "x"), 0): 1}
+
+    def test_rewrite_into_out_of_order_labels(self):
+        _, _, m = _interval_families()
+        m.validate_word(("u", "x"))
+        with pytest.raises(BlockError, match="out of order"):
+            B.delta(m, ("u", "x"))
+        with pytest.raises(BlockError, match="out of order"):
+            B.check_a_infinity(m, B.TruncationWindow(qmax=2))
+        # the same rewrite in front of u keeps the labels in order
+        assert B.delta(m, ("x", "u")) == {(("v", "u"), 0): -1}
+
+    @pytest.mark.parametrize(
+        "change, sym",
+        [
+            (lambda gens: gens.pop("a3"), "a3"),
+            (lambda gens: gens.update(a2=B.Generator("a2", 1)), "a2"),
+            (lambda gens: gens.update(a=B.Generator("a", 0, (0, 1))), "a"),
+            (lambda gens: gens.update(b=B.Generator("b", 0)), "b"),
+        ],
+        ids=["missing", "co-index", "label", "extra"],
+    )
+    def test_tables_must_agree(self, lib, change, sym):
+        # one family of each check gets a generator table that lacks a
+        # symbol, changes a co-index or a label, or adds a symbol
+        fam = lib["polynomial"]
+        gens = dict(fam.gens)
+        change(gens)
+        other = list(gens.values())
+        h = _identity_h(fam)
+        h_other = B.OperationFamily("h", other, {1: {(s,): [(s, 0, 1)] for s in gens}})
+        k_other = B.OperationFamily("k", other, {})
+        window = B.TruncationWindow(qmax=2)
+        with pytest.raises(ShapeError, match="generator %r" % sym):
+            B.check_chain_map(h_other, fam, fam, window)
+        with pytest.raises(ShapeError, match="generator %r" % sym):
+            B.check_homotopy(h, h, k_other, fam, fam, window)
+        with pytest.raises(ShapeError, match="generator %r" % sym):
+            B.homotopy_K(h, h, k_other, ("a",))
+
+    def test_tables_must_agree_on_c(self, lib):
+        fam = lib["polynomial"]
+        h = _identity_h(fam)
+        k = B.OperationFamily("k", list(fam.gens.values()), {}, c=1)
+        with pytest.raises(ShapeError, match="differ in c"):
+            B.check_homotopy(h, h, k, fam, fam, B.TruncationWindow(qmax=2))

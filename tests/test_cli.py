@@ -144,6 +144,41 @@ class TestChecks:
         assert obj["verdict"] == "fail"
         assert obj["counterexample"]
 
+    @pytest.mark.parametrize("field, value", [("coidx", 1), ("label", [0, 1])])
+    def test_families_share_one_table(self, capsys, tmp_path, field, value):
+        # generator a gets another co-index or label in one family only;
+        # c = 1 makes the label (0, 1) a valid one
+        poly = barcx.family_to_obj(barcx.example_library()["polynomial"])
+        poly["c"] = 1
+        syms = [g["sym"] for g in poly["generators"]]
+        ident = {"1": [{"in": [s], "out": [{"sym": s, "d": 0, "coef": 1}]} for s in syms]}
+        odd = [
+            dict(g, **{field: value}) if g["sym"] == "a" else g
+            for g in poly["generators"]
+        ]
+        fams = {
+            "m": poly,
+            "h": dict(poly, ops={"h": ident}),
+            "h_odd": dict(poly, generators=odd, ops={"h": ident}),
+            "k_odd": dict(poly, generators=odd, ops={"k": {}}),
+        }
+        path = {}
+        for name, obj in fams.items():
+            p = tmp_path / (name + ".json")
+            p.write_text(json.dumps(obj))
+            path[name] = str(p)
+        ends = ["--source", path["m"], "--target", path["m"], "--qmax", "3", "--json"]
+        for argv in (
+            ["check-morphism", "--morphism", path["h_odd"]] + ends,
+            ["check-homotopy", "--h0", path["h"], "--h1", path["h"],
+             "--homotopy", path["k_odd"]] + ends,
+        ):
+            code, out = run(capsys, *argv)
+            assert code == 1
+            obj = json.loads(out)
+            assert obj["error"] == "ShapeError"
+            assert "generator 'a'" in obj["detail"]
+
     def test_jobs_flag(self, capsys, family_files):
         code, _ = run(
             capsys,
@@ -238,6 +273,34 @@ class TestIndexCommands:
         obj["edge_states"] = {"0": "broken"}
         p.write_text(json.dumps(obj))
         assert run(capsys, "index", str(p), "--json")[0] == 0
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            # a negative slot index, a path or an integer of the wrong
+            # type, a destination that is a leaf, a spec that is not an
+            # object
+            '{"type":"I","disk":[-1],"d":2}',
+            '{"type":"I","disk":3}',
+            '{"type":"I","disk":[1],"d":null}',
+            '{"type":"IIa","disk":[1],"dest":[-1],"at":0}',
+            '{"type":"IIa","disk":[1],"dest":[0],"at":0}',
+            '[1]',
+            # refused before too: a slot past the end, a float index and
+            # a negative path whose vertex has no disk child to promote
+            '{"type":"I","disk":[3],"d":2}',
+            '{"type":"I","disk":[1.0],"d":2}',
+            '{"type":"IIb","disk":[-1],"dest":0}',
+        ],
+    )
+    def test_reduce_malformed_spec(self, capsys, tmp_path, spec):
+        # a leaf, then a disk with two marks over two leaves
+        disk = {"i": 2, "col": False, "children": ["x", "x"]}
+        p = tmp_path / "t.json"
+        p.write_text(json.dumps({"tree": {"i": 0, "col": False, "children": ["x", disk]}}))
+        code, out = run(capsys, "reduce", str(p), "--surgery", spec, "--json")
+        assert code == 1
+        assert json.loads(out)["error"] == "SurgeryError"
 
     def test_domain_error_exit_1(self, capsys, family_files):
         spec = '{"type":"I","disk":[],"d":3}'

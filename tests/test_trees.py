@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from clustercx import trees
-from clustercx.errors import CapError, OrderError, StabilityError
+from clustercx.errors import CapError, EdgeError, OrderError, StabilityError
 from clustercx.trees import LEAF, PlanarTree, vertex
 
 
@@ -185,6 +185,14 @@ class TestContraction:
         c, edge_map = trees.contract_set(t, {(1,)})
         assert c.root == vertex(0, False, (LEAF, LEAF, LEAF))
         assert edge_map == {}
+
+    def test_vertex_at_refuses_bad_slots(self):
+        disk = vertex(2, False, (LEAF, LEAF))
+        t = PlanarTree(vertex(0, False, (LEAF, disk)))
+        assert t.vertex_at((1,)) == disk
+        for path in ((-1,), (-2,), (2,), (0,), (1, 0)):
+            with pytest.raises(EdgeError):
+                t.vertex_at(path)
 
     def test_leq_and_witness(self):
         top = trees.enumerate_types(4, 0, 0)[0]
