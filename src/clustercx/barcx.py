@@ -17,7 +17,7 @@ cardinality q = number of factors.  Structure constants must shift mu by
 
 from itertools import product as _iproduct
 
-from .errors import BlockError, ShapeError
+from .errors import BlockError, RangeError, ShapeError
 from .signs import (
     epsilon_gj,
     first_block_parity,
@@ -35,12 +35,15 @@ class TruncationWindow:
 
     Verdicts quantify over basis words of cardinality <= qmax; output
     terms of energy exponent > emax fall outside the window and are not
-    inspected, so a pass is always 'pass up to E_max'.
+    inspected, so a pass is always 'pass up to E_max'.  qmax < 1 (no word)
+    and emax < 0 (no term) would pass any family, so they raise RangeError.
     """
 
     def __init__(self, qmax=5, emax=8):
         self.qmax = qmax
         self.emax = emax
+        if qmax < 1 or emax < 0:
+            raise RangeError("%r needs qmax >= 1 and emax >= 0" % (self,))
 
     def to_obj(self):
         return {"qmax": self.qmax, "emax": self.emax}
@@ -243,9 +246,7 @@ def _comb_map(word_map, comb):
 def _once(fn, known=()):
     """The word map gens -> fn(gens), computing each word once while the
     map lives; ``known`` gives images fixed in advance.  A checker builds
-    one per inner map of its relation and drops it on return.  Under
-    ``jobs > 1`` two threads may compute one word; both store the same
-    image, since fn depends on gens alone."""
+    one per inner map of its relation and drops it on return."""
     images = dict(known)
 
     def word_map(gens):
@@ -260,30 +261,29 @@ def _once(fn, known=()):
 # -- the word differential ---------------------------------------------------
 
 
-def delta(fam, gens, d=0, suspended=None):
+def delta(fam, gens, d=0):
     """delta applied to one word: sum over positions j and arities l of
     the facet sign times the Koszul sign times the structure constants.
 
-    The (j, l) term carries sign_concat(q_out, j, l) times the Koszul
-    sign of the degree-l operation past the prefix; suspended families
-    use the Koszul sign of a degree-1 operation on the degrees mu - 1.
-    The word is validated first.
+    The sign convention is the family's own (``fam.suspended``): the
+    (j, l) term carries sign_concat(q_out, j, l) times the Koszul sign of
+    the degree-l operation past the prefix; suspended families use the
+    Koszul sign of a degree-1 operation on the degrees mu - 1.  The word
+    is validated first.
     """
     fam.validate_word(gens)
-    return _delta(fam, gens, d, suspended)
+    return _delta(fam, gens, d)
 
 
-def _delta(fam, gens, d=0, suspended=None):
-    """delta on a word known to be valid.  An output word replaces a block
-    of gens by one symbol; it is validated only when that symbol carries
-    an interval label, since dropping labelled factors keeps the labels
-    of a valid word in order."""
+def _delta(fam, gens, d=0):
+    """delta on a word known to be valid, in the family's sign convention.
+    An output word replaces a block of gens by one symbol; it is validated
+    only when that symbol carries an interval label, since dropping
+    labelled factors keeps the labels of a valid word in order."""
     if fam.role != "m":
         raise ShapeError("delta needs a differential family")
-    if suspended is None:
-        suspended = fam.suspended
     Q = len(gens)
-    degs = [fam.mu(s) - 1 if suspended else fam.mu(s) for s in gens]
+    degs = [fam.mu(s) - 1 if fam.suspended else fam.mu(s) for s in gens]
     out = {}
     for l in fam.arities():
         if l > Q:
@@ -293,7 +293,7 @@ def _delta(fam, gens, d=0, suspended=None):
             rules = fam.apply(l, gens[j - 1 : j - 1 + l])
             if not rules:
                 continue
-            if suspended:
+            if fam.suspended:
                 sign = koszul_apply(1, j, l, degs)
             else:
                 sign = sign_concat(q_out, j, l) * koszul_apply(l, j, l, degs)
@@ -305,8 +305,8 @@ def _delta(fam, gens, d=0, suspended=None):
     return out
 
 
-def delta_comb(fam, comb, suspended=None):
-    return _comb_map(lambda g: delta(fam, g, suspended=suspended), comb)
+def delta_comb(fam, comb):
+    return _comb_map(lambda g: delta(fam, g), comb)
 
 
 # -- suspension --------------------------------------------------------------
@@ -371,25 +371,14 @@ class Report:
         }
 
 
-def _run_over_words(check_name, fam, window, residue_fn, jobs=1):
+def _run_over_words(check_name, fam, window, residue_fn):
+    """Residues of the window's basis words; failures come in basis order."""
     words = basis_words(fam, window)
     failures = []
-
-    def probe(gens):
+    for gens in words:
         residue = _truncate(residue_fn(gens), window.emax)
-        return (((gens, 0), residue) if residue else None)
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(probe, words))
-    else:
-        results = [probe(w) for w in words]
-    for r in results:
-        if r is not None:
-            failures.append(r)
-    failures.sort(key=lambda f: (len(f[0][0]), f[0][0]))
+        if residue:
+            failures.append(((gens, 0), residue))
     return Report(check_name, window, not failures, len(words), failures)
 
 
@@ -399,7 +388,8 @@ def _run_over_words(check_name, fam, window, residue_fn, jobs=1):
 def gj_relation(fam, gens):
     """The explicitly signed associativity relation at one word:
     sum over inner windows of (-1)^epsilon_gj(j, l1, l2) outer(prefix,
-    inner(...), suffix), which delta-squared expands into."""
+    inner(...), suffix), which delta-squared expands into; a rewritten
+    word is validated as in delta."""
     Q = len(gens)
     degs = [fam.mu(s) for s in gens]
     out = {}
@@ -414,13 +404,15 @@ def gj_relation(fam, gens):
             sign = -1 if epsilon_gj(j, l1, l2, degs) else 1
             for (sym, dd), icoef in inner.items():
                 new = gens[: j - 1] + (sym,) + gens[j - 1 + l2 :]
+                if fam.gens[sym].label != "f":
+                    fam.validate_word(new)
                 outer = fam.apply(l1, new)
                 for (sym2, dd2), ocoef in outer.items():
                     _add_term(out, (sym2,), dd + dd2, sign * icoef * ocoef)
     return out
 
 
-def check_a_infinity(fam, window, jobs=1, via_suspension=False):
+def check_a_infinity(fam, window, via_suspension=False):
     """delta o delta = 0 on every basis word in the window; the fully
     expanded signed relations give the same verdict by construction of
     the signs, and ``via_suspension`` reruns the check through the
@@ -431,30 +423,28 @@ def check_a_infinity(fam, window, jobs=1, via_suspension=False):
         fam = fam if fam.suspended else suspend(fam)
     inner = _once(lambda g: _delta(fam, g))
     return _run_over_words(
-        name, fam, window, lambda gens: _comb_map(inner, _delta(fam, gens)), jobs
+        name, fam, window, lambda gens: _comb_map(inner, _delta(fam, gens))
     )
 
 
-def check_gj_relations(fam, window, jobs=1):
+def check_gj_relations(fam, window):
     """The arity-sum form of the relations, one word at a time."""
     return _run_over_words(
-        "a-infinity(gj)", fam, window, lambda gens: gj_relation(fam, gens), jobs
+        "a-infinity(gj)", fam, window, lambda gens: gj_relation(fam, gens)
     )
 
 
 def check_unit(fam, unit_sym, window):
     """Unit axioms and the contracting homotopy U(w) = unit tensor w:
-    delta(U(w)) + U(delta(w)) = w on every window word."""
+    delta(U(w)) + U(delta(w)) = w on every window word.  The pointwise
+    axioms fail first; each generator's left unit counts as one word."""
     failures = []
-    n_checked = 0
-    # pointwise axioms
     m1 = fam.apply(1, (unit_sym,))
     if m1:
         failures.append(((("m1", unit_sym), 0), dict(m1)))
     for sym in sorted(fam.gens):
         got = fam.apply(2, (unit_sym, sym))
         want = {(sym, 0): 1}
-        n_checked += 1
         if dict(got) != want:
             failures.append((((unit_sym, sym), 0), _sub(got, want)))
     for l in fam.arities():
@@ -463,16 +453,16 @@ def check_unit(fam, unit_sym, window):
         for pattern, outs in fam.ops[l].items():
             if pattern[0] == unit_sym and outs:
                 failures.append(((pattern, 0), dict(outs)))
-    # contracting homotopy
-    words = basis_words(fam, window)
-    for gens in words:
-        n_checked += 1
+
+    def residue(gens):
         lhs = delta(fam, (unit_sym,) + gens)
         for (g2, d2), c in _delta(fam, gens).items():
             _add_term(lhs, (unit_sym,) + g2, d2, c)
-        residue = _truncate(_sub(lhs, {(gens, 0): 1}), window.emax)
-        if residue:
-            failures.append(((gens, 0), residue))
+        return _sub(lhs, {(gens, 0): 1})
+
+    contracting = _run_over_words("unit", fam, window, residue)
+    failures += contracting.failures
+    n_checked = len(fam.gens) + contracting.n_words
     return Report("unit", window, not failures, n_checked, failures)
 
 
@@ -560,7 +550,7 @@ def morphism_H(hfam, gens, d=0):
     return image(gens, d)
 
 
-def check_chain_map(hfam, m0, m1, window, jobs=1):
+def check_chain_map(hfam, m0, m1, window):
     """Residues of H o delta(1) - delta(0) o H over basis words of the
     source complex (whose differential is m1).  The images of H are
     validated as words of m0 by delta(0)."""
@@ -571,7 +561,7 @@ def check_chain_map(hfam, m0, m1, window, jobs=1):
     def residue(gens):
         return _sub(_comb_map(H, _delta(m1, gens)), _comb_map(delta0, outer(gens)))
 
-    return _run_over_words("chain-map", m1, window, residue, jobs)
+    return _run_over_words("chain-map", m1, window, residue)
 
 
 def homotopy_K(h0, h1, kfam, gens, d=0):
@@ -584,7 +574,7 @@ def homotopy_K(h0, h1, kfam, gens, d=0):
     return image(gens, d)
 
 
-def check_homotopy(h0, h1, kfam, m0, m1, window, jobs=1):
+def check_homotopy(h0, h1, kfam, m0, m1, window):
     """Residues of H(1) - H(0) - K o delta(1) - delta(0) o K; one H0 word
     map serves the outer H(0) and the tails of K."""
     _one_table(h0, h1, kfam, m0, m1)
@@ -598,7 +588,7 @@ def check_homotopy(h0, h1, kfam, m0, m1, window, jobs=1):
         out = _sub(out, _comb_map(K, _delta(m1, gens)))
         return _sub(out, _comb_map(delta0, outer(gens)))
 
-    return _run_over_words("homotopy", m1, window, residue, jobs)
+    return _run_over_words("homotopy", m1, window, residue)
 
 
 # -- chain-level dual --------------------------------------------------------
@@ -644,11 +634,13 @@ def _derivation(fam):
 
 def dga_differential(fam, gens, d=0):
     """The dual derivation: apply the transposed, suspended operation at
-    each position with the shifted-prefix Koszul sign."""
+    each position with the shifted-prefix Koszul sign.  The word is
+    validated first."""
+    fam.validate_word(gens)
     return _derivation(fam)(gens, d)
 
 
-def check_leibniz(fam, window, jobs=1):
+def check_leibniz(fam, window):
     """d(x (x) y) = d(x) (x) y + (-1)^|x| x (x) d(y) with the shifted word
     degree |x| = sum (mu - 1), at every split of every window word; the
     residue sums the per-split residues.
@@ -674,7 +666,7 @@ def check_leibniz(fam, window, jobs=1):
                 _add_term(total, x + g2, d2, -sign * c)
         return total
 
-    return _run_over_words("leibniz", fam, window, residue, jobs)
+    return _run_over_words("leibniz", fam, window, residue)
 
 
 # -- serialization and examples ----------------------------------------------

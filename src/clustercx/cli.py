@@ -45,7 +45,10 @@ def _window(args):
 def _add_window_flags(p):
     p.add_argument("--qmax", type=int, default=5)
     p.add_argument("--emax", type=int, default=8)
-    p.add_argument("--jobs", type=int, default=1)
+    # kept only for perfbench's `check-ainf ... --jobs 2` op; goes with it
+    p.add_argument(
+        "--jobs", type=int, default=1, help="ignored: checks run on one thread"
+    )
 
 
 def _cluster_type_from_obj(obj):
@@ -197,9 +200,7 @@ def _finish_check(args, report, started):
 def _cmd_check_ainf(args):
     started = time.time()
     fam = barcx.family_from_obj(_load_json(args.file), role="m")
-    report = barcx.check_a_infinity(
-        fam, _window(args), jobs=args.jobs, via_suspension=args.suspended
-    )
+    report = barcx.check_a_infinity(fam, _window(args), via_suspension=args.suspended)
     return _finish_check(args, report, started)
 
 
@@ -208,7 +209,7 @@ def _cmd_check_morphism(args):
     h = barcx.family_from_obj(_load_json(args.morphism), role="h")
     m0 = barcx.family_from_obj(_load_json(args.target), role="m")
     m1 = barcx.family_from_obj(_load_json(args.source), role="m")
-    report = barcx.check_chain_map(h, m0, m1, _window(args), jobs=args.jobs)
+    report = barcx.check_chain_map(h, m0, m1, _window(args))
     return _finish_check(args, report, started)
 
 
@@ -219,9 +220,7 @@ def _cmd_check_homotopy(args):
     kf = barcx.family_from_obj(_load_json(args.homotopy), role="k")
     m0 = barcx.family_from_obj(_load_json(args.target), role="m")
     m1 = barcx.family_from_obj(_load_json(args.source), role="m")
-    report = barcx.check_homotopy(
-        h0, h1, kf, m0, m1, _window(args), jobs=args.jobs
-    )
+    report = barcx.check_homotopy(h0, h1, kf, m0, m1, _window(args))
     return _finish_check(args, report, started)
 
 

@@ -571,7 +571,10 @@ def orientation_consistency(tc):
     identification orientation-reversing across the glued facet.
 
     parity(q) = parity(p) + parity(nu), so this holds iff nu is odd for
-    every type-I generator.
+    every type-I generator.  A type-I move swaps two single leaves, so its
+    nu is the adjacent transposition (lo lo+1), odd by construction: the
+    check cannot fail on a complex that tile_complex builds, only on a
+    move list changed by hand.  Type II and III moves are not checked.
     """
     return all(
         perm_parity(nu) == 1

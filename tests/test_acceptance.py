@@ -150,9 +150,10 @@ def test_criterion_05_suspension_support_equality():
         for _ in range(50):
             fam = B.random_family(rng)
             bfam = B.suspend(fam)
+            assert bfam.suspended
             for gens in B.basis_words(fam, window):
                 signed = B.delta_comb(fam, B.delta(fam, gens))
-                bare = B.delta_comb(bfam, B.delta(bfam, gens), suspended=True)
+                bare = B.delta_comb(bfam, B.delta(bfam, gens))
                 assert {k for k, v in signed.items() if v} == {
                     k for k, v in bare.items() if v
                 }

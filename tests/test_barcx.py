@@ -1,14 +1,14 @@
 """Word differential, relation checkers, suspension, and the dual DGA."""
 
+import hashlib
 import json
 import random
-import sys
 from itertools import product
 
 import pytest
 
 from clustercx import barcx as B
-from clustercx.errors import BlockError, ShapeError
+from clustercx.errors import BlockError, RangeError, ShapeError
 
 WINDOW = B.TruncationWindow(qmax=5, emax=8)
 
@@ -64,9 +64,10 @@ class TestSuspension:
         for _ in range(20):
             fam = B.random_family(rng)
             bfam = B.suspend(fam)
+            assert bfam.suspended
             for gens in B.basis_words(fam, window):
                 r1 = B.delta_comb(fam, B.delta(fam, gens))
-                r2 = B.delta_comb(bfam, B.delta(bfam, gens), suspended=True)
+                r2 = B.delta_comb(bfam, B.delta(bfam, gens))
                 s1 = {k for k, v in r1.items() if v}
                 s2 = {k for k, v in r2.items() if v}
                 assert s1 == s2
@@ -219,27 +220,6 @@ class TestWordsAndIO:
         fam2 = B.family_from_obj(B.family_to_obj(fam))
         assert fam2.ops == fam.ops
         assert fam2.n == fam.n and fam2.NL == fam.NL
-
-    def test_jobs_share_word_maps(self):
-        # the checker's word maps are shared by the worker threads; with
-        # frequent thread switches the failing reports stay identical
-        m0, m1, h0, _, _ = next(_random_setups(13, 1))
-        window = B.TruncationWindow(qmax=3)
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            r1 = B.check_chain_map(h0, m0, m1, window, jobs=1)
-            r4 = B.check_chain_map(h0, m0, m1, window, jobs=4)
-        finally:
-            sys.setswitchinterval(old)
-        assert not r1.passed
-        assert r4.to_obj() == r1.to_obj()
-
-    def test_jobs_parallel_same_verdict(self, lib):
-        fam = lib["circle"]
-        r1 = B.check_a_infinity(fam, WINDOW, jobs=1)
-        r2 = B.check_a_infinity(fam, WINDOW, jobs=4)
-        assert r1.passed == r2.passed and r1.n_words == r2.n_words
 
 
 # -- oracle: the explicit-parity bodies the sign-calculus engine replaced ------
@@ -494,12 +474,13 @@ class TestReferenceOracle:
         window = B.TruncationWindow(qmax=4)
         shorter_H = shorter_K = 0
         for m0, _, h0, h1, k in _random_setups(11, 6):
+            # both sign conventions: the family's own and the suspended one
+            both = (m0, B.suspend(m0))
+            assert [m.suspended for m in both] == [False, True]
             for gens in B.basis_words(m0, window):
                 for d in (0, 1):
-                    for suspended in (False, True):
-                        assert B.delta(m0, gens, d, suspended) == _reference_delta(
-                            m0, gens, d, suspended
-                        )
+                    for m in both:
+                        assert B.delta(m, gens, d) == _reference_delta(m, gens, d)
                     H = B.morphism_H(h0, gens, d)
                     assert H == _reference_morphism_H(h0, gens, d)
                     K = B.homotopy_K(h0, h1, k, gens, d)
@@ -598,6 +579,22 @@ class TestNegativeControls:
         report = B.check_unit(lib["polynomial"], "a", B.TruncationWindow(qmax=2))
         assert not report.passed
 
+    @pytest.mark.parametrize(
+        "name, unit, qmax, digest",
+        [
+            ("polynomial", "a", 2,
+             "ce6ad4dc583af119905d0565862a7377ea2c6f79a1749a4214e03d4e2bb9f4bd"),
+            ("circle", "m", 3,
+             "b0d95d1f8590f2a37672595bf99277b59b549a00ba59a1909cc6e2c99c896c83"),
+        ],
+    )
+    def test_unit_failures_pinned(self, lib, name, unit, qmax, digest):
+        # the pointwise failures come first, then the words in basis order;
+        # digests taken before the word loop was shared with the checkers
+        report = B.check_unit(lib[name], unit, B.TruncationWindow(qmax=qmax))
+        obj = json.dumps(report.to_obj(), sort_keys=True)
+        assert hashlib.sha256(obj.encode()).hexdigest() == digest
+
     @pytest.mark.parametrize("name", ["polynomial", "exterior", "circle"])
     def test_leibniz_rejects_unsigned_derivation(self, lib, monkeypatch, name):
         # the rule holds for every family by construction, so the check is
@@ -671,9 +668,47 @@ class TestOneGeneratorTable:
         with pytest.raises(ShapeError, match="generator %r" % sym):
             B.homotopy_K(h, h, k_other, ("a",))
 
+    def test_gj_relation_validates_its_rewrites(self):
+        # the arity-sum form refuses the rewrite (u, x) -> (u, v) as delta does
+        _, _, m = _interval_families()
+        with pytest.raises(BlockError, match="out of order"):
+            B.gj_relation(m, ("u", "x"))
+        with pytest.raises(BlockError, match="out of order"):
+            B.check_gj_relations(m, B.TruncationWindow(qmax=2))
+        assert B.gj_relation(m, ("x", "u")) == _reference_gj_relation(m, ("x", "u"))
+
+    def test_dga_differential_validates_its_word(self):
+        _, _, m = _interval_families()
+        with pytest.raises(BlockError, match="out of order"):
+            B.dga_differential(m, ("u", "v"))
+        assert B.dga_differential(m, ("x", "v")) == {(("x", "x"), 0): -1}
+
     def test_tables_must_agree_on_c(self, lib):
         fam = lib["polynomial"]
         h = _identity_h(fam)
         k = B.OperationFamily("k", list(fam.gens.values()), {}, c=1)
         with pytest.raises(ShapeError, match="differ in c"):
             B.check_homotopy(h, h, k, fam, fam, B.TruncationWindow(qmax=2))
+
+
+class TestTruncationWindow:
+    @pytest.mark.parametrize(
+        "qmax, emax", [(0, 8), (-1, 8), (5, -1)], ids=["qmax0", "qmax-1", "emax-1"]
+    )
+    def test_vacuous_window_refused(self, qmax, emax):
+        with pytest.raises(RangeError, match="qmax >= 1 and emax >= 0"):
+            B.TruncationWindow(qmax=qmax, emax=emax)
+
+    def test_smallest_window(self):
+        # one-letter words and the t^0 terms are still a real check
+        fam = B.random_family(random.Random(3))
+        window = B.TruncationWindow(qmax=1, emax=0)
+        assert window.to_obj() == {"qmax": 1, "emax": 0}
+        assert B.check_a_infinity(fam, window).n_words == 3
+
+    def test_negative_emax_would_hide_failures(self):
+        # every exponent is >= 0, so emax -1 would truncate every residue
+        fam = B.random_family(random.Random(3))
+        assert not B.check_a_infinity(fam, B.TruncationWindow(qmax=3)).passed
+        with pytest.raises(RangeError):
+            B.check_a_infinity(fam, B.TruncationWindow(qmax=3, emax=-1))

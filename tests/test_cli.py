@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 import time
 
 import pytest
@@ -31,6 +32,18 @@ def family_files(tmp_path_factory):
     p = d / "poly_bad.json"
     p.write_text(json.dumps(obj))
     paths["bad"] = str(p)
+    poly = barcx.family_to_obj(lib["polynomial"])
+    syms = [g["sym"] for g in poly["generators"]]
+    for name, role, ops in (
+        ("id_h", "h", {"1": [{"in": [s], "out": [{"sym": s, "d": 0, "coef": 1}]}
+                             for s in syms]}),
+        ("double_h", "h", {"1": [{"in": [s], "out": [{"sym": s, "d": 0, "coef": 2}]}
+                                 for s in syms]}),
+        ("zero_k", "k", {}),
+    ):
+        p = d / (name + ".json")
+        p.write_text(json.dumps(dict(poly, ops={role: ops})))
+        paths[name] = str(p)
     ct = {
         "tree": {"b": 2, "i": 4, "col": False, "children": ["x", "x"]},
         "mu_root": 1,
@@ -179,6 +192,27 @@ class TestChecks:
             assert obj["error"] == "ShapeError"
             assert "generator 'a'" in obj["detail"]
 
+    @pytest.mark.parametrize(
+        "bounds", [["--qmax", "0"], ["--qmax", "-1"], ["--emax", "-1"]]
+    )
+    def test_vacuous_window_refused(self, capsys, family_files, bounds):
+        # each of these windows would pass the failing family
+        code, out = run(capsys, "check-ainf", family_files["bad"], *bounds, "--json")
+        assert code == 1
+        obj = json.loads(out)
+        assert obj["error"] == "RangeError"
+        assert "qmax >= 1 and emax >= 0" in obj["detail"]
+
+    def test_negative_emax_would_pass_a_failing_family(self, capsys, tmp_path):
+        fam = barcx.random_family(random.Random(3))
+        p = tmp_path / "random3.json"
+        p.write_text(json.dumps(barcx.family_to_obj(fam)))
+        argv = ["check-ainf", str(p), "--qmax", "3", "--json"]
+        code, out = run(capsys, *argv)
+        assert code == 1 and json.loads(out)["verdict"] == "fail"
+        code, out = run(capsys, *argv, "--emax", "-1")
+        assert code == 1 and json.loads(out)["error"] == "RangeError"
+
     def test_jobs_flag(self, capsys, family_files):
         code, _ = run(
             capsys,
@@ -191,6 +225,30 @@ class TestChecks:
             "--json",
         )
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check-ainf", "@bad", "--qmax", "3"],
+            ["check-morphism", "--morphism", "@id_h", "--source", "@bad",
+             "--target", "@polynomial", "--qmax", "3"],
+            ["check-homotopy", "--h0", "@double_h", "--h1", "@id_h", "--homotopy",
+             "@zero_k", "--source", "@polynomial", "--target", "@polynomial",
+             "--qmax", "3"],
+        ],
+        ids=["check-ainf", "check-morphism", "check-homotopy"],
+    )
+    def test_jobs_changes_only_the_echo(self, capsys, family_files, argv):
+        # --jobs is accepted and ignored: the same failing report either way
+        argv = [family_files[a[1:]] if a.startswith("@") else a for a in argv]
+        code1, out1 = run(capsys, *argv, "--json")
+        code2, out2 = run(capsys, *argv, "--jobs", "2", "--json")
+        plain, jobs = json.loads(out1), json.loads(out2)
+        assert code1 == code2 == 1
+        assert plain["verdict"] == "fail" and plain["counterexample"]
+        assert plain.pop("command") == " ".join(argv + ["--json"])
+        assert jobs.pop("command") == " ".join(argv + ["--jobs", "2", "--json"])
+        assert jobs == plain
 
 
 class TestIndexCommands:

@@ -550,6 +550,21 @@ class TestTiles:
     def test_pair_counts_pinned(self, l, k, counts):
         assert strata.tile_complex(l, k).pair_counts() == counts
 
+    def test_type_one_nu_is_adjacent_transposition(self):
+        # a type-I move swaps two single leaves, so nu is (i i+1) and odd:
+        # orientation_consistency cannot fail on a tile_complex output
+        type_one = 0
+        for l, k in TILE_SIZES:
+            for tag, _, _, nu in strata.tile_complex(l, k).identifications:
+                if tag != "I":
+                    continue
+                i = next(n for n, image in enumerate(nu, 1) if image != n)
+                assert nu == tuple(range(1, i)) + (i + 1, i) + tuple(
+                    range(i + 2, len(nu) + 1)
+                )
+                type_one += 1
+        assert type_one > 1000
+
     def test_even_type_one_move_is_inconsistent(self):
         tc = strata.tile_complex(3, 1)
         n = next(
