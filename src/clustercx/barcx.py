@@ -612,9 +612,17 @@ def _derivation(fam):
     """The dual derivation as a word map, with the suspended family and
     its transpose built once: the transposed operation at position j
     carries the Koszul sign of a degree-1 map past the shifted degrees
-    mu - 1 of the prefix."""
+    mu - 1 of the prefix.  A rewritten word is validated only when its
+    replacement pattern holds an interval-labelled symbol, as in delta;
+    that flag is computed once per entry of the transpose."""
     bfam = fam if fam.suspended else suspend(fam)
-    dual = opposite(bfam)
+    dual = {
+        sym: [
+            (rep, dd, coef, any(bfam.gens[s].label != "f" for s in rep))
+            for (rep, dd), coef in reps.items()
+        ]
+        for sym, reps in opposite(bfam).items()
+    }
 
     def word_map(gens, d=0):
         sdegs = [bfam.mu(s) - 1 for s in gens]
@@ -624,8 +632,10 @@ def _derivation(fam):
             if not reps:
                 continue
             sign = koszul_apply(1, j, 1, sdegs)
-            for (rep, dd), coef in reps.items():
+            for rep, dd, coef, labelled in reps:
                 new = gens[: j - 1] + rep + gens[j:]
+                if labelled:
+                    bfam.validate_word(new)
                 _add_term(out, new, d + dd, sign * coef)
         return out
 

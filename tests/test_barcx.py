@@ -683,6 +683,45 @@ class TestOneGeneratorTable:
             B.dga_differential(m, ("u", "v"))
         assert B.dga_differential(m, ("x", "v")) == {(("x", "x"), 0): -1}
 
+    def test_derivation_validates_its_rewrites(self):
+        # m sends u to x, so the transpose writes u in place of x and the
+        # valid word (u, x) becomes (u, u), whose labels are out of order
+        gens = [B.Generator("x", 2), B.Generator("u", 1, (1, 2))]
+        m = B.OperationFamily("m", gens, {1: {("u",): [("x", 0, 1)]}}, n=2, c=2)
+        m.validate_word(("u", "x"))
+        with pytest.raises(BlockError, match="out of order"):
+            B.dga_differential(m, ("u", "x"))
+        with pytest.raises(BlockError, match="out of order"):
+            B.check_leibniz(m, B.TruncationWindow(qmax=2))
+
+    def test_derivation_keeps_in_order_rewrites(self):
+        # the transpose writes v (0, 1) or v w in place of u (0, 2), inside
+        # u's interval, so every rewrite stays valid; the digest of the
+        # report and of every image was taken before rewrites were validated
+        gens = [
+            B.Generator("x", 0),
+            B.Generator("u", 2, (0, 2)),
+            B.Generator("v", 1, (0, 1)),
+            B.Generator("w", 1, (1, 2)),
+        ]
+        ops = {
+            1: {("v",): [("u", 0, 1)]},
+            2: {("v", "w"): [("u", 0, 1)], ("x", "x"): [("x", 0, 1)]},
+        }
+        m = B.OperationFamily("m", gens, ops, n=2, c=2)
+        window = B.TruncationWindow(qmax=4)
+        report = B.check_leibniz(m, window)
+        assert report.passed and report.n_words == 44
+        images = [
+            [list(g), sorted([list(g2), d2, c] for (g2, d2), c in
+                             B.dga_differential(m, g).items())]
+            for g in B.basis_words(m, window)
+        ]
+        obj = json.dumps([report.to_obj(), images])
+        assert hashlib.sha256(obj.encode()).hexdigest() == (
+            "ee31f68d0ee34a57679b229881d2a2260f3a41bada39d4b46774f1e6f92eb4cb"
+        )
+
     def test_tables_must_agree_on_c(self, lib):
         fam = lib["polynomial"]
         h = _identity_h(fam)

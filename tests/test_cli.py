@@ -367,3 +367,58 @@ class TestIndexCommands:
         )
         assert code == 1
         assert json.loads(out)["error"] == "SurgeryError"
+
+
+# the chi_root.json and chart_plain.json fixtures of test_golden.py, with
+# the digests of their golden commands
+_ROOT_COLORED = {
+    "i": 0,
+    "col": True,
+    "children": [{"i": 1, "col": False, "children": ["x", "x"]}, "x"],
+}
+_PLAIN3 = {
+    "i": 0,
+    "col": False,
+    "children": [{"i": 0, "col": False, "children": ["x", "x"]}, "x"],
+}
+_GOLDEN = {
+    ("chi", "chi_root.json", "--quilted", "--json"):
+        "9f3a891f5b24cb4b358d171245d7980118efd2ba0da8e0c3703bee984f035a67",
+    ("chi", "chi_root.json", "--json"):
+        "5b0229562ffb8e2f14c71e821f98b2c0245cd10ddb3d0c59c1d0dcd10529b2c3",
+    ("chart", "chart_plain.json", "--json"):
+        "de090f25b9f35b5269b74db7a616d7deb7a87d783632bb76d8d5c007a129b43c",
+}
+
+
+class TestSharedParser:
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_errors_and_help_leave_it_intact(self, capsys, tmp_path, monkeypatch):
+        (tmp_path / "chi_root.json").write_text(
+            json.dumps({"tree": _ROOT_COLORED, "labels": {"0": "5/7"}})
+        )
+        (tmp_path / "chart_plain.json").write_text(
+            json.dumps({"tree": _PLAIN3, "xs": ["0", "1", "3"]})
+        )
+        monkeypatch.chdir(tmp_path)
+        code, out = run(capsys, "chi", "chi_root.json", "--no-such-flag")
+        assert code == 2 and out == ""
+        code, out = run(capsys, "--help")
+        assert code == 0 and "check-homotopy" in out
+        # the quilted flag of the first chi must not reach the second
+        for argv, want in _GOLDEN.items():
+            code, out = run(capsys, *argv)
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == want, argv
+
+    def test_fresh_namespace_per_call(self):
+        parser = cli.build_parser()
+        first = parser.parse_args(["chart", "a.json", "--invert"])
+        first._command_echo = "chart a.json --invert"
+        second = parser.parse_args(["chi", "a.json"])
+        assert second is not first
+        assert not hasattr(second, "invert")
+        assert not hasattr(second, "_command_echo")
+        assert second.fn is cli._cmd_chi and second.quilted is False
