@@ -340,12 +340,15 @@ def suspend(fam):
 
 
 class Report:
-    def __init__(self, check, window, passed, n_words, failures):
+    def __init__(self, check, window, n_words, failures):
         self.check = check
         self.window = window
-        self.passed = passed
         self.n_words = n_words
         self.failures = failures
+
+    @property
+    def passed(self):
+        return not self.failures
 
     def first_failure(self):
         return self.failures[0] if self.failures else None
@@ -379,7 +382,7 @@ def _run_over_words(check_name, fam, window, residue_fn):
         residue = _truncate(residue_fn(gens), window.emax)
         if residue:
             failures.append(((gens, 0), residue))
-    return Report(check_name, window, not failures, len(words), failures)
+    return Report(check_name, window, len(words), failures)
 
 
 # -- relation checkers -------------------------------------------------------
@@ -463,7 +466,7 @@ def check_unit(fam, unit_sym, window):
     contracting = _run_over_words("unit", fam, window, residue)
     failures += contracting.failures
     n_checked = len(fam.gens) + contracting.n_words
-    return Report("unit", window, not failures, n_checked, failures)
+    return Report("unit", window, n_checked, failures)
 
 
 # The morphism and homotopy sums by recursion on the first block: H is the

@@ -14,7 +14,7 @@ import time
 from fractions import Fraction
 
 from . import barcx, indexcalc, labelings, signs, strata, trees
-from .errors import ClusterCxError
+from .errors import ClusterCxError, ShapeError
 
 
 def _report(args, verdict, data, counterexample=None, started=None):
@@ -35,8 +35,13 @@ def _report(args, verdict, data, counterexample=None, started=None):
 
 
 def _load_json(path):
+    """The JSON object in the file at ``path``; ShapeError if the file
+    holds another JSON value."""
     with open(path) as fh:
-        return json.load(fh)
+        obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise ShapeError("%s does not hold a JSON object" % (path,))
+    return obj
 
 
 def _window(args):

@@ -10,6 +10,7 @@ complex nodes) the index-drop inequalities consume.
 
 from itertools import combinations, combinations_with_replacement
 
+from . import trees
 from .errors import (
     DegenerateError,
     EdgeError,
@@ -86,7 +87,7 @@ def coker_dim(ct, l, k):
     isomorphism ((0,0)) and a one-dimensional kernel ((1,0))."""
     if (l, k) == (0, 0) or (l, k) == (1, 0):
         return 0
-    if l + 1 + 2 * k < 3:
+    if not trees.params_stable(l, k):
         raise DegenerateError("unstable parameters (%d, %d)" % (l, k))
     value = (
         l

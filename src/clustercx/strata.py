@@ -55,9 +55,11 @@ def vertex_dim(v):
 
 
 def _subtree_factor_dim(v):
-    return vertex_dim(v) + sum(
-        _subtree_factor_dim(s) for s in v[2] if isinstance(s, tuple)
-    )
+    d = vertex_dim(v)
+    for s in v[2]:
+        if s != LEAF:
+            d += _subtree_factor_dim(s)
+    return d
 
 
 class Stratum:
@@ -110,11 +112,16 @@ class Stratum:
 
 
 class FacePoset:
-    """All strata of one family at fixed (l, k), with covering relations.
+    """All strata of one family at fixed (l, k), with their signed incidence.
 
-    ``coverings`` lists, sorted, the index pairs (a, b) where stratum b is a
-    face of stratum a that ``boundary_faces`` generates, whatever its sign:
-    b lies in the closed cell of a with codim(b) = codim(a) + 1.
+    ``rows[a]`` maps the index b of every face that ``boundary_faces``
+    generates for stratum a to the sum of its incidence signs.  A sum of 0
+    is kept: at k >= 2 a face can be reached twice with opposite signs.
+    ``rows`` is built on first use, with one ``boundary_faces`` call per
+    stratum, and ``coverings`` and ``boundary_matrix`` read it.
+
+    ``coverings`` lists, sorted, the pairs (a, b) in the support of
+    ``rows``: b lies in the closed cell of a with codim(b) = codim(a) + 1.
     """
 
     def __init__(self, family, l, k, strata):
@@ -122,22 +129,28 @@ class FacePoset:
         self.l = l
         self.k = k
         self.strata = strata
-        self._coverings = None
+        self._rows = None
         # the strata share one family tag and no permutation, so their
         # trees alone key them
         self._index = {s.tree: i for i, s in enumerate(strata)}
 
     @property
+    def rows(self):
+        if self._rows is None:
+            rows = []
+            for s in self.strata:
+                row = {}
+                for f, sign in boundary_faces(s):
+                    b = self.index(f)
+                    row[b] = row.get(b, 0) + sign
+                rows.append(row)
+            self._rows = rows
+        return self._rows
+
+    @property
     def coverings(self):
-        if self._coverings is None:
-            self._coverings = sorted(
-                {
-                    (a, self.index(f))
-                    for a, s in enumerate(self.strata)
-                    for f, _ in boundary_faces(s)
-                }
-            )
-        return self._coverings
+        rows = enumerate(self.rows)
+        return [(a, b) for a, row in rows for b in sorted(row)]
 
     def index(self, stratum):
         n = self._index[stratum.tree]
@@ -167,7 +180,7 @@ def _strata(family, l, k):
 
 
 def face_poset(family, l, k):
-    """Poset of all strata at (l, k); covering relations computed lazily.
+    """Poset of all strata at (l, k); signed incidence computed lazily.
 
     A poset of more than trees.MAX_STRATA strata raises CapError before
     anything is enumerated.
@@ -224,13 +237,16 @@ def facet_kind(stratum):
 def _splits_of_vertex(v):
     """All one-step refinements of a single vertex.
 
-    Yields (new_vertex, local_sign, dmid, db) where new_vertex replaces v,
-    local_sign is the facet sign of the split, dmid the total dimension of
-    the factors the new child factor gets moved past, and db the moved
-    factor's dimension (0 for seam splits, which insert factors in place).
+    Yields (new_vertex, sign) where new_vertex replaces v and sign is the
+    facet sign of the split times the sign of moving each new child factor
+    past the subtree factors of the slots before it, into preorder.
     """
     i, col, slots = v
     s = len(slots)
+    # pre[j]: total dimension of the subtree factors in slots[:j]
+    pre = [0]
+    for x in slots:
+        pre.append(pre[-1] if x == LEAF else pre[-1] + _subtree_factor_dim(x))
     # bubble: a consecutive window becomes an uncolored child; v keeps its
     # color (a plain split, or the lower facet shape on a colored vertex)
     facet_sign = sign_lower_quilt if col else sign_concat
@@ -243,12 +259,8 @@ def _splits_of_vertex(v):
                     trees._stable_vertex(va) and trees._stable_vertex(vb)
                 ):
                     continue
-                dmid = sum(
-                    _subtree_factor_dim(x)
-                    for x in slots[:a]
-                    if isinstance(x, tuple)
-                )
-                yield va, facet_sign(s - w + 1, a + 1, w), dmid, vertex_dim(vb)
+                sign = facet_sign(s - w + 1, a + 1, w)
+                yield va, -sign if pre[a] * vertex_dim(vb) % 2 else sign
     if not col:
         return
     # seam split (upper facet shape): the slots cut into consecutive blocks
@@ -267,32 +279,24 @@ def _splits_of_vertex(v):
                 for b in blocks
             ]
             n_colored = kept.count(False)
-            block_dims = [
-                sum(_subtree_factor_dim(x) for x in b if isinstance(x, tuple))
-                for b in blocks
-            ]
             upper = sign_upper_quilt([len(b) for b in blocks])
             for marks in _distribute(i, n_colored + 1):
                 child_marks = iter(marks[1:])
                 hub_slots = []
-                # reorder correction: each colored child factor moves past
-                # the subtree factors of the earlier blocks
                 corr = 0
-                acc = 0
                 stable = True
-                for b, keep, bd in zip(blocks, kept, block_dims):
+                for b, keep, start in zip(blocks, kept, bounds):
                     if keep:
                         hub_slots.append(b[0])
                     else:
                         c = vertex(next(child_marks), True, b)
                         stable = stable and trees._stable_vertex(c)
-                        corr += vertex_dim(c) * acc
+                        corr += vertex_dim(c) * pre[start]
                         hub_slots.append(c)
-                    acc += bd
                 va = vertex(marks[0], False, hub_slots)
                 if not (stable and trees._stable_vertex(va)):
                     continue
-                yield va, -upper if corr % 2 else upper, 0, 0
+                yield va, -upper if corr % 2 else upper
 
 
 def _distribute(total, parts):
@@ -307,56 +311,42 @@ def _distribute(total, parts):
 def boundary_faces(stratum):
     """Codim+1 faces of a stratum's closed cell with incidence signs.
 
-    Returns a list of (Stratum, sign).  The sign composes the facet sign of
-    the split vertex with the product-orientation prefix of the earlier
-    factors and the reordering of the inserted factor into preorder.
+    Returns a list of (Stratum, sign).  The sign is the vertex-local sign
+    of the split (see ``_splits_of_vertex``) times the product-orientation
+    prefix parity of the factors before the split vertex.
     """
     fam = stratum.family
     tree = stratum.tree
-    verts = tree.vertices()
     out = []
     prefix = 0
-    for path, v in verts:
-        for va, local, dmid, db in _splits_of_vertex(v):
-            sign = local
-            if prefix % 2:
-                sign = -sign
-            if (dmid * db) % 2:
-                sign = -sign
+    for path, v in tree.vertices():
+        for va, sign in _splits_of_vertex(v):
             cand = Stratum(
                 fam, trees.replace_vertex(tree, path, va), stratum.perm
             )
             if fam == "Q" and not cand.tree.check_colored_axiom():
                 continue
-            out.append((cand, sign))
+            out.append((cand, -sign if prefix % 2 else sign))
         prefix += vertex_dim(v)
     return out
 
 
 def boundary_matrix(poset):
-    """Signed incidence coefficients {(coarse_idx, fine_idx): int}."""
-    coeffs = {}
-    for a, s in enumerate(poset.strata):
-        for face, sign in boundary_faces(s):
-            b = poset.index(face)
-            key = (a, b)
-            coeffs[key] = coeffs.get(key, 0) + sign
-    return {k: v for k, v in coeffs.items() if v}
+    """Signed incidence coefficients {(coarse_idx, fine_idx): int}: the
+    nonzero entries of ``poset.rows``."""
+    rows = enumerate(poset.rows)
+    return {(a, b): c for a, row in rows for b, c in row.items() if c}
 
 
 def boundary_squares_to_zero(family, l, k):
     """Exact check that the signed cellular boundary composes to zero."""
-    poset = face_poset(family, l, k)
-    d = boundary_matrix(poset)
-    by_src = {}
-    for (a, b), c in d.items():
-        by_src.setdefault(a, []).append((b, c))
-    for a in range(len(poset.strata)):
+    rows = face_poset(family, l, k).rows
+    for row in rows:
         acc = {}
-        for b, c1 in by_src.get(a, ()):
-            for c, c2 in by_src.get(b, ()):
+        for b, c1 in row.items():
+            for c, c2 in rows[b].items():
                 acc[c] = acc.get(c, 0) + c1 * c2
-        if any(vv != 0 for vv in acc.values()):
+        if any(acc.values()):
             return False
     return True
 
@@ -651,24 +641,19 @@ class ClusterType:
         return self.count("node")
 
 
-class CollarCell:
-    """Closure of one stratum crossed with [0,1] labels on its edges."""
-
-    def __init__(self, stratum):
-        self.stratum = stratum
-        self.labeled_edges = tuple(stratum.tree.edges())
-
-
 def collar_cells(l, k):
-    """One cell per stratum; cells glue along covering relations, where the
-    finer cell's labeling extends the coarser one by 1-labels."""
+    """The collar cells of K at (l, k) and their gluings.
+
+    A cell is the closure of one stratum crossed with [0,1] labels on its
+    interior edges, so the cells are returned as the poset's strata.  They
+    glue along the coverings, where the finer cell's labeling extends the
+    coarser one by 1-labels.  Returns (strata, coverings).
+    """
     trees.check_caps(l, k)
     if dimension("K", l, k) < 1:
         raise StabilityError("collar needs positive dimension")
     poset = face_poset("K", l, k)
-    cells = [CollarCell(s) for s in poset.strata]
-    gluings = list(poset.coverings)
-    return cells, gluings
+    return poset.strata, poset.coverings
 
 
 # -- export ----------------------------------------------------------------

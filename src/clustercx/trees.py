@@ -415,40 +415,31 @@ def contract_set(tree, edge_set):
         if e not in known:
             raise EdgeError("%r is not an interior edge" % (e,))
 
-    def rebuild(v, prefix):
-        i, col, slots = v
-        acc_i, acc_col, items = i, col, []
-        for idx, item in enumerate(slots):
-            if item == LEAF:
-                items.append(LEAF)
-                continue
-            path = prefix + (idx,)
-            ci, ccol, citems = rebuild(item, path)
-            if path in edge_set:
-                acc_i += ci
-                acc_col = acc_col or ccol
-                items.extend(citems)
-            else:
-                items.append((path, (ci, ccol, citems)))
-        return acc_i, acc_col, items
-
     emap = {}
 
-    def finalize(tagged, new_prefix):
-        i, col, items = tagged
-        slots = []
-        for item in items:
+    def splice(v, old, new, slots):
+        """Append the slots of v, the vertex at old path ``old``, to
+        ``slots``, the slot list of the new vertex at ``new``: children in
+        edge_set are spliced in too, the others become new vertices.
+        Returns v's marks and color merged with the spliced children's."""
+        i, col = v[0], v[1]
+        for idx, item in enumerate(v[2]):
+            path = old + (idx,)
             if item == LEAF:
                 slots.append(LEAF)
+            elif path in edge_set:
+                ci, ccol = splice(item, path, new, slots)
+                i, col = i + ci, col or ccol
             else:
-                old_path, sub = item
-                new_path = new_prefix + (len(slots),)
-                emap[old_path] = new_path
-                slots.append(finalize(sub, new_path))
-        return vertex(i, col, slots)
+                emap[path] = new_path = new + (len(slots),)
+                sub = []
+                ci, ccol = splice(item, path, new_path, sub)
+                slots.append(vertex(ci, ccol, sub))
+        return i, col
 
-    new_root = finalize(rebuild(tree.root, ()), ())
-    return PlanarTree(new_root), emap
+    root = []
+    i, col = splice(tree.root, (), (), root)
+    return PlanarTree(vertex(i, col, root)), emap
 
 
 def contract(tree, edge):
@@ -507,16 +498,28 @@ def to_obj(tree):
 
 
 def from_obj(obj):
+    """The tree that ``obj``, in the form ``to_obj`` writes, describes; a
+    missing ``i`` is 0 and a missing ``col`` false.  ShapeError unless each
+    node is an object with a list of children ("x" or nodes), an integer
+    ``i`` and a boolean ``col``; RangeError on a negative ``i``."""
+
     def dec(o):
-        slots = []
-        for c in o.get("children", []):
-            if c == LEAF:
-                slots.append(LEAF)
-            else:
-                slots.append(dec(c))
-        b = sum(1 for s in slots if s == LEAF)
+        if not (isinstance(o, dict) and isinstance(o.get("children", []), list)):
+            raise ShapeError(
+                "a tree node is an object with a list of children, not %r" % (o,)
+            )
+        i, col = o.get("i", 0), o.get("col", False)
+        if type(i) is not int or type(col) is not bool:
+            raise ShapeError(
+                "a node needs an integer i and a boolean col, not %r and %r"
+                % (i, col)
+            )
+        if i < 0:
+            raise RangeError("i must be nonnegative (got i=%d)" % i)
+        slots = [LEAF if c == LEAF else dec(c) for c in o.get("children", [])]
+        b = slots.count(LEAF)
         if "b" in o and o["b"] != b:
             raise OrderError("leaf count b=%r disagrees with children" % o["b"])
-        return vertex(o.get("i", 0), o.get("col", False), slots)
+        return vertex(i, col, slots)
 
     return PlanarTree(dec(obj))

@@ -360,6 +360,42 @@ class TestIndexCommands:
         assert code == 1
         assert json.loads(out)["error"] == "SurgeryError"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["chart", "F"],
+            ["chi", "F"],
+            ["check-ainf", "F"],
+            ["check-morphism", "--morphism", "F", "--source", "F", "--target", "F"],
+            ["check-homotopy", "--h0", "F", "--h1", "F", "--homotopy", "F",
+             "--source", "F", "--target", "F"],
+            ["index", "F"],
+            ["reduce", "F", "--surgery", '{"type":"I","disk":[1],"d":2}'],
+            ["audit", "F", "--surgery", '{"type":"I","disk":[1],"d":2}',
+             "--assumed-index", "0"],
+        ],
+    )
+    def test_file_not_an_object(self, capsys, tmp_path, argv):
+        p = tmp_path / "list.json"
+        p.write_text("[1, 2, 3]")
+        code, out = run(capsys, *(str(p) if a == "F" else a for a in argv), "--json")
+        assert code == 1
+        assert json.loads(out)["error"] == "ShapeError"
+
+    @pytest.mark.parametrize("cmd, child", [("chi", "y"), ("index", 5)])
+    def test_malformed_tree_exit_1(self, capsys, tmp_path, cmd, child):
+        obj = {
+            "tree": {"i": 0, "col": False, "children": ["x", "x", child]},
+            "labels": {},
+            "mu_root": 1,
+            "mu_leaves": [0, 0],
+        }
+        p = tmp_path / "t.json"
+        p.write_text(json.dumps(obj))
+        code, out = run(capsys, cmd, str(p), "--json")
+        assert code == 1
+        assert json.loads(out)["error"] == "ShapeError"
+
     def test_domain_error_exit_1(self, capsys, family_files):
         spec = '{"type":"I","disk":[],"d":3}'
         code, out = run(

@@ -159,7 +159,7 @@ def test_split_candidates(l, k, candidates, rejected):
     for e in range(2 * l + 2 * k + 1):
         for t in trees.enumerate_colored_types(l, k, e):
             for path, v in t.vertices():
-                for va, _, _, _ in strata._splits_of_vertex(v):
+                for va, _ in strata._splits_of_vertex(v):
                     cand = trees.replace_vertex(t, path, va)
                     seen += 1
                     bad += not assert_walk_facts(cand)

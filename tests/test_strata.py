@@ -1,5 +1,6 @@
 """Face posets, boundary signs, corners, tiles, and collars."""
 
+import hashlib
 import json
 from collections import Counter
 from functools import lru_cache
@@ -253,6 +254,77 @@ class TestBoundary:
         assert strata.boundary_squares_to_zero("Q", 3, 0)
         for l, k in [(2, 1), (3, 1), (1, 2), (2, 2)]:
             assert strata.boundary_squares_to_zero("Q", l, k), (l, k)
+
+
+# (boundary_faces, boundary_matrix) digests pinned from the implementation
+# that built the coverings and the signed matrix in two separate loops
+# over boundary_faces; see _boundary_digests
+_BOUNDARY_DIGESTS = {
+    ("K", 5, 0): ("5f9daf0cf739af08d71e8556", "df5fc9db4661f61e03125ab3"),
+    ("K", 2, 2): ("c3a2785938a6bc7c5dfa7b89", "49a764be599e80f5510b51d8"),
+    ("Q", 3, 1): ("90d027436cd6d3dea90c4c64", "a4b625af4ba05a3b2033bc31"),
+    ("Q", 2, 2): ("8d559c0c5b9f7bf61c210e8b", "fb04ee33746451ad0454ef97"),
+    ("Ks", 3, 1): ("a09864622338478985804ed4", "132e5768e28402b26f436714"),
+}
+
+
+def _digest(obj):
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()[:24]
+
+
+def _boundary_digests(poset):
+    """Digests of every stratum's boundary_faces list (face trees,
+    permutations and signs, in order) and of the sorted boundary_matrix."""
+    faces = [
+        [[trees.to_obj(f.tree), f.perm, sign] for f, sign in strata.boundary_faces(s)]
+        for s in poset.strata
+    ]
+    matrix = sorted([a, b, c] for (a, b), c in strata.boundary_matrix(poset).items())
+    return _digest(faces), _digest(matrix)
+
+
+class TestSignedIncidence:
+    @pytest.mark.parametrize("family, l, k", sorted(_BOUNDARY_DIGESTS))
+    def test_faces_and_matrix_pinned(self, family, l, k):
+        poset = strata.face_poset(family, l, k)
+        assert _boundary_digests(poset) == _BOUNDARY_DIGESTS[family, l, k]
+
+    def test_boundary_faces_once_per_stratum(self, monkeypatch):
+        calls = Counter()
+        faces = strata.boundary_faces
+
+        def counted(s):
+            calls[s] += 1
+            return faces(s)
+
+        monkeypatch.setattr(strata, "boundary_faces", counted)
+        poset = strata.face_poset("K", 3, 1)
+        coverings = poset.coverings
+        matrix = strata.boundary_matrix(poset)
+        assert poset.coverings == coverings and set(matrix) <= set(coverings)
+        assert calls == Counter(poset.strata)
+        calls.clear()
+        assert strata.boundary_squares_to_zero("Q", 2, 1)
+        assert calls == Counter(strata.face_poset("Q", 2, 1).strata)
+        calls.clear()
+        strata.collar_cells(4, 0)
+        assert calls == Counter(strata.face_poset("K", 4, 0).strata)
+
+    def test_covering_with_coefficient_zero(self):
+        # the root with two one-mark bubbles is a face of the one-bubble
+        # stratum twice, once per planar position of the second bubble,
+        # with opposite signs
+        poset = strata.face_poset("K", 0, 2)
+        bubble = vertex(1, False, ())
+        assert [s.tree.root for s in poset.strata] == [
+            vertex(2, False, ()),
+            vertex(1, False, (bubble,)),
+            vertex(0, False, (bubble, bubble)),
+        ]
+        assert poset.rows[1] == {2: 0}
+        assert (1, 2) in poset.coverings
+        assert (1, 2) not in strata.boundary_matrix(poset)
 
 
 class TestCoverings:

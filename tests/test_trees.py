@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from clustercx import trees
-from clustercx.errors import CapError, EdgeError, OrderError, StabilityError
+from clustercx.errors import (
+    CapError,
+    EdgeError,
+    OrderError,
+    RangeError,
+    ShapeError,
+    StabilityError,
+)
 from clustercx.trees import LEAF, PlanarTree, vertex
 
 
@@ -186,6 +193,23 @@ class TestContraction:
         assert c.root == vertex(0, False, (LEAF, LEAF, LEAF))
         assert edge_map == {}
 
+    def test_edge_map_in_new_preorder(self):
+        # contracting (1,) splices its child (1, 0) and leaf into the root
+        inner = vertex(0, False, (LEAF, LEAF))
+        mid = vertex(1, False, (inner, LEAF))
+        t = PlanarTree(vertex(0, True, (LEAF, mid, vertex(0, False, (inner, LEAF)))))
+        c, edge_map = trees.contract_set(t, {(1,)})
+        assert c.root == vertex(
+            1, True, (LEAF, inner, LEAF, vertex(0, False, (inner, LEAF)))
+        )
+        assert list(edge_map.items()) == [
+            ((1, 0), (1,)),
+            ((2,), (3,)),
+            ((2, 0), (3, 0)),
+        ]
+        with pytest.raises(EdgeError):
+            trees.contract_set(t, {(0,)})
+
     def test_vertex_at_refuses_bad_slots(self):
         disk = vertex(2, False, (LEAF, LEAF))
         t = PlanarTree(vertex(0, False, (LEAF, disk)))
@@ -220,3 +244,27 @@ class TestSerialization:
     def test_order_error(self):
         with pytest.raises(OrderError):
             trees.from_obj({"b": 3, "i": 0, "col": False, "children": ["x", "x"]})
+
+    def test_missing_fields_default(self):
+        root = trees.from_obj({"children": ["x", {"children": ["x", "x"]}]}).root
+        assert root == vertex(0, False, (LEAF, vertex(0, False, (LEAF, LEAF))))
+
+    @pytest.mark.parametrize(
+        "node, error",
+        [
+            (["x", "x"], ShapeError),
+            ({"children": "xx"}, ShapeError),
+            ({"children": ["x", "y"]}, ShapeError),
+            ({"children": ["x", 5]}, ShapeError),
+            ({"children": ["x", "x"], "col": "false"}, ShapeError),
+            ({"children": ["x", "x"], "col": 0}, ShapeError),
+            ({"children": ["x", "x"], "i": "1"}, ShapeError),
+            ({"children": ["x", "x"], "i": True}, ShapeError),
+            ({"children": ["x", "x"], "i": -1}, RangeError),
+        ],
+    )
+    def test_malformed_node(self, node, error):
+        # refused at the root and one level down alike
+        for obj in (node, {"children": ["x", node]}):
+            with pytest.raises(error):
+                trees.from_obj(obj)
