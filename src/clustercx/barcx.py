@@ -716,42 +716,80 @@ def family_to_obj(fam):
     }
 
 
+_JSON_TYPES = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
+
+
+def _typed(value, typ, field, nullable=False):
+    """``value`` when it has the JSON type ``typ`` (or is null and
+    ``nullable``); ShapeError naming the family file's ``field`` otherwise."""
+    if (value is None and nullable) or (
+        isinstance(value, typ) and not (typ is int and isinstance(value, bool))
+    ):
+        return value
+    raise ShapeError(
+        "family field %s must be %s%s, not %r"
+        % (field, _JSON_TYPES[typ], " or null" if nullable else "", value)
+    )
+
+
 def family_from_obj(obj, role=None):
-    roles = list(obj.get("ops", {}))
+    """The family that ``obj``, in the form ``family_to_obj`` writes,
+    describes.  A field of another JSON type is a ShapeError that names
+    it; a missing required field is a KeyError."""
+    all_ops = _typed(obj.get("ops", {}), dict, "ops")
     if role is None:
-        if len(roles) != 1:
+        if len(all_ops) != 1:
             raise ShapeError("file must declare exactly one op role")
-        role = roles[0]
-    gens = [
-        Generator(
-            g["sym"],
-            g["coidx"],
-            g.get("label", "f")
-            if g.get("label", "f") == "f"
-            else tuple(g["label"]),
+        (role,) = all_ops
+    gens = []
+    for t, g in enumerate(_typed(obj["generators"], list, "generators")):
+        at = "generators[%d]" % t
+        _typed(g, dict, at)
+        label = g.get("label", "f")
+        if label != "f" and not isinstance(label, list):
+            raise ShapeError(
+                "family field %s.label must be 'f' or a list, not %r"
+                % (at, label)
+            )
+        gens.append(
+            Generator(
+                _typed(g["sym"], str, at + ".sym"),
+                _typed(g["coidx"], int, at + ".coidx"),
+                label,
+            )
         )
-        for g in obj["generators"]
-    ]
     ops = {}
-    for l, rules in obj["ops"][role].items():
+    for l, rules in _typed(all_ops[role], dict, "ops." + role).items():
         table = {}
-        for rule in rules:
-            outs = rule["out"]
+        for t, rule in enumerate(_typed(rules, list, "ops.%s.%s" % (role, l))):
+            at = "ops.%s.%s[%d]" % (role, l, t)
+            _typed(rule, dict, at)
+            pattern = tuple(_typed(rule["in"], list, at + ".in"))
+            for sym in pattern:
+                _typed(sym, str, at + ".in")
+            outs = _typed(rule["out"], list, at + ".out", nullable=True)
             if outs is None:
-                table[tuple(rule["in"])] = None
+                table[pattern] = None
                 continue
-            table[tuple(rule["in"])] = [
-                (o["sym"], o.get("d", 0), o.get("coef"))
-                for o in outs
-            ]
+            table[pattern] = []
+            for u, o in enumerate(outs):
+                out = "%s.out[%d]" % (at, u)
+                _typed(o, dict, out)
+                table[pattern].append(
+                    (
+                        _typed(o["sym"], str, out + ".sym"),
+                        _typed(o.get("d", 0), int, out + ".d"),
+                        _typed(o.get("coef"), int, out + ".coef", nullable=True),
+                    )
+                )
         ops[int(l)] = table
     return OperationFamily(
         role,
         gens,
         ops,
-        n=obj.get("n", 2),
-        NL=obj.get("NL", 2),
-        c=obj.get("c", 0),
+        n=_typed(obj.get("n", 2), int, "n"),
+        NL=_typed(obj.get("NL", 2), int, "NL"),
+        c=_typed(obj.get("c", 0), int, "c"),
     )
 
 

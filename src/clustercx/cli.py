@@ -61,10 +61,15 @@ def _cluster_type_from_obj(obj):
     tree = trees.from_obj(obj["tree"])
     fam = obj.get("family", "K")
     stratum = strata.Stratum(fam, tree)
-    states = {
-        labelings.edge_from_id(e): s
-        for e, s in obj.get("edge_states", {}).items()
-    }
+    states = obj.get("edge_states", {})
+    if not (
+        isinstance(states, dict)
+        and all(isinstance(s, str) for s in states.values())
+    ):
+        raise ShapeError(
+            "edge_states must be a JSON object of strings, not %r" % (states,)
+        )
+    states = {labelings.edge_from_id(e): s for e, s in states.items()}
     for e in tree.edges():
         states.setdefault(e, "line")
     return strata.ClusterType(
@@ -117,8 +122,8 @@ def _cmd_collar(args):
 
 
 def _cmd_tiles(args):
-    tc = strata.tile_complex(args.l, args.k)
-    consistent = strata.orientation_consistency(tc)
+    tc = strata.tile_counts(args.l, args.k)
+    consistent = tc.orientation_consistent()
     data = {
         "tiles": tc.n_tiles,
         "identified_pairs": tc.pair_counts(),

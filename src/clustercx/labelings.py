@@ -571,11 +571,20 @@ def _as_monomial(v):
 
 
 def labeling_from_obj(tree, obj):
+    """The labeling of ``tree`` that ``obj``, in the form
+    ``labeling_to_obj`` writes, describes; ShapeError unless ``obj`` is a
+    JSON object of strings and objects."""
+    if not isinstance(obj, dict):
+        raise ShapeError("labels must be a JSON object, not %r" % (obj,))
     labels = {}
     for key, v in obj.items():
         e = edge_from_id(key)
         if isinstance(v, str):
             labels[e] = Fraction(v)
+        elif not isinstance(v, dict):
+            raise ShapeError(
+                "label %r must be a string or an object, not %r" % (key, v)
+            )
         elif "base" in v:
             labels[e] = EpsFrac.eps_power(Fraction(v["exp"]))
         else:

@@ -484,15 +484,20 @@ class TileComplex:
         return math.factorial(self.l)
 
     def pair_counts(self):
-        """Identified tile pairs per move kind, in closed form.
-
-        A move with t != s and its reverse share one orbit of l! pairs.  A
-        move with t == s swaps identical subtrees, so nu is an involution
-        and its orbit has l!/2 pairs.  Either way one generator stands for
-        l!/2 pairs.  Kinds with no generator are left out.
-        """
         n = Counter(tag for tag, _, _, _ in self.identifications)
-        return {tag: self.n_tiles * c // 2 for tag, c in n.items()}
+        return _pair_counts(self.l, n)
+
+
+def _pair_counts(l, moves):
+    """Identified tile pairs per move kind, in closed form, from the move
+    count per kind.
+
+    A move with t != s and its reverse share one orbit of l! pairs.  A
+    move with t == s swaps identical subtrees, so nu is an involution and
+    its orbit has l!/2 pairs.  Either way one generator stands for l!/2
+    pairs.  Kinds with no move are left out.
+    """
+    return {tag: math.factorial(l) * c // 2 for tag, c in moves.items()}
 
 
 def _ghost_walk(v, path, lo, out):
@@ -565,12 +570,51 @@ def orientation_consistency(tc):
     nu is the adjacent transposition (lo lo+1), odd by construction: the
     check cannot fail on a complex that tile_complex builds, only on a
     move list changed by hand.  Type II and III moves are not checked.
+
+    This is the oracle.  The ``tiles`` command reads the same bit from the
+    move counts of ``tile_counts``: it holds iff no type-I move has even
+    parity (``TileCounts.orientation_consistent``).
     """
     return all(
         perm_parity(nu) == 1
         for tag, _, _, nu in tc.identifications
         if tag == "I"
     )
+
+
+class TileCounts:
+    """The counts of the symmetric tile complex with l leaves, without its
+    strata: ``n_strata`` Ks strata and ``moves`` {(kind, parity): count},
+    the move generators per kind and parity of nu, zero counts left out."""
+
+    def __init__(self, l, n_strata, moves):
+        self.l = l
+        self.n_strata = n_strata
+        self.moves = moves
+
+    @property
+    def n_tiles(self):
+        return math.factorial(self.l)
+
+    def pair_counts(self):
+        n = Counter()
+        for (tag, _), c in self.moves.items():
+            n[tag] += c
+        return _pair_counts(self.l, n)
+
+    def orientation_consistent(self):
+        """No type-I move has an even nu (see orientation_consistency)."""
+        return not self.moves.get(("I", 0))
+
+
+def tile_counts(l, k):
+    """The TileCounts at (l, k), read from the MOVES reading of the tree
+    grammar: no tree is listed, so it answers at the caps."""
+    trees.check_caps(l, k)
+    dimension("Ks", l, k)
+    total = [sum(c) for c in zip(*trees.plain(trees.MOVES, l, k)[1].values())]
+    moves = {key: c for key, c in zip(trees.MOVES.KEYS, total[1:]) if c}
+    return TileCounts(l, total[0], moves)
 
 
 class LocalGroupModel:

@@ -217,8 +217,9 @@ def params_stable(l, k):
 
 # -- the tree grammar -----------------------------------------------------
 #
-# One grammar describes the strata trees and two readings interpret it:
-# COUNT tallies the trees, LIST builds them.  Each table builder takes a
+# One grammar describes the strata trees and three readings interpret it:
+# COUNT tallies the trees, LIST builds them, and MOVES tallies them pointed
+# at their transposition moves.  Each table builder takes a
 # reading G, is cached on G and the totals (l, k) alone, and returns
 # (sequences, subtrees): the slot sequences and the stable subtrees with
 # l leaves and k marks, keyed and valued by G.
@@ -305,6 +306,70 @@ class _List:
 
 
 LIST = _List()
+
+
+class _Moves:
+    """Tree counts pointed at the transposition moves of the symmetric
+    tile complex (the pointing operator of Flajolet and Sedgewick,
+    *Analytic Combinatorics*, 2009).
+
+    A move is a non-root, uncolored vertex with no marks and two slots and
+    at least one leaf below it.  Its kind is I, II or III as both, one or
+    neither of its slots are leaves; swapping the slots moves a block of
+    n - nb leaves past one of nb, with n its leaf count and nb that of its
+    second slot, so the parity of the leaf permutation is nb (n - nb) mod 2.
+
+    A value is (N, M_0, ..., M_5): the tree count N and the move count
+    M_j per (kind, parity) KEYS[j], summed over the trees.  A sequence is
+    keyed by (n, leaves, nb): its leaf total n and, for at most two slots,
+    which slots are leaves and the leaf count nb of the last one (leaves is
+    None for three or more slots).  A subtree is keyed by (n, j), with j
+    the index of its own move or None.  Its move is counted only when it is
+    grafted as a child, so a root never counts."""
+
+    KEYS = tuple((kind, p) for kind in ("I", "II", "III") for p in (0, 1))
+
+    def unit(self):
+        return {(0, (), 0): (1,) + (0,) * 6}
+
+    def leaf(self, seqs, rests):
+        for key, val in rests.items():
+            _add(seqs, _prepend(key, 1, True), val)
+
+    def graft(self, seqs, children, rests):
+        for (nc, j), (N, *M) in children.items():
+            for key, (Nr, *Mr) in rests.items():
+                val = [N * Nr] + [m * Nr + N * mr for m, mr in zip(M, Mr)]
+                if j is not None:
+                    val[1 + j] += N * Nr
+                _add(seqs, _prepend(key, nc, False), val)
+
+    def close(self, subtrees, seqs, i, col):
+        for (n, leaves, nb), val in seqs.items():
+            s = 3 if leaves is None else len(leaves)
+            if s + 2 * i < 2 - col:
+                continue
+            j = None
+            if s == 2 and not i and not col and n:
+                j = 2 * (2 - sum(leaves)) + nb * (n - nb) % 2
+            _add(subtrees, (n, j), val)
+
+
+def _prepend(key, c, is_leaf):
+    """The key of a sequence with a first slot of c leaves (a leaf when
+    is_leaf) in front of the sequence keyed by ``key``."""
+    n, leaves, nb = key
+    if leaves is None or len(leaves) == 2:
+        return (n + c, None, 0)
+    return (n + c, (is_leaf,) + leaves, nb if leaves else c)
+
+
+def _add(table, key, val):
+    old = table.get(key)
+    table[key] = tuple(val) if old is None else tuple(map(sum, zip(old, val)))
+
+
+MOVES = _Moves()
 
 
 def _first_slots(l, k):

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from clustercx import barcx, cli, trees
+from clustercx import barcx, cli, strata, trees
 
 
 def run(capsys, *argv):
@@ -403,6 +403,151 @@ class TestIndexCommands:
         )
         assert code == 1
         assert json.loads(out)["error"] == "SurgeryError"
+
+
+class TestTiles:
+    def test_tiles_at_the_caps(self, capsys):
+        # cold tables, so the timed command pays for the whole count
+        trees.plain.cache_clear()
+        started = time.time()
+        code, out = run(capsys, "tiles", "--l", "10", "--k", "4", "--json")
+        assert time.time() - started < 1.0
+        assert code == 0
+        assert json.loads(out)["data"] == {
+            "tiles": 3628800,
+            "identified_pairs": {
+                "I": 706911190617340800,
+                "II": 1660282602295968000,
+                "III": 766371212877916800,
+            },
+            "orientation_consistent": True,
+        }
+
+    @pytest.mark.parametrize(
+        "l, k, error",
+        [
+            ("11", "0", "CapError"),
+            ("1", "0", "StabilityError"),
+            ("-1", "0", "RangeError"),
+        ],
+    )
+    def test_tiles_errors(self, capsys, l, k, error):
+        code, out = run(capsys, "tiles", "--l", l, "--k", k, "--json")
+        assert code == 1
+        assert json.loads(out)["error"] == error
+
+    def test_tiles_builds_no_poset(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("tiles listed trees")
+
+        monkeypatch.setattr(strata, "face_poset", refuse)
+        monkeypatch.setattr(trees, "_listed", refuse)
+        code, out = run(capsys, "tiles", "--l", "3", "--k", "3", "--json")
+        assert code == 0
+        assert json.loads(out)["data"]["identified_pairs"] == {
+            "I": 9102,
+            "II": 37044,
+            "III": 16212,
+        }
+
+    def test_even_type_one_move_fails_the_report(self, capsys, monkeypatch):
+        # negative control: counts with an even type-I move, fed to the
+        # command that makes the report
+        counts = strata.TileCounts(3, 63, {("I", 0): 1, ("I", 1): 21})
+        monkeypatch.setattr(strata, "tile_counts", lambda l, k: counts)
+        code, out = run(capsys, "tiles", "--l", "3", "--k", "1", "--json")
+        assert code == 1
+        obj = json.loads(out)
+        assert obj["verdict"] == "fail"
+        assert obj["data"] == {
+            "tiles": 6,
+            "identified_pairs": {"I": 66},
+            "orientation_consistent": False,
+        }
+
+
+# a quilted (2, 0) tree: one interior edge, below a colored root
+_CHERRY = {
+    "i": 0,
+    "col": True,
+    "children": [{"i": 0, "col": False, "children": ["x", "x"]}],
+}
+
+
+class TestFileFields:
+    @pytest.mark.parametrize(
+        "argv", [["chi"], ["chi", "--quilted"], ["chart", "--invert"]]
+    )
+    @pytest.mark.parametrize("labels", [[1, 2], {"0": 3}])
+    def test_labels_of_the_wrong_type(self, capsys, tmp_path, argv, labels):
+        p = tmp_path / "lab.json"
+        p.write_text(json.dumps({"tree": _CHERRY, "labels": labels}))
+        code, out = run(capsys, argv[0], str(p), *argv[1:], "--json")
+        assert code == 1
+        obj = json.loads(out)
+        assert obj["error"] == "ShapeError"
+        assert "label" in obj["detail"]
+
+    @pytest.mark.parametrize("states", [[1], {"0": 1}, "broken"])
+    def test_edge_states_of_the_wrong_type(self, capsys, tmp_path, states):
+        obj = {
+            "tree": {
+                "i": 0,
+                "col": False,
+                "children": [{"i": 0, "col": False, "children": ["x", "x"]}, "x"],
+            },
+            "edge_states": states,
+            "mu_root": 1,
+            "mu_leaves": [0, 0, 0],
+        }
+        p = tmp_path / "ct.json"
+        p.write_text(json.dumps(obj))
+        code, out = run(capsys, "index", str(p), "--json")
+        assert code == 1
+        obj = json.loads(out)
+        assert obj["error"] == "ShapeError"
+        assert "edge_states" in obj["detail"]
+
+    @pytest.mark.parametrize(
+        "path, value, field",
+        [
+            (("generators",), "ab", "generators"),
+            (("generators", 0), "a", "generators[0]"),
+            (("generators", 0, "sym"), 1, "generators[0].sym"),
+            (("generators", 0, "coidx"), "0", "generators[0].coidx"),
+            (("generators", 0, "coidx"), True, "generators[0].coidx"),
+            (("generators", 0, "label"), 7, "generators[0].label"),
+            (("ops",), [], "ops"),
+            (("ops", "m"), [], "ops.m"),
+            (("ops", "m", "2"), {}, "ops.m.2"),
+            (("ops", "m", "2", 0), "rule", "ops.m.2[0]"),
+            (("ops", "m", "2", 0, "in"), "11", "ops.m.2[0].in"),
+            (("ops", "m", "2", 0, "in", 0), ["1"], "ops.m.2[0].in"),
+            (("ops", "m", "2", 0, "out"), 1, "ops.m.2[0].out"),
+            (("ops", "m", "2", 0, "out", 0), "1", "ops.m.2[0].out[0]"),
+            (("ops", "m", "2", 0, "out", 0, "sym"), [], "ops.m.2[0].out[0].sym"),
+            (("ops", "m", "2", 0, "out", 0, "d"), "0", "ops.m.2[0].out[0].d"),
+            (("ops", "m", "2", 0, "out", 0, "coef"), 0.5, "ops.m.2[0].out[0].coef"),
+            (("n",), "2", "n"),
+            (("NL",), None, "NL"),
+            (("c",), [0], "c"),
+        ],
+    )
+    def test_family_field_of_the_wrong_type(
+        self, capsys, tmp_path, path, value, field
+    ):
+        obj = barcx.family_to_obj(barcx.example_library()["polynomial"])
+        at = obj
+        for key in path[:-1]:
+            at = at[key]
+        at[path[-1]] = value
+        p = tmp_path / "fam.json"
+        p.write_text(json.dumps(obj))
+        code, out = run(capsys, "check-ainf", str(p), "--qmax", "3", "--json")
+        assert code == 1
+        obj = json.loads(out)
+        assert obj["error"] == "ShapeError"
+        assert obj["detail"].startswith("family field %s must be " % field)
 
 
 # the chi_root.json and chart_plain.json fixtures of test_golden.py, with

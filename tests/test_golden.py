@@ -251,7 +251,8 @@ def _cases():
             out.append(["export"] + lk + ["--format", "json"])
             out.append(["export"] + lk + ["--format", "dot"])
     out.append(["collar", "--l", "4", "--k", "1", "--json"])
-    out.append(["tiles", "--l", "3", "--k", "2", "--json"])
+    for l, k in ((3, 2), (3, 3), (4, 1), (0, 2), (2, 0), (6, 1)):
+        out.append(["tiles", "--l", str(l), "--k", str(k), "--json"])
     for name in ("chi_mixed.json", "chi_root.json"):
         out.append(["chi", name, "--json"])
         out.append(["chi", name, "--quilted", "--json"])
@@ -411,6 +412,16 @@ GOLDEN = {
         ("7b6a2760ba22673a4b0918d61ccdb9c45857936ee3e54e9aa254317b19cb3720", 0),
     "tiles --l 3 --k 2 --json":
         ("3a488d3020ecd42c3624c7057f3ffdf6820769d8688f062b2a1c274ce904a7e2", 0),
+    "tiles --l 3 --k 3 --json":
+        ("1da1f3464b75c22d55077c1cdac81b3b824bf7f07836ec5ca87a3a60adb6e402", 0),
+    "tiles --l 4 --k 1 --json":
+        ("6fc27a7aa9939a75a7636a29ee14bcc77434db3bc320fa998e3a1389dcc773b7", 0),
+    "tiles --l 0 --k 2 --json":
+        ("76663098ac05e59fbc7586a9f93c32223e21fe7c5ad927804abe5c5593ed60f3", 0),
+    "tiles --l 2 --k 0 --json":
+        ("4b5c120adac05724d2b2c23a31a9d7ae640b6acbcbf401d1514acb1de08b9973", 0),
+    "tiles --l 6 --k 1 --json":
+        ("d8e4f6a325eba7e0bbb7148882a612a2ef657e7e7b50f6ef22e60f26deede4b3", 0),
     "chi chi_mixed.json --json":
         ("d11d4880a2c09218790dec49e65d36845db2c410f2b58e05ab7c97c4e300204f", 0),
     "chi chi_mixed.json --quilted --json":

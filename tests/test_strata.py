@@ -431,6 +431,28 @@ ORDERED_MOVE_SIZES = [
 ]
 
 
+# Every TILE_SIZES size, and each ORDERED_MOVE_SIZES size whose tile
+# complex builds in under a second: at most 15,000 strata, which leaves
+# out (5, 2) and (7, 1) (1.1 s and 1.8 s, Python 3.11 on a 2-vCPU host).
+COUNTED_MOVE_SIZES = sorted(
+    set(TILE_SIZES)
+    | {
+        (l, k)
+        for l, k in ORDERED_MOVE_SIZES
+        if sum(strata.grading_profile("Ks", l, k).values()) <= 15_000
+    }
+)
+
+
+def _tile_complex_counts(tc):
+    """Oracle for ``strata.tile_counts``: the stratum count and the move
+    generators per (kind, parity of nu) of a built tile complex."""
+    moves = Counter(
+        (tag, signs.perm_parity(nu)) for tag, _, _, nu in tc.identifications
+    )
+    return len(tc.poset.strata), dict(moves)
+
+
 def _reference_slot_leaf_keys(tree, path, perm):
     """Oracle: per-slot key of one vertex, the tile-ordering value of a
     leaf slot or the minimum value over the subtree of a child slot."""
@@ -648,6 +670,39 @@ class TestTiles:
         bad = strata.TileComplex(3, 1, tc.poset, moves)
         assert strata.orientation_consistency(tc)
         assert not strata.orientation_consistency(bad)
+
+    @pytest.mark.parametrize("l,k", COUNTED_MOVE_SIZES)
+    def test_counts_match_tile_complex(self, l, k):
+        counts = strata.tile_counts(l, k)
+        tc = strata.tile_complex(l, k)
+        assert (counts.n_strata, counts.moves) == _tile_complex_counts(tc)
+        assert counts.n_tiles == tc.n_tiles
+        assert counts.pair_counts() == tc.pair_counts()
+        assert counts.orientation_consistent() == (
+            strata.orientation_consistency(tc)
+        )
+
+    def test_counted_sizes_reach_past_tile_sizes(self):
+        assert (3, 3) in COUNTED_MOVE_SIZES and (6, 1) in COUNTED_MOVE_SIZES
+
+    @pytest.mark.parametrize(
+        "l,k,n_strata", [(0, 1, 1), (0, 2, 3), (0, 3, 13), (2, 0, 1)]
+    )
+    def test_no_moves(self, l, k, n_strata):
+        # l = 0: every two-slot ghost is leafless, so none moves; (2, 0):
+        # the one stratum is a two-slot ghost, but it is the root
+        counts = strata.tile_counts(l, k)
+        assert (counts.n_strata, counts.moves) == (n_strata, {})
+        assert counts.pair_counts() == {}
+        assert counts.orientation_consistent()
+
+    def test_counts_every_stratum_up_to_the_caps(self):
+        for l in range(trees.MAX_LEAVES + 1):
+            for k in range(trees.MAX_MARKS + 1):
+                if not trees.params_stable(l, k):
+                    continue
+                total = sum(strata.grading_profile("Ks", l, k).values())
+                assert strata.tile_counts(l, k).n_strata == total
 
     def test_local_group_internal_ghost(self):
         chain = PlanarTree(
