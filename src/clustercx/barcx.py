@@ -8,6 +8,9 @@ sums with their facet signs, and checks the defining relations on every
 basis word inside a finite truncation window.  Every facet, Koszul and
 Getzler-Jones sign is a call into ``signs``, whose formulas the tests pin;
 the morphism and homotopy sums share one recursion on the first block.
+The word differential is one kernel, ``_delta``: it reads the arity
+tables a family builds once, sums a word's prefix degrees once, and takes
+the sign of each (position, arity) term from ``signs.delta_parity``.
 
 Degrees: a generator carries its co-index mu+ (number of positive Hessian
 directions); a word of exponent d has mu = sum of co-indices + d*N_L and
@@ -19,11 +22,11 @@ from itertools import product as _iproduct
 
 from .errors import BlockError, RangeError, ShapeError
 from .signs import (
+    delta_parity,
     epsilon_gj,
     first_block_parity,
     koszul_apply,
     koszul_sign,
-    sign_concat,
     suspension_sign,
 )
 
@@ -110,7 +113,12 @@ class OperationFamily:
                 % ", ".join("arity %d at %r" % mp for mp in missing)
             )
         self.ops = table
-        self._arities = tuple(sorted(l for l, rules in table.items() if rules))
+        # read by delta once per word: the non-empty arity tables in
+        # ascending arity, each generator's co-index, the labelled symbols
+        self.tables = tuple((l, table[l]) for l in sorted(table) if table[l])
+        self.coidx = {s: g.coidx for s, g in self.gens.items()}
+        self.labelled = frozenset(s for s, g in self.gens.items() if g.label != "f")
+        self._arities = tuple(l for l, _ in self.tables)
         self._validate()
 
     def _validate(self):
@@ -239,7 +247,12 @@ def _comb_map(word_map, comb):
     out = {}
     for (gens, d), coef in comb.items():
         for (g2, d2), c2 in word_map(gens).items():
-            _add_term(out, g2, d + d2, coef * c2)
+            key = (g2, d + d2)
+            c = out.get(key, 0) + coef * c2
+            if c:
+                out[key] = c
+            else:
+                out.pop(key, None)
     return out
 
 
@@ -268,8 +281,8 @@ def delta(fam, gens, d=0):
     The sign convention is the family's own (``fam.suspended``): the
     (j, l) term carries sign_concat(q_out, j, l) times the Koszul sign of
     the degree-l operation past the prefix; suspended families use the
-    Koszul sign of a degree-1 operation on the degrees mu - 1.  The word
-    is validated first.
+    Koszul sign of a degree-1 operation on the degrees mu - 1.  Both are
+    signs.delta_parity.  The word is validated first.
     """
     fam.validate_word(gens)
     return _delta(fam, gens, d)
@@ -277,31 +290,44 @@ def delta(fam, gens, d=0):
 
 def _delta(fam, gens, d=0):
     """delta on a word known to be valid, in the family's sign convention.
-    An output word replaces a block of gens by one symbol; it is validated
-    only when that symbol carries an interval label, since dropping
-    labelled factors keeps the labels of a valid word in order."""
+
+    One pass over the family's arity tables: the degree sums of the word's
+    prefixes (of mu, or of mu - 1 when suspended) are summed once, and each
+    position j whose window has structure constants takes its parity from
+    signs.delta_parity.  An output word replaces a block of gens by one
+    symbol; it is validated only when that symbol carries an interval
+    label, since dropping labelled factors keeps the labels of a valid
+    word in order."""
     if fam.role != "m":
         raise ShapeError("delta needs a differential family")
     Q = len(gens)
-    degs = [fam.mu(s) - 1 if fam.suspended else fam.mu(s) for s in gens]
+    suspended = fam.suspended
+    shift = 1 if suspended else 0
+    prefix = [0]
+    for s in gens:
+        prefix.append(prefix[-1] + fam.coidx[s] - shift)
+    labelled = fam.labelled
     out = {}
-    for l in fam.arities():
+    for l, rules in fam.tables:
         if l > Q:
-            continue
+            break
         q_out = Q - l + 1
-        for j in range(1, q_out + 1):
-            rules = fam.apply(l, gens[j - 1 : j - 1 + l])
-            if not rules:
+        for j in range(q_out):
+            outs = rules.get(gens[j : j + l])
+            if not outs:
                 continue
-            if fam.suspended:
-                sign = koszul_apply(1, j, l, degs)
-            else:
-                sign = sign_concat(q_out, j, l) * koszul_apply(l, j, l, degs)
-            for (sym, dd), coef in rules.items():
-                new = gens[: j - 1] + (sym,) + gens[j - 1 + l :]
-                if fam.gens[sym].label != "f":
+            negate = delta_parity(q_out, j + 1, l, prefix[j], suspended)
+            head, tail = gens[:j], gens[j + l :]
+            for (sym, dd), coef in outs.items():
+                new = head + (sym,) + tail
+                if sym in labelled:
                     fam.validate_word(new)
-                _add_term(out, new, d + dd, sign * coef)
+                key = (new, d + dd)
+                c = out.get(key, 0) + (-coef if negate else coef)
+                if c:
+                    out[key] = c
+                else:
+                    del out[key]
     return out
 
 
@@ -717,6 +743,7 @@ def family_to_obj(fam):
 
 
 _JSON_TYPES = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
+_REQUIRED = object()
 
 
 def _typed(value, typ, field, nullable=False):
@@ -732,17 +759,27 @@ def _typed(value, typ, field, nullable=False):
     )
 
 
+def _field(obj, key, typ, field, default=_REQUIRED, nullable=False):
+    """``obj[key]`` checked by ``_typed``, or ``default`` when the key is
+    absent; ShapeError naming ``field`` when a required key is absent."""
+    value = obj.get(key, default)
+    if value is _REQUIRED:
+        raise ShapeError("family field %s is missing" % field)
+    return _typed(value, typ, field, nullable)
+
+
 def family_from_obj(obj, role=None):
     """The family that ``obj``, in the form ``family_to_obj`` writes,
-    describes.  A field of another JSON type is a ShapeError that names
-    it; a missing required field is a KeyError."""
-    all_ops = _typed(obj.get("ops", {}), dict, "ops")
+    describes.  A field of another JSON type, a missing required field and
+    an arity that is not an integer are each a ShapeError that names the
+    field."""
+    all_ops = _field(obj, "ops", dict, "ops", {})
     if role is None:
         if len(all_ops) != 1:
             raise ShapeError("file must declare exactly one op role")
         (role,) = all_ops
     gens = []
-    for t, g in enumerate(_typed(obj["generators"], list, "generators")):
+    for t, g in enumerate(_field(obj, "generators", list, "generators")):
         at = "generators[%d]" % t
         _typed(g, dict, at)
         label = g.get("label", "f")
@@ -753,21 +790,25 @@ def family_from_obj(obj, role=None):
             )
         gens.append(
             Generator(
-                _typed(g["sym"], str, at + ".sym"),
-                _typed(g["coidx"], int, at + ".coidx"),
+                _field(g, "sym", str, at + ".sym"),
+                _field(g, "coidx", int, at + ".coidx"),
                 label,
             )
         )
     ops = {}
-    for l, rules in _typed(all_ops[role], dict, "ops." + role).items():
+    for l, rules in _field(all_ops, role, dict, "ops." + role).items():
+        if not l.isdecimal():
+            raise ShapeError(
+                "family field ops.%s has arity %r, not an integer" % (role, l)
+            )
         table = {}
         for t, rule in enumerate(_typed(rules, list, "ops.%s.%s" % (role, l))):
             at = "ops.%s.%s[%d]" % (role, l, t)
             _typed(rule, dict, at)
-            pattern = tuple(_typed(rule["in"], list, at + ".in"))
+            pattern = tuple(_field(rule, "in", list, at + ".in"))
             for sym in pattern:
                 _typed(sym, str, at + ".in")
-            outs = _typed(rule["out"], list, at + ".out", nullable=True)
+            outs = _field(rule, "out", list, at + ".out", nullable=True)
             if outs is None:
                 table[pattern] = None
                 continue
@@ -777,9 +818,9 @@ def family_from_obj(obj, role=None):
                 _typed(o, dict, out)
                 table[pattern].append(
                     (
-                        _typed(o["sym"], str, out + ".sym"),
-                        _typed(o.get("d", 0), int, out + ".d"),
-                        _typed(o.get("coef"), int, out + ".coef", nullable=True),
+                        _field(o, "sym", str, out + ".sym"),
+                        _field(o, "d", int, out + ".d", 0),
+                        _field(o, "coef", int, out + ".coef", None, nullable=True),
                     )
                 )
         ops[int(l)] = table
@@ -787,9 +828,9 @@ def family_from_obj(obj, role=None):
         role,
         gens,
         ops,
-        n=_typed(obj.get("n", 2), int, "n"),
-        NL=_typed(obj.get("NL", 2), int, "NL"),
-        c=_typed(obj.get("c", 0), int, "c"),
+        n=_field(obj, "n", int, "n", 2),
+        NL=_field(obj, "NL", int, "NL", 2),
+        c=_field(obj, "c", int, "c", 0),
     )
 
 

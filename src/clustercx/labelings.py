@@ -491,8 +491,6 @@ def simple_ratio_chart(disk, tree):
             delta[path] = pos[j + 1] - pos[j]
         else:
             delta[path] = z_at[path][1]
-            if delta[path] == 0:
-                raise DegenerateError("zero mark height")
     labels = {e: delta[e] / delta[e[:-1]] for e in tree.edges()}
     return EdgeLabeling(tree, labels)
 
@@ -505,6 +503,11 @@ def chart_inverse(lab):
         raise ShapeError("chart needs a maximal combinatorial type")
     delta = {(): Fraction(1)}
     for e in tree.edges():
+        if isinstance(lab[e], EpsFrac):
+            raise ShapeError(
+                "chart label on edge %s must be a rational, not %r"
+                % (edge_id(e), lab[e])
+            )
         if lab[e] < 0:
             raise RangeError(
                 "negative label %s on edge %s" % (lab[e], edge_id(e))
@@ -570,28 +573,61 @@ def _as_monomial(v):
     return None
 
 
+def _rational(value, field):
+    """The rational that the string ``value`` denotes: "p/q" as
+    ``labeling_to_obj`` writes it, or any other form ``Fraction`` reads,
+    such as "3" or "0.25".  ShapeError naming ``field`` for a value of
+    another type, a malformed string and a zero denominator."""
+    if isinstance(value, str):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ShapeError(
+        "%s must be a string p/q with q != 0, not %r" % (field, value)
+    )
+
+
+def _sum_terms(v, side, field):
+    """The {exponent: coefficient} sum that the [[exponent, coefficient],
+    ...] list ``v[side]`` of a label object writes."""
+    field = "%s.%s" % (field, side)
+    terms = v.get(side)
+    if not isinstance(terms, list) or not all(
+        isinstance(t, list) and len(t) == 2 for t in terms
+    ):
+        raise ShapeError(
+            "%s must be a list of [exponent, coefficient] pairs, not %r"
+            % (field, terms)
+        )
+    return {_rational(x, field): _rational(c, field) for x, c in terms}
+
+
 def labeling_from_obj(tree, obj):
     """The labeling of ``tree`` that ``obj``, in the form
     ``labeling_to_obj`` writes, describes; ShapeError unless ``obj`` is a
-    JSON object of strings and objects."""
+    JSON object of "p/q" strings and label objects of them, with no zero
+    denominator."""
     if not isinstance(obj, dict):
         raise ShapeError("labels must be a JSON object, not %r" % (obj,))
     labels = {}
     for key, v in obj.items():
         e = edge_from_id(key)
+        field = "label %r" % (key,)
         if isinstance(v, str):
-            labels[e] = Fraction(v)
+            labels[e] = _rational(v, field)
         elif not isinstance(v, dict):
             raise ShapeError(
                 "label %r must be a string or an object, not %r" % (key, v)
             )
         elif "base" in v:
-            labels[e] = EpsFrac.eps_power(Fraction(v["exp"]))
+            labels[e] = EpsFrac.eps_power(_rational(v.get("exp"), field + ".exp"))
         else:
-            labels[e] = EpsFrac(
-                {Fraction(x): Fraction(c) for x, c in v["num"]},
-                {Fraction(x): Fraction(c) for x, c in v["den"]},
-            )
+            num = _sum_terms(v, "num", field)
+            den = _sum_terms(v, "den", field)
+            if not any(den.values()):
+                raise ShapeError("%s has a zero denominator" % (field,))
+            labels[e] = EpsFrac(num, den)
     return EdgeLabeling(tree, labels)
 
 

@@ -100,6 +100,18 @@ def koszul_apply(op_degree, j, arity, degrees):
     return koszul_sign(op_degree, degrees[: j - 1])
 
 
+def delta_parity(q_out, j, l, prefix_degree, suspended):
+    """Parity of the arity-l operation at position j of the word
+    differential, with q_out factors in the output word and prefix_degree
+    the degree sum of the factors before j.  Plain degrees mu give the
+    parity of sign_concat(q_out, j, l) times koszul_apply(l, j, l, degrees);
+    shifted degrees mu - 1 (``suspended``) give that of
+    koszul_apply(1, j, l, shifted degrees)."""
+    if suspended:
+        return prefix_degree % 2
+    return ((q_out - j) * l + (j - 1) + l * prefix_degree) % 2
+
+
 def epsilon_gj(j, l1, l2, degrees):
     """Getzler-Jones parity for the inner arity-l2 operation at position j
     inside an outer arity-l1 operation:

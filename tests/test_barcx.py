@@ -491,6 +491,22 @@ class TestReferenceOracle:
                 shorter_K += any(len(g) < len(gens) for g, _ in K)
         assert shorter_H > 200 and shorter_K > 100
 
+    @pytest.mark.parametrize("name", ["exterior", "circle"])
+    def test_long_words_match_reference(self, lib, name):
+        # words of up to 8 factors, so delta's prefix degree sums run
+        # longer than in the random setups above
+        fam = lib[name]
+        words = B.basis_words(fam, B.TruncationWindow(qmax=8))
+        assert len(words) == 510
+        nonzero = 0
+        for m in (fam, B.suspend(fam)):
+            for gens in words:
+                for d in (0, 1):
+                    got = B.delta(m, gens, d)
+                    assert got == _reference_delta(m, gens, d)
+                nonzero += bool(got)
+        assert nonzero > 500
+
     def test_reports_match_reference_on_failing_families(self):
         window = B.TruncationWindow(qmax=3)
         failing = 0
@@ -594,6 +610,20 @@ class TestNegativeControls:
         report = B.check_unit(lib[name], unit, B.TruncationWindow(qmax=qmax))
         obj = json.dumps(report.to_obj(), sort_keys=True)
         assert hashlib.sha256(obj.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("parity", [0, 1])
+    @pytest.mark.parametrize("suspended", [False, True])
+    def test_a_infinity_rejects_unsigned_delta(
+        self, lib, monkeypatch, parity, suspended
+    ):
+        # delta takes every sign from signs.delta_parity: forced to one
+        # value, delta o delta no longer vanishes
+        fam = lib["polynomial"]
+        fam = B.suspend(fam) if suspended else fam
+        window = B.TruncationWindow(qmax=3)
+        assert B.check_a_infinity(fam, window).passed
+        monkeypatch.setattr(B, "delta_parity", lambda *args: parity)
+        assert not B.check_a_infinity(fam, window).passed
 
     @pytest.mark.parametrize("name", ["polynomial", "exterior", "circle"])
     def test_leibniz_rejects_unsigned_derivation(self, lib, monkeypatch, name):

@@ -488,6 +488,36 @@ class TestFileFields:
         assert obj["error"] == "ShapeError"
         assert "label" in obj["detail"]
 
+    @pytest.mark.parametrize(
+        "argv", [["chi"], ["chi", "--quilted"], ["chart", "--invert"]]
+    )
+    @pytest.mark.parametrize(
+        "label, part",
+        [
+            ({"num": 1, "den": [["0", "1"]]}, "label '0'.num must be "),
+            ({"base": "1/2", "exp": [1]}, "label '0'.exp must be "),
+            ("1/0", "label '0' must be a string p/q with q != 0"),
+        ],
+    )
+    def test_malformed_label_objects(self, capsys, tmp_path, argv, label, part):
+        p = tmp_path / "lab.json"
+        p.write_text(json.dumps({"tree": _CHERRY, "labels": {"0": label}}))
+        code, out = run(capsys, argv[0], str(p), *argv[1:], "--json")
+        assert code == 1
+        obj = json.loads(out)
+        assert obj["error"] == "ShapeError"
+        assert obj["detail"].startswith(part)
+
+    def test_chart_invert_eps_label(self, capsys, tmp_path):
+        p = tmp_path / "lab.json"
+        labels = {"0": {"base": "1/2", "exp": "1"}}
+        p.write_text(json.dumps({"tree": _PLAIN3, "labels": labels}))
+        code, out = run(capsys, "chart", str(p), "--invert", "--json")
+        assert code == 1
+        obj = json.loads(out)
+        assert obj["error"] == "ShapeError"
+        assert obj["detail"].startswith("chart label on edge 0 must be a rational")
+
     @pytest.mark.parametrize("states", [[1], {"0": 1}, "broken"])
     def test_edge_states_of_the_wrong_type(self, capsys, tmp_path, states):
         obj = {
@@ -536,18 +566,58 @@ class TestFileFields:
     def test_family_field_of_the_wrong_type(
         self, capsys, tmp_path, path, value, field
     ):
+        detail = _check_ainf_edited(capsys, tmp_path, path, value)
+        assert detail.startswith("family field %s must be " % field)
+
+    @pytest.mark.parametrize(
+        "path, field",
+        [
+            (("generators",), "generators"),
+            (("generators", 0, "sym"), "generators[0].sym"),
+            (("generators", 0, "coidx"), "generators[0].coidx"),
+            (("ops", "m"), "ops.m"),
+            (("ops", "m", "2", 0, "in"), "ops.m.2[0].in"),
+            (("ops", "m", "2", 0, "out"), "ops.m.2[0].out"),
+            (("ops", "m", "2", 0, "out", 0, "sym"), "ops.m.2[0].out[0].sym"),
+        ],
+    )
+    def test_family_field_missing(self, capsys, tmp_path, path, field):
+        detail = _check_ainf_edited(capsys, tmp_path, path, _DELETE)
+        assert detail == "family field %s is missing" % field
+
+    @pytest.mark.parametrize("arity", ["two", "2.0", "\u00b2"])
+    def test_family_arity_not_an_integer(self, capsys, tmp_path, arity):
         obj = barcx.family_to_obj(barcx.example_library()["polynomial"])
-        at = obj
-        for key in path[:-1]:
-            at = at[key]
-        at[path[-1]] = value
+        obj["ops"]["m"][arity] = obj["ops"]["m"].pop("2")
         p = tmp_path / "fam.json"
         p.write_text(json.dumps(obj))
-        code, out = run(capsys, "check-ainf", str(p), "--qmax", "3", "--json")
+        code, out = run(capsys, "check-ainf", str(p), "--json")
         assert code == 1
-        obj = json.loads(out)
-        assert obj["error"] == "ShapeError"
-        assert obj["detail"].startswith("family field %s must be " % field)
+        detail = json.loads(out)["detail"]
+        assert detail == "family field ops.m has arity %r, not an integer" % arity
+
+
+_DELETE = object()
+
+
+def _check_ainf_edited(capsys, tmp_path, path, value):
+    """The ShapeError detail of check-ainf on the library polynomial family
+    with the field at ``path`` set to ``value`` (or deleted, for _DELETE)."""
+    obj = barcx.family_to_obj(barcx.example_library()["polynomial"])
+    at = obj
+    for key in path[:-1]:
+        at = at[key]
+    if value is _DELETE:
+        del at[path[-1]]
+    else:
+        at[path[-1]] = value
+    p = tmp_path / "fam.json"
+    p.write_text(json.dumps(obj))
+    code, out = run(capsys, "check-ainf", str(p), "--qmax", "3", "--json")
+    assert code == 1
+    obj = json.loads(out)
+    assert obj["error"] == "ShapeError"
+    return obj["detail"]
 
 
 # the chi_root.json and chart_plain.json fixtures of test_golden.py, with

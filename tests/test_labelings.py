@@ -179,6 +179,20 @@ class TestChartErrors:
             L.simple_ratio_chart(L.MarkedDisk(*disk), tree)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("height", [0, -1, Fraction(-1, 3)])
+    def test_disk_refuses_mark_height(self, height):
+        # the chart divides by mark heights; the disk is where a zero or
+        # negative one is refused
+        with pytest.raises(DegenerateError) as info:
+            L.MarkedDisk([5], [(0, height)])
+        assert str(info.value) == "interior marks need positive height"
+
+    def test_inverse_eps_label(self):
+        lab = L.EdgeLabeling(PLAIN3, {(0,): L.EpsFrac.eps_power(1)})
+        with pytest.raises(ShapeError) as info:
+            L.chart_inverse(lab)
+        assert str(info.value).startswith("chart label on edge 0 must be a rational")
+
     def test_inverse_non_maximal(self):
         t = trees.enumerate_types(4, 0, 1)[0]
         lab = L.EdgeLabeling(t, {e: Fraction(1) for e in t.edges()})
@@ -216,6 +230,40 @@ class TestSerialization:
         assert all(back[e] == chi[e] for e in t.edges())
         back2 = L.labeling_from_obj(t, L.labeling_to_obj(lab))
         assert back2 == lab
+
+    @pytest.mark.parametrize(
+        "label, detail",
+        [
+            ("1/0", "label '0' must be a string p/q with q != 0, not '1/0'"),
+            ("half", "label '0' must be a string p/q with q != 0, not 'half'"),
+            ({"base": "1/2", "exp": [1]},
+             "label '0'.exp must be a string p/q with q != 0, not [1]"),
+            ({"base": "1/2"},
+             "label '0'.exp must be a string p/q with q != 0, not None"),
+            ({"num": 1, "den": [["0", "1"]]},
+             "label '0'.num must be a list of [exponent, coefficient] pairs, not 1"),
+            ({"num": [["0", "1"]], "den": [["0"]]},
+             "label '0'.den must be a list of [exponent, coefficient] pairs, "
+             "not [['0']]"),
+            ({"num": [["0", "1"]], "den": [["0", 1]]},
+             "label '0'.den must be a string p/q with q != 0, not 1"),
+            ({"num": [["0", "1"]], "den": [["1/0", "1"]]},
+             "label '0'.den must be a string p/q with q != 0, not '1/0'"),
+            ({"num": [["0", "1"]], "den": []}, "label '0' has a zero denominator"),
+            ({"num": [["0", "1"]], "den": [["0", "0"]]},
+             "label '0' has a zero denominator"),
+        ],
+    )
+    def test_malformed_label(self, label, detail):
+        with pytest.raises(ShapeError) as info:
+            L.labeling_from_obj(PLAIN3, {"0": label})
+        assert str(info.value) == detail
+
+    def test_decimal_and_integer_strings(self):
+        lab = L.labeling_from_obj(PLAIN3, {"0": "0.25"})
+        assert lab == L.EdgeLabeling(PLAIN3, {(0,): Fraction(1, 4)})
+        lab = L.labeling_from_obj(PLAIN3, {"0": {"base": "1/2", "exp": "3"}})
+        assert lab[(0,)] == L.EpsFrac.eps_power(3)
 
 
 class TestExponents:

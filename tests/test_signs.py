@@ -112,3 +112,30 @@ class TestFirstBlock:
                         assert want == (-1) ** parity, (comp, degs, shifts)
                         checked += 1
         assert checked == sum(2 ** (n + 1) * 3 ** (n - 1) for n in range(1, 7))
+
+
+class TestDeltaParity:
+    def test_matches_concat_and_koszul(self):
+        # the (j, l) term of delta on every word of length <= 6 with degrees
+        # in {0, 1, 2}: plain degrees take the facet sign times the Koszul
+        # sign of the arity-l operation, shifted degrees the Koszul sign of
+        # a degree-1 operation
+        checked = 0
+        for Q in range(1, 7):
+            for degs in product((0, 1, 2), repeat=Q):
+                shifted = [x - 1 for x in degs]
+                for l in range(1, Q + 1):
+                    q_out = Q - l + 1
+                    for j in range(1, q_out + 1):
+                        plain = signs.sign_concat(q_out, j, l) * signs.koszul_apply(
+                            l, j, l, degs
+                        )
+                        got = signs.delta_parity(q_out, j, l, sum(degs[: j - 1]), False)
+                        assert plain == (-1) ** got, (degs, l, j)
+                        susp = signs.koszul_apply(1, j, l, shifted)
+                        got = signs.delta_parity(
+                            q_out, j, l, sum(shifted[: j - 1]), True
+                        )
+                        assert susp == (-1) ** got, (degs, l, j)
+                        checked += 1
+        assert checked == sum(3**Q * Q * (Q + 1) // 2 for Q in range(1, 7))
