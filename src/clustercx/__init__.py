@@ -8,6 +8,7 @@ Submodules:
   labelings -- edge labelings, balance, smoothing maps, charts
   barcx     -- tensor words over the Novikov ring and relation checkers
   indexcalc -- index formulas, reduction surgeries, end labelings
+  fields    -- typed readers for the fields of JSON input files
   cli       -- the ``clustercx`` command line
 """
 

@@ -21,6 +21,7 @@ cardinality q = number of factors.  Structure constants must shift mu by
 from itertools import product as _iproduct
 
 from .errors import BlockError, RangeError, ShapeError
+from .fields import field, typed
 from .signs import (
     delta_parity,
     epsilon_gj,
@@ -742,30 +743,14 @@ def family_to_obj(fam):
     }
 
 
-_JSON_TYPES = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
-_REQUIRED = object()
-
-
-def _typed(value, typ, field, nullable=False):
-    """``value`` when it has the JSON type ``typ`` (or is null and
-    ``nullable``); ShapeError naming the family file's ``field`` otherwise."""
-    if (value is None and nullable) or (
-        isinstance(value, typ) and not (typ is int and isinstance(value, bool))
-    ):
-        return value
-    raise ShapeError(
-        "family field %s must be %s%s, not %r"
-        % (field, _JSON_TYPES[typ], " or null" if nullable else "", value)
+def _out_term(o, at):
+    """The (sym, d, coef) term of one ``out`` entry of a family rule."""
+    typed(o, dict, at)
+    return (
+        field(o, "sym", str, at + ".sym"),
+        field(o, "d", int, at + ".d", 0),
+        field(o, "coef", int, at + ".coef", None, nullable=True),
     )
-
-
-def _field(obj, key, typ, field, default=_REQUIRED, nullable=False):
-    """``obj[key]`` checked by ``_typed``, or ``default`` when the key is
-    absent; ShapeError naming ``field`` when a required key is absent."""
-    value = obj.get(key, default)
-    if value is _REQUIRED:
-        raise ShapeError("family field %s is missing" % field)
-    return _typed(value, typ, field, nullable)
 
 
 def family_from_obj(obj, role=None):
@@ -773,64 +758,44 @@ def family_from_obj(obj, role=None):
     describes.  A field of another JSON type, a missing required field and
     an arity that is not an integer are each a ShapeError that names the
     field."""
-    all_ops = _field(obj, "ops", dict, "ops", {})
+    all_ops = field(obj, "ops", dict, "family field ops", {})
     if role is None:
         if len(all_ops) != 1:
             raise ShapeError("file must declare exactly one op role")
         (role,) = all_ops
     gens = []
-    for t, g in enumerate(_field(obj, "generators", list, "generators")):
-        at = "generators[%d]" % t
-        _typed(g, dict, at)
+    for t, g in enumerate(field(obj, "generators", list, "family field generators")):
+        at = "family field generators[%d]" % t
+        typed(g, dict, at)
         label = g.get("label", "f")
-        if label != "f" and not isinstance(label, list):
+        if label != "f" and len(typed(label, [int], at + ".label")) != 2:
             raise ShapeError(
-                "family field %s.label must be 'f' or a list, not %r"
-                % (at, label)
+                "%s.label must be 'f' or a list [j1, j2], not %r" % (at, label)
             )
-        gens.append(
-            Generator(
-                _field(g, "sym", str, at + ".sym"),
-                _field(g, "coidx", int, at + ".coidx"),
-                label,
-            )
-        )
+        sym = field(g, "sym", str, at + ".sym")
+        gens.append(Generator(sym, field(g, "coidx", int, at + ".coidx"), label))
     ops = {}
-    for l, rules in _field(all_ops, role, dict, "ops." + role).items():
+    at = "family field ops." + role
+    for l, rules in field(all_ops, role, dict, at).items():
         if not l.isdecimal():
-            raise ShapeError(
-                "family field ops.%s has arity %r, not an integer" % (role, l)
-            )
+            raise ShapeError("%s has arity %r, not an integer" % (at, l))
         table = {}
-        for t, rule in enumerate(_typed(rules, list, "ops.%s.%s" % (role, l))):
-            at = "ops.%s.%s[%d]" % (role, l, t)
-            _typed(rule, dict, at)
-            pattern = tuple(_field(rule, "in", list, at + ".in"))
-            for sym in pattern:
-                _typed(sym, str, at + ".in")
-            outs = _field(rule, "out", list, at + ".out", nullable=True)
-            if outs is None:
-                table[pattern] = None
-                continue
-            table[pattern] = []
-            for u, o in enumerate(outs):
-                out = "%s.out[%d]" % (at, u)
-                _typed(o, dict, out)
-                table[pattern].append(
-                    (
-                        _field(o, "sym", str, out + ".sym"),
-                        _field(o, "d", int, out + ".d", 0),
-                        _field(o, "coef", int, out + ".coef", None, nullable=True),
-                    )
-                )
+        for t, rule in enumerate(typed(rules, list, "%s.%s" % (at, l))):
+            at_rule = "%s.%s[%d]" % (at, l, t)
+            typed(rule, dict, at_rule)
+            pattern = tuple(field(rule, "in", [str], at_rule + ".in"))
+            outs = field(rule, "out", list, at_rule + ".out", nullable=True)
+            table[pattern] = None if outs is None else [
+                _out_term(o, "%s.out[%d]" % (at_rule, u)) for u, o in enumerate(outs)
+            ]
         ops[int(l)] = table
     return OperationFamily(
         role,
         gens,
         ops,
-        n=_field(obj, "n", int, "n", 2),
-        NL=_field(obj, "NL", int, "NL", 2),
-        c=_field(obj, "c", int, "c", 0),
+        n=field(obj, "n", int, "family field n", 2),
+        NL=field(obj, "NL", int, "family field NL", 2),
+        c=field(obj, "c", int, "family field c", 0),
     )
 
 

@@ -3,7 +3,8 @@
 Every subcommand prints a short human summary by default, or a canonical
 machine-readable RunReport with ``--json`` (timing excluded so identical
 inputs give byte-identical output).  Exit codes: 0 success, 1 a checked
-relation failed (witness included), 2 usage error.
+relation failed (witness included) or an input was refused, 2 a
+command-line error.
 """
 
 import argparse
@@ -11,9 +12,8 @@ import functools
 import json
 import sys
 import time
-from fractions import Fraction
 
-from . import barcx, indexcalc, labelings, signs, strata, trees
+from . import barcx, fields, indexcalc, labelings, signs, strata, trees
 from .errors import ClusterCxError, ShapeError
 
 
@@ -36,12 +36,25 @@ def _report(args, verdict, data, counterexample=None, started=None):
 
 def _load_json(path):
     """The JSON object in the file at ``path``; ShapeError if the file
-    holds another JSON value."""
+    holds another JSON value or is not JSON."""
     with open(path) as fh:
-        obj = json.load(fh)
-    if not isinstance(obj, dict):
-        raise ShapeError("%s does not hold a JSON object" % (path,))
-    return obj
+        try:
+            obj = json.load(fh)
+        except (ValueError, RecursionError) as e:
+            raise ShapeError("cannot read %s as JSON: %s" % (path, e))
+    return fields.typed(obj, dict, path)
+
+
+def _tree(obj):
+    """The ``tree`` field of ``obj`` and the tree it describes."""
+    tobj = fields.field(obj, "tree", dict, "tree")
+    return tobj, trees.from_obj(tobj)
+
+
+def _labeling(obj, tree):
+    """The labeling of ``tree`` in the ``labels`` field of ``obj``."""
+    labels = fields.field(obj, "labels", dict, "labels")
+    return labelings.labeling_from_obj(tree, labels)
 
 
 def _window(args):
@@ -58,23 +71,16 @@ def _add_window_flags(p):
 
 
 def _cluster_type_from_obj(obj):
-    tree = trees.from_obj(obj["tree"])
-    fam = obj.get("family", "K")
-    stratum = strata.Stratum(fam, tree)
-    states = obj.get("edge_states", {})
-    if not (
-        isinstance(states, dict)
-        and all(isinstance(s, str) for s in states.values())
-    ):
-        raise ShapeError(
-            "edge_states must be a JSON object of strings, not %r" % (states,)
-        )
-    states = {labelings.edge_from_id(e): s for e, s in states.items()}
+    tree = _tree(obj)[1]
+    stratum = strata.Stratum(fields.field(obj, "family", str, "family", "K"), tree)
+    states = {
+        fields.edge(e, "edge_states key"): fields.typed(s, str, "edge_states value")
+        for e, s in fields.field(obj, "edge_states", dict, "edge_states", {}).items()
+    }
     for e in tree.edges():
         states.setdefault(e, "line")
-    return strata.ClusterType(
-        stratum, states, n_complex_nodes=obj.get("complex_nodes", 0)
-    )
+    nodes = fields.field(obj, "complex_nodes", int, "complex_nodes", 0)
+    return strata.ClusterType(stratum, states, n_complex_nodes=nodes)
 
 
 # -- subcommand bodies -------------------------------------------------------
@@ -151,42 +157,43 @@ def _cmd_sign(args):
 
 def _cmd_chart(args):
     obj = _load_json(args.file)
-    tree = trees.from_obj(obj["tree"])
+    tobj, tree = _tree(obj)
     if args.invert:
-        lab = labelings.labeling_from_obj(tree, obj["labels"])
-        disk = labelings.chart_inverse(lab)
+        disk = labelings.chart_inverse(_labeling(obj, tree))
         out = {
             "xs": [str(x) for x in disk.xs],
             "zs": [[str(a), str(b)] for a, b in disk.zs],
             "seam": None if disk.seam is None else str(disk.seam),
         }
         return _report(args, "pass", out)
+    xs = fields.field(obj, "xs", list, "xs", [])
+    seam = obj.get("seam")
     disk = labelings.MarkedDisk(
-        [Fraction(x) for x in obj.get("xs", [])],
-        [(Fraction(a), Fraction(b)) for a, b in obj.get("zs", [])],
-        seam=None if obj.get("seam") is None else Fraction(obj["seam"]),
+        [fields.rational(x, "an xs entry") for x in xs],
+        [
+            (fields.rational(a, "a zs entry"), fields.rational(b, "a zs entry"))
+            for a, b in fields.pairs(obj.get("zs", []), "zs", "re, im")
+        ],
+        seam=None if seam is None else fields.rational(seam, "seam"),
     )
     lab = labelings.simple_ratio_chart(disk, tree)
     return _report(
         args,
         "pass",
-        {"tree": obj["tree"], "labels": labelings.labeling_to_obj(lab)},
+        {"tree": tobj, "labels": labelings.labeling_to_obj(lab)},
     )
 
 
 def _cmd_chi(args):
     obj = _load_json(args.file)
-    tree = trees.from_obj(obj["tree"])
-    lab = labelings.labeling_from_obj(tree, obj["labels"])
-    eps = Fraction(args.eps)
-    if args.quilted:
-        out = labelings.chi_quilted(lab, eps)
-    else:
-        out = labelings.chi_unquilted(lab, eps)
+    tobj, tree = _tree(obj)
+    lab = _labeling(obj, tree)
+    chi = labelings.chi_quilted if args.quilted else labelings.chi_unquilted
+    out = chi(lab, args.eps)
     return _report(
         args,
         "pass",
-        {"tree": obj["tree"], "labels": labelings.labeling_to_obj(out, eps=eps)},
+        {"tree": tobj, "labels": labelings.labeling_to_obj(out, eps=args.eps)},
     )
 
 
@@ -238,20 +245,21 @@ def _cmd_check_homotopy(args):
 def _cmd_index(args):
     obj = _load_json(args.file)
     ct = _cluster_type_from_obj(obj)
+
+    def read(key, typ, default=fields.REQUIRED):
+        return fields.field(obj, key, typ, key, default)
+
+    n = read("n", int, 2)
     ec = indexcalc.EndpointCondition(
-        obj["mu_root"], obj["mu_leaves"], n=obj.get("n", 2)
+        read("mu_root", int), read("mu_leaves", [int]), n=n
     )
     muF = indexcalc.BoundaryConditionIndex(
-        obj.get("maslov", []),
-        NL=obj.get("NL", 2),
-        monotone=obj.get("monotone", False),
+        read("maslov", [int], []),
+        NL=read("NL", int, 2),
+        monotone=read("monotone", bool, False),
     )
     val = indexcalc.index_cr(
-        ct,
-        ec,
-        muF,
-        n=obj.get("n", 2),
-        interior_incidences=obj.get("interior_incidences", 0),
+        ct, ec, muF, n=n, interior_incidences=read("interior_incidences", int, 0)
     )
     if args.json:
         return _report(args, "pass", {"index": val})
@@ -260,9 +268,7 @@ def _cmd_index(args):
 
 
 def _surgery_record(args, obj):
-    return indexcalc.reduce(
-        trees.from_obj(obj["tree"]), json.loads(args.surgery)
-    )
+    return indexcalc.reduce(_tree(obj)[1], json.loads(args.surgery))
 
 
 def _cmd_reduce(args):
@@ -358,7 +364,8 @@ def build_parser():
 
     q = add_parser("chi", help="collar smoothing map on a labeling")
     q.add_argument("file")
-    q.add_argument("--eps", default="1/2")
+    eps = functools.partial(fields.rational, at="eps", error=argparse.ArgumentTypeError)
+    q.add_argument("--eps", default="1/2", type=eps)
     q.add_argument("--quilted", action="store_true")
     q.set_defaults(fn=_cmd_chi)
 
@@ -423,7 +430,7 @@ def main(argv=None):
         msg = {"verdict": "fail", "error": type(e).__name__, "detail": str(e)}
         print(json.dumps(msg, sort_keys=True))
         return 1
-    except (OSError, ValueError, KeyError) as e:
+    except (OSError, ValueError) as e:
         print("usage error: %s" % (e,), file=sys.stderr)
         return 2
 

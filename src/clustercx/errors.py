@@ -1,8 +1,10 @@
 """Shared error taxonomy.
 
 Every module raises subclasses of ClusterCxError so callers can catch one
-base class; the CLI maps them onto exit code 1 (exit code 2 is kept for
-usage errors).
+base class; the CLI maps them onto exit code 1, input files that are not
+JSON or hold a malformed field included.  Exit code 2 is kept for the
+command line only: unknown flags, bad flag values and files that cannot
+be opened.
 """
 
 

@@ -15,9 +15,11 @@ from .errors import (
     DegenerateError,
     EdgeError,
     MonotoneError,
+    RangeError,
     ShapeError,
     SurgeryError,
 )
+from .fields import REQUIRED, field, typed
 from .trees import LEAF, PlanarTree, check_nonnegative, replace_vertex, vertex
 
 
@@ -41,6 +43,8 @@ class BoundaryConditionIndex:
         self.total = sum(self.per_disk)
         self.NL = NL
         if monotone:
+            if NL < 1:
+                raise RangeError("monotone needs NL >= 1 (got NL=%d)" % NL)
             for m in self.per_disk:
                 if m < 0 or m % NL:
                     raise MonotoneError(
@@ -166,20 +170,6 @@ def _vertex_at(tree, path):
         raise SurgeryError("no vertex at path %r" % (path,))
 
 
-def _path(value, key):
-    """The surgery path named ``key``: a list of slot indices."""
-    if not isinstance(value, (list, tuple)) or any(type(i) is not int for i in value):
-        raise SurgeryError("%s must be a list of slot indices, got %r" % (key, value))
-    return tuple(value)
-
-
-def _int(value, key):
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise SurgeryError("%s must be an integer, got %r" % (key, value))
-
-
 def _prune_leafless(v):
     i, col, slots = v
     kept = []
@@ -213,12 +203,15 @@ def reduce(ct, spec):
                {"removed_marks", "interior_incidences", "complex_nodes"}.
     """
     before = _as_tree(ct)
-    if not isinstance(spec, dict):
-        raise SurgeryError("a surgery spec is an object, got %r" % (spec,))
+    typed(spec, dict, "a surgery spec", error=SurgeryError)
+
+    def read(key, typ, default=REQUIRED):
+        return field(spec, key, typ, key, default, error=SurgeryError)
+
     tag = spec.get("type")
     if tag == "I":
-        path = _path(spec.get("disk", ()), "disk")
-        d = _int(spec.get("d", 1), "d")
+        path = tuple(read("disk", [int], ()))
+        d = read("d", int, 1)
         i, col, slots = _vertex_at(before, path)
         if d < 1 or (d > 1 and (i == 0 or i % d)):
             raise SurgeryError(
@@ -230,9 +223,9 @@ def reduce(ct, spec):
             before, after, "I(%d)" % d, removed_marks=i - i // d
         )
     if tag == "IIa":
-        path = _path(spec["disk"], "disk")
-        dest = _path(spec["dest"], "dest")
-        at = _int(spec.get("at", 0), "at")
+        path = tuple(read("disk", [int]))
+        dest = tuple(read("dest", [int]))
+        at = read("at", int, 0)
         if not path:
             raise SurgeryError("type IIa cannot remove the root disk")
         if dest == path or dest[: len(path)] == path:
@@ -258,9 +251,9 @@ def reduce(ct, spec):
             before, after, "IIa", removed_marks=i
         )
     if tag == "IIb":
-        path = _path(spec["disk"], "disk")
-        child = _int(spec["dest"], "dest")
-        at = _int(spec.get("at", 0), "at")
+        path = tuple(read("disk", [int]))
+        child = read("dest", int)
+        at = read("at", int, 0)
         i, col, slots = _vertex_at(before, path)
         if not 0 <= child < len(slots) or slots[child] == LEAF:
             raise SurgeryError("type IIb needs a disk child to promote")
@@ -286,7 +279,7 @@ def reduce(ct, spec):
         )
     if tag in ("gen-I", "gen-II", "gen-III"):
         counts = {
-            key: _int(spec.get(key, 0), key)
+            key: read(key, int, 0)
             for key in ("removed_marks", "interior_incidences", "complex_nodes")
         }
         return ClusterSurgeryRecord(before, before, tag, **counts)

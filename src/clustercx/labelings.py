@@ -10,7 +10,7 @@ in an exact field of rational functions in a formal power of eps.
 
 from fractions import Fraction
 
-from . import trees
+from . import fields, trees
 from .errors import (
     BalanceError,
     DegenerateError,
@@ -542,10 +542,6 @@ def edge_id(edge):
     return ".".join(str(i) for i in edge) if edge else ""
 
 
-def edge_from_id(s):
-    return tuple(int(p) for p in s.split(".")) if s else ()
-
-
 def labeling_to_obj(lab, eps=None):
     out = {}
     for e, v in lab.labels.items():
@@ -573,61 +569,35 @@ def _as_monomial(v):
     return None
 
 
-def _rational(value, field):
-    """The rational that the string ``value`` denotes: "p/q" as
-    ``labeling_to_obj`` writes it, or any other form ``Fraction`` reads,
-    such as "3" or "0.25".  ShapeError naming ``field`` for a value of
-    another type, a malformed string and a zero denominator."""
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise ShapeError(
-        "%s must be a string p/q with q != 0, not %r" % (field, value)
-    )
-
-
-def _sum_terms(v, side, field):
+def _sum_terms(v, side, at):
     """The {exponent: coefficient} sum that the [[exponent, coefficient],
     ...] list ``v[side]`` of a label object writes."""
-    field = "%s.%s" % (field, side)
-    terms = v.get(side)
-    if not isinstance(terms, list) or not all(
-        isinstance(t, list) and len(t) == 2 for t in terms
-    ):
-        raise ShapeError(
-            "%s must be a list of [exponent, coefficient] pairs, not %r"
-            % (field, terms)
-        )
-    return {_rational(x, field): _rational(c, field) for x, c in terms}
+    at = "%s.%s" % (at, side)
+    terms = fields.pairs(v.get(side), at, "exponent, coefficient")
+    return {fields.rational(x, at): fields.rational(c, at) for x, c in terms}
+
+
+def _label_object(v, at):
+    """The EpsFrac that a label object, {"base", "exp"} or {"num", "den"},
+    writes."""
+    if "base" in v:
+        return EpsFrac.eps_power(fields.rational(v.get("exp"), at + ".exp"))
+    num = _sum_terms(v, "num", at)
+    den = _sum_terms(v, "den", at)
+    if not any(den.values()):
+        raise ShapeError("%s has a zero denominator" % (at,))
+    return EpsFrac(num, den)
 
 
 def labeling_from_obj(tree, obj):
     """The labeling of ``tree`` that ``obj``, in the form
     ``labeling_to_obj`` writes, describes; ShapeError unless ``obj`` is a
-    JSON object of "p/q" strings and label objects of them, with no zero
-    denominator."""
-    if not isinstance(obj, dict):
-        raise ShapeError("labels must be a JSON object, not %r" % (obj,))
+    JSON object, keyed by edge ids, of "p/q" strings and label objects of
+    them, with no zero denominator."""
     labels = {}
-    for key, v in obj.items():
-        e = edge_from_id(key)
-        field = "label %r" % (key,)
-        if isinstance(v, str):
-            labels[e] = _rational(v, field)
-        elif not isinstance(v, dict):
-            raise ShapeError(
-                "label %r must be a string or an object, not %r" % (key, v)
-            )
-        elif "base" in v:
-            labels[e] = EpsFrac.eps_power(_rational(v.get("exp"), field + ".exp"))
-        else:
-            num = _sum_terms(v, "num", field)
-            den = _sum_terms(v, "den", field)
-            if not any(den.values()):
-                raise ShapeError("%s has a zero denominator" % (field,))
-            labels[e] = EpsFrac(num, den)
+    for key, v in fields.typed(obj, dict, "labels").items():
+        e = fields.edge(key, "a label key")
+        labels[e] = fields.rational_or(v, "label %r" % (key,), _label_object)
     return EdgeLabeling(tree, labels)
 
 

@@ -22,6 +22,7 @@ from .errors import (
     ShapeError,
     StabilityError,
 )
+from .fields import field, typed
 
 LEAF = "x"
 
@@ -569,22 +570,17 @@ def from_obj(obj):
     ``i`` and a boolean ``col``; RangeError on a negative ``i``."""
 
     def dec(o):
-        if not (isinstance(o, dict) and isinstance(o.get("children", []), list)):
-            raise ShapeError(
-                "a tree node is an object with a list of children, not %r" % (o,)
-            )
-        i, col = o.get("i", 0), o.get("col", False)
-        if type(i) is not int or type(col) is not bool:
-            raise ShapeError(
-                "a node needs an integer i and a boolean col, not %r and %r"
-                % (i, col)
-            )
+        typed(o, dict, "a tree node")
+        i = field(o, "i", int, "a tree node's i", 0)
+        col = field(o, "col", bool, "a tree node's col", False)
+        children = field(o, "children", list, "a tree node's children", [])
         if i < 0:
             raise RangeError("i must be nonnegative (got i=%d)" % i)
-        slots = [LEAF if c == LEAF else dec(c) for c in o.get("children", [])]
+        slots = [LEAF if c == LEAF else dec(c) for c in children]
         b = slots.count(LEAF)
-        if "b" in o and o["b"] != b:
-            raise OrderError("leaf count b=%r disagrees with children" % o["b"])
+        given = field(o, "b", int, "a tree node's b", b)
+        if given != b:
+            raise OrderError("leaf count b=%r disagrees with children" % given)
         return vertex(i, col, slots)
 
     return PlanarTree(dec(obj))

@@ -1,13 +1,22 @@
 """Exit codes, output formats, and determinism of the command line."""
 
+import contextlib
+import copy
 import hashlib
+import io
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from clustercx import barcx, cli, strata, trees
+import clustercx
+from clustercx import barcx, cli, errors, strata, trees
+from test_golden import CASES, FIXTURES
 
 
 def run(capsys, *argv):
@@ -673,3 +682,201 @@ class TestSharedParser:
         assert not hasattr(second, "invert")
         assert not hasattr(second, "_command_echo")
         assert second.fn is cli._cmd_chi and second.quilted is False
+
+
+def _case(argv, name, want="ShapeError", **edits):
+    """``argv`` on the test_golden fixture ``name`` with top-level fields
+    replaced (or deleted, for _DELETE), and the error it must give."""
+    obj = dict(FIXTURES[name])
+    for key, value in edits.items():
+        if value is _DELETE:
+            del obj[key]
+        else:
+            obj[key] = value
+    return argv, obj, want
+
+
+def _surgery(**spec):
+    argv = ["reduce", "F", "--surgery", json.dumps(spec)]
+    return argv, FIXTURES["surgery.json"], "SurgeryError"
+
+
+_INDEX = ["index", "F"]
+_CHART = ["chart", "F"]
+_CHI = ["chi", "F"]
+_EPS = "argument --eps"
+
+# inputs that ended in a traceback, in "usage error" (exit 2) or in a
+# silent truncation to an integer, each with what it gives now: an error
+# name with exit 1, or the start of argparse's complaint with exit 2
+REFUSED = {
+    "index mu_leaves [{a: 1}]": _case(_INDEX, "ct.json", mu_leaves=[{"a": 1}]),
+    "index n ''": _case(_INDEX, "ct.json", n=""),
+    "index mu_root ''": _case(_INDEX, "ct.json", mu_root=""),
+    "index no tree": _case(_INDEX, "ct.json", tree=_DELETE),
+    "index mu_root 1.7": _case(_INDEX, "ct.json", mu_root=1.7),
+    "index mu_leaves [true, 0]": _case(_INDEX, "ct.json", mu_leaves=[True, 0]),
+    "index maslov [2.9]": _case(_INDEX, "ct.json", maslov=[2.9]),
+    "index n 2.0": _case(_INDEX, "ct.json", n=2.0),
+    "index NL '2'": _case(_INDEX, "ct.json", NL="2"),
+    "index interior_incidences 0.5": _case(_INDEX, "ct.json", interior_incidences=0.5),
+    "index complex_nodes true": _case(_INDEX, "ct.json", complex_nodes=True),
+    "index monotone 'no'": _case(_INDEX, "ct.json", monotone="no"),
+    "index NL 0, monotone": _case(_INDEX, "ct_nodes.json", "RangeError", NL=0),
+    "index edge_states key 'x'": _case(
+        _INDEX, "ct_nodes.json", edge_states={"x": "line"}),
+    "chart no tree": _case(_CHART, "chart_marked.json", tree=_DELETE),
+    "chart xs 0": _case(_CHART, "chart_marked.json", xs=0),
+    "chart xs ['x']": _case(_CHART, "chart_marked.json", xs=["x"]),
+    "chart xs ['0', '1/0']": _case(_CHART, "chart_marked.json", xs=["0", "1/0"]),
+    "chart zs [[1, '3']]": _case(_CHART, "chart_marked.json", zs=[[1, "3"]]),
+    "chart seam {}": _case(_CHART, "chart_quilted.json", seam={}),
+    "chart seam 1.5": _case(_CHART, "chart_quilted.json", seam=1.5),
+    "chi no tree": _case(_CHI, "chi_root.json", tree=_DELETE),
+    "chi no labels": _case(_CHI, "chi_root.json", labels=_DELETE),
+    "chi label key 'x'": _case(_CHI, "chi_root.json", labels={"x": "1"}),
+    "chi not JSON": (_CHI, "{", "ShapeError"),
+    "chi JSON nested too deep": (
+        _CHI, '{"tree": %s%s}' % ("[" * 5000, "]" * 5000), "ShapeError"),
+    "chi --eps 1/0": _case(_CHI + ["--eps", "1/0"], "chi_root.json", _EPS),
+    "chi --eps x": _case(_CHI + ["--eps", "x"], "chi_root.json", _EPS),
+    "reduce I d 2.5": _surgery(type="I", disk=[], d=2.5),
+    "reduce I d true": _surgery(type="I", disk=[], d=True),
+    "reduce I d '2'": _surgery(type="I", disk=[], d="2"),
+    "reduce IIa at 1.0": _surgery(type="IIa", disk=[0], dest=[], at=1.0),
+    "reduce IIa no dest": _surgery(type="IIa", disk=[0], at=1),
+    "reduce IIb dest 0.5": _surgery(type="IIb", disk=[], dest=0.5),
+    "reduce gen-II removed_marks 1.9": _surgery(type="gen-II", removed_marks=1.9),
+    "reduce gen-II interior_incidences true": _surgery(
+        type="gen-II", interior_incidences=True),
+    "reduce gen-II complex_nodes '1'": _surgery(type="gen-II", complex_nodes="1"),
+}
+
+
+class TestRefusedInputs:
+    @pytest.mark.parametrize("case", sorted(REFUSED))
+    def test_refused(self, capsys, tmp_path, case):
+        argv, content, want = REFUSED[case]
+        p = tmp_path / "in.json"
+        p.write_text(content if isinstance(content, str) else json.dumps(content))
+        code = cli.main([str(p) if a == "F" else a for a in argv] + ["--json"])
+        out, err = capsys.readouterr()
+        if want == _EPS:
+            assert code == 2 and out == "" and want in err
+        else:
+            assert code == 1 and err == ""
+            assert json.loads(out)["error"] == want
+
+    def test_not_json_names_the_file(self, capsys, tmp_path):
+        p = tmp_path / "broken.json"
+        p.write_text('{"tree": ')
+        code, out = run(capsys, "index", str(p), "--json")
+        assert code == 1
+        assert str(p) in json.loads(out)["detail"]
+
+    @pytest.mark.parametrize(
+        "key", ["x", "0.", ".0", "0..1", "-1", "1/2", " 0", "²"]
+    )
+    def test_label_key_not_an_edge_id(self, capsys, tmp_path, key):
+        p = tmp_path / "lab.json"
+        p.write_text(json.dumps({"tree": _CHERRY, "labels": {key: "1"}}))
+        code, out = run(capsys, "chi", str(p), "--json")
+        assert code == 1
+        obj = json.loads(out)
+        assert obj["error"] == "ShapeError" and repr(key) in obj["detail"]
+
+    def test_real_process_exit(self, tmp_path):
+        p = tmp_path / "ct.json"
+        p.write_text(json.dumps(_case(_INDEX, "ct.json", mu_root=1.7)[1]))
+        src = os.path.dirname(os.path.dirname(clustercx.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "clustercx.cli", "index", str(p), "--json"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert json.loads(proc.stdout)["error"] == "ShapeError"
+        assert proc.stderr == ""
+
+
+# one-field mutations: every JSON type, near-miss numbers and strings, and
+# deletion of the field
+MUTATIONS = [None, True, False, 0, -1, 2, 2.5, "", "x", "1/0", "2", [], ["x"], [0],
+             {}, [{"a": 1}], _DELETE]
+ERRORS = {
+    name for name, cls in vars(errors).items()
+    if isinstance(cls, type) and issubclass(cls, errors.ClusterCxError)
+}
+
+
+def _field_paths(obj, at=()):
+    """The path of every object member and list entry inside ``obj``."""
+    if isinstance(obj, dict):
+        keys = list(obj)
+    elif isinstance(obj, list):
+        keys = range(len(obj))
+    else:
+        return
+    for key in keys:
+        yield at + (key,)
+        yield from _field_paths(obj[key], at + (key,))
+
+
+def _fuzz_targets():
+    """(argv, file name, field path) for every field of every file that a
+    golden command or a check-ainf on a library family reads."""
+    lib = barcx.example_library()
+    library = {
+        "lib_%s.json" % name: barcx.family_to_obj(lib[name])
+        for name in ("polynomial", "exterior", "circle")
+    }
+    files = dict(FIXTURES, **library)
+    commands = list(CASES)
+    commands += [["check-ainf", name, "--qmax", "3", "--json"] for name in library]
+    return files, [
+        (tuple(argv), name, path)
+        for argv in commands
+        for name in sorted(set(argv) & set(files))
+        for path in _field_paths(files[name])
+    ]
+
+
+FUZZ_FILES, FUZZ_TARGETS = _fuzz_targets()
+
+
+@pytest.fixture(scope="module")
+def fuzz_paths(tmp_path_factory):
+    """The path of each fuzzed file, written unchanged, by name, and the
+    path a mutated copy is written to under "mutated"."""
+    d = tmp_path_factory.mktemp("fuzz")
+    for name, obj in FUZZ_FILES.items():
+        (d / name).write_text(json.dumps(obj))
+    return dict({name: str(d / name) for name in FUZZ_FILES}, mutated=str(d / "m.json"))
+
+
+@settings(derandomize=True, deadline=None, max_examples=1000)
+@given(
+    target=st.sampled_from(FUZZ_TARGETS),
+    value=st.sampled_from(MUTATIONS),
+)
+def test_one_field_mutation(fuzz_paths, target, value):
+    argv, name, path = target
+    obj = copy.deepcopy(FUZZ_FILES[name])
+    at = obj
+    for key in path[:-1]:
+        at = at[key]
+    if value is _DELETE:
+        del at[path[-1]]
+    else:
+        at[path[-1]] = copy.deepcopy(value)
+    paths = dict(fuzz_paths, **{name: fuzz_paths["mutated"]})
+    with open(paths[name], "w") as fh:
+        json.dump(obj, fh)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([paths.get(a, a) for a in argv])
+    assert code in (0, 1) and "Traceback" not in err.getvalue()
+    if code == 1:
+        report = json.loads(out.getvalue())
+        # a refused input names its error; a check that ran says what failed
+        assert report.get("error") in ERRORS or "counterexample" in report
