@@ -14,7 +14,7 @@ import sys
 import time
 
 from . import barcx, fields, indexcalc, labelings, signs, strata, trees
-from .errors import ClusterCxError, ShapeError
+from .errors import ClusterCxError, ShapeError, StabilityError
 
 
 def _report(args, verdict, data, counterexample=None, started=None):
@@ -72,6 +72,8 @@ def _add_window_flags(p):
 
 def _cluster_type_from_obj(obj):
     tree = _tree(obj)[1]
+    if not tree.is_stable():
+        raise StabilityError("cluster type tree is not stable")
     stratum = strata.Stratum(fields.field(obj, "family", str, "family", "K"), tree)
     states = {
         fields.edge(e, "edge_states key"): fields.typed(s, str, "edge_states value")

@@ -8,6 +8,7 @@ that value has the expected form, and otherwise raises ``error``
 field's path ``at`` in the message.  An ``int`` here is never a ``bool``.
 """
 
+import re
 from fractions import Fraction
 
 from .errors import ShapeError
@@ -55,10 +56,15 @@ def pairs(value, at, names):
     raise ShapeError("%s must be a list of [%s] pairs, not %r" % (at, names, value))
 
 
+_RATIONAL = re.compile(r"[+-]?(?:[0-9]+(?:/[0-9]+|\.[0-9]*)?|\.[0-9]+)")
+
+
 def rational(value, at, error=ShapeError):
-    """The rational that the string ``value`` denotes: "p/q", or any other
-    form ``Fraction`` reads, such as "3" or "0.25"; q = 0 is refused."""
-    if type(value) is str:
+    """The rational that the string ``value`` denotes: an integer "p", a
+    fraction "p/q" with q != 0 or a plain decimal such as "0.25".  Other
+    forms ``Fraction`` reads, such as "1e999999999" (whose value it would
+    build digit by digit), are refused before it sees them."""
+    if type(value) is str and _RATIONAL.fullmatch(value):
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):

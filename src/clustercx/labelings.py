@@ -22,6 +22,9 @@ from .trees import LEAF, PlanarTree
 
 # -- exact arithmetic in formal powers of eps -------------------------------
 
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
 
 def _poly_mul(p, q):
     out = {}
@@ -51,31 +54,43 @@ class EpsFrac:
     """Exact rational function in a formal symbol eps with rational
     exponents, stored as a numerator/denominator pair of finite sums
     {exponent: coefficient}.  Equality is decided by cross-multiplication,
-    so no normal form is needed."""
+    so no normal form is needed.
+
+    The public constructor wraps every exponent and coefficient in
+    ``Fraction`` and drops zero coefficients.  ``_of`` is the trusted
+    internal constructor: it stores dicts that are already in that form,
+    as the arithmetic below and ``chi_quilted`` produce them."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
         if den is None:
-            den = {Fraction(0): Fraction(1)}
-        if not den:
-            raise ZeroDivisionError("zero denominator")
+            den = {_ZERO: _ONE}
         self.num = {Fraction(e): Fraction(c) for e, c in num.items() if c}
         self.den = {Fraction(e): Fraction(c) for e, c in den.items() if c}
+        if not self.den:
+            raise ZeroDivisionError("zero denominator")
+
+    @classmethod
+    def _of(cls, num, den):
+        self = object.__new__(cls)
+        self.num = num
+        self.den = den
+        return self
 
     @classmethod
     def rational(cls, q):
         q = Fraction(q)
-        return cls({Fraction(0): q} if q else {})
+        return cls._of({_ZERO: q} if q else {}, {_ZERO: _ONE})
 
     @classmethod
     def eps_power(cls, m):
-        return cls({Fraction(m): Fraction(1)})
+        return cls._of({Fraction(m): _ONE}, {_ZERO: _ONE})
 
     def __mul__(self, other):
         other = _coerce(other)
-        return EpsFrac(_poly_mul(self.num, other.num),
-                       _poly_mul(self.den, other.den))
+        return EpsFrac._of(_poly_mul(self.num, other.num),
+                           _poly_mul(self.den, other.den))
 
     __rmul__ = __mul__
 
@@ -83,12 +98,12 @@ class EpsFrac:
         other = _coerce(other)
         if not other.num:
             raise ZeroDivisionError("division by zero labeling value")
-        return EpsFrac(_poly_mul(self.num, other.den),
-                       _poly_mul(self.den, other.num))
+        return EpsFrac._of(_poly_mul(self.num, other.den),
+                           _poly_mul(self.den, other.num))
 
     def __add__(self, other):
         other = _coerce(other)
-        return EpsFrac(
+        return EpsFrac._of(
             _poly_add(
                 _poly_mul(self.num, other.den),
                 _poly_mul(other.num, self.den),
@@ -199,11 +214,18 @@ def _prod(values):
     return out
 
 
-def is_balanced(lab):
+def _common_product(lab):
+    """The common root-to-color product Y of a balanced labeling, or None
+    when the products differ."""
     prods = color_products(lab)
     if not prods:
         raise BalanceError("tree has no colored vertex")
-    return all(p == prods[0] for p in prods[1:])
+    y = prods[0]
+    return y if all(p == y for p in prods[1:]) else None
+
+
+def is_balanced(lab):
+    return _common_product(lab) is not None
 
 
 def restrict_plain(lab, t1, t2, witness=None):
@@ -363,38 +385,55 @@ def chi_quilted(lab, eps):
     times that quotient, Y being the common color product of the input.
     Root-to-color products then telescope to eps*(1 + Y), chi(0) is the
     labeling l -> eps^(M_l), and the input is recovered bottom-up.
+
+    Each value is written directly as the EpsFrac that composing those
+    sums, products and quotients gives, term for term.  With x = X(l),
+    m = M_l and, for the edge l' just below l, x' = X(l') and m' = M_l'
+    (zero coefficients dropped):
+
+    - below the colors:     (eps^(m+m') + x^2 eps^m') / (eps^m' + x'^2);
+    - touching a color:     (1 + Y) eps^(m+m') / (eps^m' + x'^2);
+    - the root edge, which has no l': eps^m + x^2, or (1 + Y) eps^m,
+      over 1;
+    - above the colors:     x + eps, over 1.
     """
     _check_eps(eps)
-    if not is_balanced(lab):
+    y = _common_product(lab)
+    if y is None:
         raise BalanceError("chi_quilted needs a balanced labeling")
     tree = lab.tree
-    regions = _edge_regions(tree)
-    exp = exponents(tree)
-    y = color_products(lab)[0]
+    m = exponents(tree).m
+    touch = _frac(1 + y)
     out = {}
-    for e in tree.edges():
-        x = lab[e]
-        if regions[e] == "above":
-            out[e] = EpsFrac.rational(x) + EpsFrac.eps_power(1)
+    for e, region in _edge_regions(tree).items():
+        if region == "above":
+            x = _frac(lab[e])
+            out[e] = EpsFrac._of(_terms((_ZERO, x), (_ONE, _ONE)), {_ZERO: _ONE})
             continue
-        below = e[:-1] if len(e) > 1 else None
-        quotient = EpsFrac.rational(1)
-        if below is not None:
-            xb = lab[below]
-            quotient = EpsFrac.eps_power(exp.m[below]) / (
-                EpsFrac.eps_power(exp.m[below]) + EpsFrac.rational(xb * xb)
-            )
-        if regions[e] == "touch":
-            out[e] = (
-                EpsFrac.rational(1 + y)
-                * EpsFrac.eps_power(exp.m[e])
-                * quotient
-            )
+        top = m[e]
+        if len(e) > 1:
+            below = e[:-1]
+            shift = m[below]
+            den = _terms((shift, _ONE), (_ZERO, _frac(lab[below]) ** 2))
         else:
-            out[e] = (
-                EpsFrac.eps_power(exp.m[e]) + EpsFrac.rational(x * x)
-            ) * quotient
+            shift = _ZERO
+            den = {_ZERO: _ONE}
+        if region == "touch":
+            num = _terms((top + shift, touch))
+        else:
+            num = _terms((top + shift, _ONE), (shift, _frac(lab[e]) ** 2))
+        out[e] = EpsFrac._of(num, den)
     return EdgeLabeling(tree, out)
+
+
+def _frac(q):
+    return q if type(q) is Fraction else Fraction(q)
+
+
+def _terms(*pairs):
+    """The {exponent: coefficient} sum of (exponent, coefficient) pairs
+    with distinct exponents, zero coefficients dropped."""
+    return {e: c for e, c in pairs if c}
 
 
 # -- simple-ratio charts -----------------------------------------------------

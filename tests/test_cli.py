@@ -706,9 +706,10 @@ _CHART = ["chart", "F"]
 _CHI = ["chi", "F"]
 _EPS = "argument --eps"
 
-# inputs that ended in a traceback, in "usage error" (exit 2) or in a
-# silent truncation to an integer, each with what it gives now: an error
-# name with exit 1, or the start of argparse's complaint with exit 2
+# inputs that ended in a traceback, in "usage error" (exit 2), in a
+# silent truncation to an integer, in an unbounded computation or in a
+# report on an unstable tree, each with what it gives now: an error name
+# with exit 1, or the start of argparse's complaint with exit 2
 REFUSED = {
     "index mu_leaves [{a: 1}]": _case(_INDEX, "ct.json", mu_leaves=[{"a": 1}]),
     "index n ''": _case(_INDEX, "ct.json", n=""),
@@ -740,6 +741,18 @@ REFUSED = {
         _CHI, '{"tree": %s%s}' % ("[" * 5000, "]" * 5000), "ShapeError"),
     "chi --eps 1/0": _case(_CHI + ["--eps", "1/0"], "chi_root.json", _EPS),
     "chi --eps x": _case(_CHI + ["--eps", "x"], "chi_root.json", _EPS),
+    "chi --eps 1e999999999": _case(
+        _CHI + ["--eps", "1e999999999"], "chi_root.json", _EPS),
+    "chi label '1e999999999'": _case(
+        _CHI, "chi_root.json", labels={"0": "1e999999999"}),
+    "chart seam '1e999999999'": _case(
+        _CHART, "chart_quilted.json", seam="1e999999999"),
+    "index unstable tree": (_INDEX, {
+        "tree": {"i": 0, "col": False,
+                 "children": [{"i": 0, "col": False, "children": ["x"]}]},
+        "mu_root": 1,
+        "mu_leaves": [0],
+    }, "StabilityError"),
     "reduce I d 2.5": _surgery(type="I", disk=[], d=2.5),
     "reduce I d true": _surgery(type="I", disk=[], d=True),
     "reduce I d '2'": _surgery(type="I", disk=[], d="2"),
@@ -766,6 +779,13 @@ class TestRefusedInputs:
         else:
             assert code == 1 and err == ""
             assert json.loads(out)["error"] == want
+
+    @pytest.mark.parametrize("case", sorted(c for c in REFUSED if "1e999999999" in c))
+    def test_exponent_refused_at_once(self, capsys, tmp_path, case):
+        # Fraction would build 10**999999999 digit by digit
+        started = time.perf_counter()
+        self.test_refused(capsys, tmp_path, case)
+        assert time.perf_counter() - started < 1.0
 
     def test_not_json_names_the_file(self, capsys, tmp_path):
         p = tmp_path / "broken.json"

@@ -108,6 +108,132 @@ class TestChi:
             seen.append((lab, chi))
 
 
+def _reference_chi_quilted(lab):
+    """chi_quilted composed from public EpsFrac operations, as the closed
+    forms were derived: F(l) = eps^M_l + X(l)^2, the quotient
+    eps^M_l'/F(l') of the edge just below, and (1 + Y) eps^M_l."""
+    E = L.EpsFrac
+    tree = lab.tree
+    regions = L._edge_regions(tree)
+    m = L.exponents(tree).m
+    y = L.color_products(lab)[0]
+    out = {}
+    for e in tree.edges():
+        x = lab[e]
+        if regions[e] == "above":
+            out[e] = E.rational(x) + E.eps_power(1)
+            continue
+        quotient = E.rational(1)
+        if len(e) > 1:
+            xb = lab[e[:-1]]
+            mb = m[e[:-1]]
+            quotient = E.eps_power(mb) / (E.eps_power(mb) + E.rational(xb * xb))
+        if regions[e] == "touch":
+            out[e] = E.rational(1 + y) * E.eps_power(m[e]) * quotient
+        else:
+            out[e] = (E.eps_power(m[e]) + E.rational(x * x)) * quotient
+    # the public constructor re-wraps, so the reference is normalized
+    # whatever the arithmetic returns
+    return {e: E(v.num, v.den) for e, v in out.items()}
+
+
+def _assert_normalized(v):
+    """Fraction exponents and coefficients, no zero coefficient, and a
+    non-empty denominator: the form the public constructor writes."""
+    assert v.den
+    for side in (v.num, v.den):
+        for x, c in side.items():
+            assert type(x) is Fraction and type(c) is Fraction and c != 0
+
+
+def _chi_pool():
+    """Every tree of the colored pools above and of criterion 10 in
+    test_acceptance."""
+    pool = list(colored_pool())
+    for l in (2, 3, 4):
+        for e in range(1, 9):
+            pool += [t for t in trees.enumerate_colored_types(l, 0, e)
+                     if t.n_edges <= 8]
+    return list(dict.fromkeys(pool))
+
+
+def _zero_labeled(t, rng):
+    """A balanced labeling with zero labels: random values from a set
+    holding 0 (and plain ints), and, when that is unbalanced, 0 on every
+    edge that touches a color, so that every color product is 0."""
+    labels = {e: rng.choice([0, 0, Fraction(1, 3), 2, Fraction(5, 4)])
+              for e in t.edges()}
+    lab = L.EdgeLabeling(t, labels)
+    if not L.is_balanced(lab):
+        for chain in L._colored_paths(t):
+            labels[chain[-1]] = 0
+        lab = L.EdgeLabeling(t, labels)
+    return lab
+
+
+class TestChiClosedForm:
+    def test_same_representation_as_the_composition(self):
+        rng = random.Random(18)
+        pool = _chi_pool()
+        assert len(pool) == 80
+        cases = zeros = 0
+        for t in pool:
+            labs = [L.random_balanced(t, rng) for _ in range(3)]
+            labs += [_zero_labeled(t, rng) for _ in range(3)]
+            labs.append(L.EdgeLabeling(t, {e: Fraction(0) for e in t.edges()}))
+            for lab in labs:
+                want = _reference_chi_quilted(lab)
+                got = L.chi_quilted(lab, Fraction(1, 3))
+                for e in t.edges():
+                    _assert_normalized(got[e])
+                    assert got[e].num == want[e].num
+                    assert got[e].den == want[e].den
+                cases += 1
+                zeros += any(lab[e] == 0 for e in t.edges())
+        assert cases == 7 * 80 and zeros > 80
+
+    def test_no_arithmetic_and_no_public_constructor(self, monkeypatch):
+        rng = random.Random(5)
+        labs = [L.random_balanced(t, rng) for t in _chi_pool()]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("chi_quilted must not reach EpsFrac arithmetic")
+
+        for op in ("__init__", "__add__", "__radd__", "__mul__", "__rmul__",
+                   "__truediv__", "__sub__"):
+            monkeypatch.setattr(L.EpsFrac, op, refuse)
+        for lab in labs:
+            L.chi_quilted(lab, Fraction(1, 2))
+
+    def test_public_constructor_refuses_zero_denominator(self):
+        with pytest.raises(ZeroDivisionError):
+            L.EpsFrac({0: 1}, {})
+        with pytest.raises(ZeroDivisionError):
+            L.EpsFrac({0: 1}, {Fraction(1, 2): 0})
+
+    def test_arithmetic_returns_no_zero_coefficient(self):
+        E = L.EpsFrac
+        rng = random.Random(7)
+        coefs = [Fraction(-2), Fraction(-1, 2), Fraction(1, 2), Fraction(1), 3]
+        exps = [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1)]
+
+        def rand():
+            side = lambda: {rng.choice(exps): rng.choice(coefs) for _ in range(2)}
+            return E(side(), side())
+
+        results = 0
+        for _ in range(300):
+            a, b = rand(), rand()
+            outs = [a + b, a - b, a - a, a * b, a * 0, 2 * a, a + 1]
+            if b.num:
+                outs.append(a / b)
+            for v in outs:
+                _assert_normalized(v)
+                results += 1
+        assert (a - a).num == {} and (a * 0).num == {}
+        assert results > 2000
+
+
 def _random_disk(rng, t, seam=None):
     seq, _ = L._marking_sequence(t)
     posn = sorted(rng.sample(range(-60, 60), len(seq)))
