@@ -451,9 +451,10 @@ def check_a_infinity(fam, window, via_suspension=False):
     if via_suspension:
         name = "a-infinity(suspended)"
         fam = fam if fam.suspended else suspend(fam)
+    # one memo for both factors: each distinct word's delta is computed once
     inner = _once(lambda g: _delta(fam, g))
     return _run_over_words(
-        name, fam, window, lambda gens: _comb_map(inner, _delta(fam, gens))
+        name, fam, window, lambda gens: _comb_map(inner, inner(gens))
     )
 
 

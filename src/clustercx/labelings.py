@@ -9,6 +9,7 @@ in an exact field of rational functions in a formal power of eps.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 from . import fields, trees
 from .errors import (
@@ -163,6 +164,16 @@ class EdgeLabeling:
         self.tree = tree
         self.labels = labels
 
+    @classmethod
+    def _of(cls, tree, labels):
+        """The trusted internal constructor: ``labels`` already keys the
+        interior edges of ``tree`` by their paths, as ``chi_quilted``
+        builds it from the tree's own walk."""
+        self = object.__new__(cls)
+        self.tree = tree
+        self.labels = labels
+        return self
+
     def __getitem__(self, edge):
         return self.labels[tuple(edge)]
 
@@ -179,32 +190,40 @@ class EdgeLabeling:
 
 
 def _color_walk(tree):
-    """(path, vertex, seen) in preorder, ``seen`` telling whether a colored
-    vertex lies strictly below the vertex at ``path``."""
-    hit = {}
-    out = []
-    for path, v in tree.vertices():
-        seen = bool(path) and hit[path[:-1]]
-        hit[path] = seen or v[1]
-        out.append((path, v, seen))
-    return out
+    """(regions, paths) of a tree from one preorder walk: the edge regions
+    of ``_edge_regions`` and the root-to-color paths of ``_colored_paths``,
+    both in preorder."""
+    regions = {}
+    paths = []
+
+    def walk(v, path, seen):
+        # seen: a colored vertex lies strictly below v
+        if v[1] and not seen:
+            paths.append([path[:j] for j in range(1, len(path) + 1)])
+        here = seen or v[1]
+        for idx, s in enumerate(v[2]):
+            if type(s) is tuple:
+                e = path + (idx,)
+                regions[e] = "above" if here else "touch" if s[1] else "below"
+                walk(s, e, here)
+
+    walk(tree.root, (), False)
+    return regions, paths
 
 
 def _colored_paths(tree):
     """Edge paths from the root up to each colored vertex with no colored
     vertex below it, as lists of edge identifiers (bottom-up)."""
-    return [
-        [path[:j] for j in range(1, len(path) + 1)]
-        for path, v, seen in _color_walk(tree)
-        if v[1] and not seen
-    ]
+    return _color_walk(tree)[1]
 
 
 def color_products(lab):
     """Product of labels along each root-to-color path."""
-    return [
-        _prod(lab[e] for e in chain) for chain in _colored_paths(lab.tree)
-    ]
+    return _products(lab, _colored_paths(lab.tree))
+
+
+def _products(lab, paths):
+    return [_prod(lab[e] for e in chain) for chain in paths]
 
 
 def _prod(values):
@@ -214,10 +233,9 @@ def _prod(values):
     return out
 
 
-def _common_product(lab):
-    """The common root-to-color product Y of a balanced labeling, or None
-    when the products differ."""
-    prods = color_products(lab)
+def _common_product(prods):
+    """The common value Y of a labeling's root-to-color products, or None
+    when they differ."""
     if not prods:
         raise BalanceError("tree has no colored vertex")
     y = prods[0]
@@ -225,7 +243,7 @@ def _common_product(lab):
 
 
 def is_balanced(lab):
-    return _common_product(lab) is not None
+    return _common_product(color_products(lab)) is not None
 
 
 def restrict_plain(lab, t1, t2, witness=None):
@@ -313,10 +331,15 @@ def _edge_regions(tree):
     """Classify each edge: 'above' (a colored vertex lies strictly below
     it or at its bottom endpoint), 'touch' (its top endpoint is colored),
     or 'below'."""
-    return {
-        path: "above" if seen else "touch" if v[1] else "below"
-        for path, v, seen in _color_walk(tree)[1:]
-    }
+    return _color_walk(tree)[0]
+
+
+@lru_cache(maxsize=None)
+def _exponent(region, b):
+    """M_l of an edge in ``region`` with b_l = b edges below it."""
+    if region == "above":
+        return _ONE
+    return Fraction(1, 2 ** (b - 1 if region == "touch" else b))
 
 
 class ExponentData:
@@ -335,17 +358,11 @@ def exponents(tree, tmax=None, witness=None):
     edges entering the balanced restriction at l; otherwise N_l = M_l.
     """
     target = tmax if tmax is not None else tree
-    regions = _edge_regions(target)
     b = {}
     m = {}
-    for e in target.edges():
+    for e, region in _edge_regions(target).items():
         b[e] = len(e)
-        if regions[e] == "above":
-            m[e] = Fraction(1)
-        elif regions[e] == "touch":
-            m[e] = Fraction(1, 2 ** (b[e] - 1))
-        else:
-            m[e] = Fraction(1, 2 ** b[e])
+        m[e] = _exponent(region, len(e))
     if tmax is None:
         return ExponentData(b, m, dict(m))
     n = {}
@@ -398,22 +415,24 @@ def chi_quilted(lab, eps):
     - above the colors:     x + eps, over 1.
     """
     _check_eps(eps)
-    y = _common_product(lab)
+    tree = lab.tree
+    regions, paths = _color_walk(tree)
+    y = _common_product(_products(lab, paths))
     if y is None:
         raise BalanceError("chi_quilted needs a balanced labeling")
-    tree = lab.tree
-    m = exponents(tree).m
     touch = _frac(1 + y)
     out = {}
-    for e, region in _edge_regions(tree).items():
+    for e, region in regions.items():
         if region == "above":
             x = _frac(lab[e])
             out[e] = EpsFrac._of(_terms((_ZERO, x), (_ONE, _ONE)), {_ZERO: _ONE})
             continue
-        top = m[e]
-        if len(e) > 1:
+        b = len(e)
+        top = _exponent(region, b)
+        if b > 1:
+            # the edge below a 'touch' or 'below' edge lies below the colors
             below = e[:-1]
-            shift = m[below]
+            shift = _exponent("below", b - 1)
             den = _terms((shift, _ONE), (_ZERO, _frac(lab[below]) ** 2))
         else:
             shift = _ZERO
@@ -423,7 +442,7 @@ def chi_quilted(lab, eps):
         else:
             num = _terms((top + shift, _ONE), (shift, _frac(lab[e]) ** 2))
         out[e] = EpsFrac._of(num, den)
-    return EdgeLabeling(tree, out)
+    return EdgeLabeling._of(tree, out)
 
 
 def _frac(q):

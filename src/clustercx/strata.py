@@ -104,7 +104,7 @@ class Stratum:
 
     @property
     def dim(self):
-        return sum(vertex_dim(v) for _, v in self.tree.vertices())
+        return _subtree_factor_dim(self.tree.root)
 
     def ghost_paths(self):
         """Components without interior marks (identification loci in Ks)."""
@@ -122,6 +122,7 @@ class FacePoset:
 
     ``coverings`` lists, sorted, the pairs (a, b) in the support of
     ``rows``: b lies in the closed cell of a with codim(b) = codim(a) + 1.
+    The tree index behind ``index`` is built on its first call.
     """
 
     def __init__(self, family, l, k, strata):
@@ -130,9 +131,7 @@ class FacePoset:
         self.k = k
         self.strata = strata
         self._rows = None
-        # the strata share one family tag and no permutation, so their
-        # trees alone key them
-        self._index = {s.tree: i for i, s in enumerate(strata)}
+        self._index = None
 
     @property
     def rows(self):
@@ -152,8 +151,15 @@ class FacePoset:
         rows = enumerate(self.rows)
         return [(a, b) for a, row in rows for b in sorted(row)]
 
+    def _tree_index(self):
+        if self._index is None:
+            # the strata share one family tag and no permutation, so their
+            # trees alone key them
+            self._index = {s.tree: i for i, s in enumerate(self.strata)}
+        return self._index
+
     def index(self, stratum):
-        n = self._index[stratum.tree]
+        n = self._tree_index()[stratum.tree]
         s = self.strata[n]
         if s.family != stratum.family or s.perm != stratum.perm:
             raise KeyError(stratum)
@@ -552,7 +558,7 @@ def _transposition_moves(tree):
 def tile_complex(l, k):
     """The symmetric tile complex: the move generators of every stratum."""
     poset = face_poset("Ks", l, k)
-    tree_index = poset._index
+    tree_index = poset._tree_index()
     moves = [
         (tag, s_i, tree_index[new_tree], nu)
         for s_i, s in enumerate(poset.strata)
@@ -660,11 +666,11 @@ class ClusterType:
     STATES = frozenset(("node", "line", "broken"))
 
     def __init__(self, stratum, edge_states, n_complex_nodes=0):
-        edges = set(stratum.tree.edges())
-        if set(edge_states) != edges:
+        if set(edge_states) != set(stratum.tree.edges()):
             raise ShapeError("edge states must cover the interior edges")
-        if not self.STATES.issuperset(edge_states.values()):
-            unknown = set(edge_states.values()) - self.STATES
+        states = list(edge_states.values())
+        unknown = set(states) - self.STATES
+        if unknown:
             raise ShapeError(
                 "unknown edge state %s: a state is 'node', 'line' or 'broken'"
                 % ", ".join(sorted(map(repr, unknown)))
@@ -672,17 +678,8 @@ class ClusterType:
         self.stratum = stratum
         self.edge_states = dict(edge_states)
         self.n_complex_nodes = n_complex_nodes
-
-    def count(self, state):
-        return sum(1 for s in self.edge_states.values() if s == state)
-
-    @property
-    def n_breakings(self):
-        return self.count("broken")
-
-    @property
-    def n_real_nodes(self):
-        return self.count("node")
+        self.n_breakings = states.count("broken")
+        self.n_real_nodes = states.count("node")
 
 
 def collar_cells(l, k):

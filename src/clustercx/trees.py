@@ -77,15 +77,15 @@ class PlanarTree:
 
     @property
     def num_marks(self):
-        return sum(v[0] for _, v in self.vertices())
+        return _tally(self.root, 0)
 
     @property
     def n_edges(self):
-        return len(self.vertices()) - 1
+        return _count_vertices(self.root) - 1
 
     @property
     def n_colored(self):
-        return sum(v[1] for _, v in self.vertices())
+        return _tally(self.root, 1)
 
     @property
     def is_colored(self):
@@ -94,7 +94,9 @@ class PlanarTree:
     def edges(self):
         """Interior edges as root-paths of slot indices, depth-first order:
         each non-root vertex of the preorder walk names the edge below it."""
-        return [p for p, _ in self.vertices()[1:]]
+        out = []
+        _edge_walk(self.root, (), out)
+        return out
 
     def vertices(self):
         """(path, vertex) pairs in depth-first preorder; root path is ()."""
@@ -145,8 +147,39 @@ def _count_leaves(v):
     return sum(1 if s == LEAF else _count_leaves(s) for s in v[2])
 
 
+# The counts are folds over the vertex tuples: no paths, no list.  The
+# walks type-test with ``type(s) is tuple``, not _is_vertex, since every
+# stratum and cluster type reads them.
+
+
+def _count_vertices(v):
+    n = 1
+    for s in v[2]:
+        if type(s) is tuple:
+            n += _count_vertices(s)
+    return n
+
+
+def _tally(v, j):
+    """The sum of v[j] over the vertices of the subtree at v: its interior
+    marks for j = 0, its colored vertices for j = 1."""
+    n = int(v[j])
+    for s in v[2]:
+        if type(s) is tuple:
+            n += _tally(s, j)
+    return n
+
+
+def _edge_walk(v, path, out):
+    """Append the edge paths below ``v``, at ``path``, in preorder."""
+    for idx, s in enumerate(v[2]):
+        if type(s) is tuple:
+            p = path + (idx,)
+            out.append(p)
+            _edge_walk(s, p, out)
+
+
 def _preorder(v, path, out):
-    # a type test, not _is_vertex: every tree fact reads this walk
     out.append((path, v))
     for idx, s in enumerate(v[2]):
         if type(s) is tuple:

@@ -27,6 +27,26 @@ class TestAInfinity:
     def test_gj_relations(self, lib, name):
         assert B.check_gj_relations(lib[name], WINDOW).passed
 
+    @pytest.mark.parametrize("name", ["polynomial", "exterior", "circle"])
+    @pytest.mark.parametrize("suspended", [False, True])
+    def test_each_delta_computed_once(self, lib, monkeypatch, name, suspended):
+        # the outer and the inner delta of delta o delta read one memo, so
+        # _delta runs once per distinct word: every basis word and every
+        # word in their images
+        calls = []
+        real = B._delta
+
+        def counted(fam, gens, d=0):
+            calls.append(gens)
+            return real(fam, gens, d)
+
+        monkeypatch.setattr(B, "_delta", counted)
+        report = B.check_a_infinity(lib[name], WINDOW, via_suspension=suspended)
+        assert report.passed
+        words = set(B.basis_words(lib[name], WINDOW))
+        assert len(words) == report.n_words
+        assert len(calls) == len(set(calls)) and words <= set(calls)
+
     def test_negative_control(self, lib):
         obj = B.family_to_obj(lib["polynomial"])
         for rule in obj["ops"]["m"]["2"]:

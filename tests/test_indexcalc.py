@@ -58,6 +58,19 @@ class TestCokerDim:
         for state in ("node", "line", "broken"):
             assert S.ClusterType(s1, {e: state}).edge_states == {e: state}
 
+    def test_edge_states_must_match_the_edges(self):
+        s2 = [s for s in S.face_poset("K", 4, 0).strata if s.codim == 2][0]
+        e1, e2 = s2.tree.edges()
+        with pytest.raises(ShapeError, match="cover the interior edges"):
+            S.ClusterType(s2, {e1: "node"})
+        not_an_edge = (len(s2.tree.root[2]),)
+        with pytest.raises(ShapeError, match="cover the interior edges"):
+            S.ClusterType(s2, {e1: "node", e2: "line", not_an_edge: "broken"})
+        with pytest.raises(ShapeError, match="cover the interior edges"):
+            S.ClusterType(s2, {e1: "node", not_an_edge: "broken"})
+        ct = S.ClusterType(s2, {e1: "broken", e2: "node"})
+        assert (ct.n_breakings, ct.n_real_nodes) == (1, 1)
+
     def test_unstable_special_cases(self):
         top = [
             s for s in S.face_poset("K", 2, 1).strata if s.codim == 0

@@ -1,8 +1,9 @@
-"""Tree facts read off the one preorder walk, against the per-fact
-recursions they replaced: edge order, the colored axiom, the root-to-color
-paths and the edge regions.  Rejected seam-split candidates, which break
-the colored axiom in every way a split can, are covered as well as the
-listed strata."""
+"""Tree facts read off the walks and folds, against the per-fact
+recursions they replaced: edge order, the vertex, mark and colored
+counts, stratum codim and dim, the colored axiom, the root-to-color paths
+and the edge regions.  Rejected seam-split candidates, which break the
+colored axiom in every way a split can, are covered as well as the listed
+strata."""
 
 import pytest
 
@@ -97,13 +98,24 @@ def assert_walk_facts(tree):
     root = tree.root
     edges = _reference_edges(root)
     assert tree.edges() == edges and tree.n_edges == len(edges)
-    assert tree.n_colored == _reference_count_colored(root)
+    n_colored = _reference_count_colored(root)
+    assert tree.n_colored == n_colored
+    # the marks and the grading, summed over the (path, vertex) walk; a Ks
+    # stratum reads the same tree facts as a K one, and dim is one fold
+    verts = [v for _, v in tree.vertices()]
+    assert tree.num_marks == sum(v[0] for v in verts)
+    dim = sum(strata.vertex_dim(v) for v in verts)
+    k, q = strata.Stratum("K", tree), strata.Stratum("Q", tree)
+    assert (k.codim, k.dim) == (len(verts) - 1, dim)
+    assert (q.codim, q.dim) == (len(verts) - n_colored, dim)
     ok = _reference_colored_ok(root, False) and (
         _reference_colors_on_leaf_paths(root)
     )
     assert tree.check_colored_axiom() == ok
-    assert L._colored_paths(tree) == _reference_colored_paths(tree)
-    assert L._edge_regions(tree) == _reference_edge_regions(tree)
+    # the walk behind _edge_regions and _colored_paths
+    regions, paths = L._color_walk(tree)
+    assert paths == _reference_colored_paths(tree)
+    assert regions == _reference_edge_regions(tree)
     return ok
 
 
