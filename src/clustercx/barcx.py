@@ -8,9 +8,9 @@ sums with their facet signs, and checks the defining relations on every
 basis word inside a finite truncation window.  Every facet, Koszul and
 Getzler-Jones sign is a call into ``signs``, whose formulas the tests pin;
 the morphism and homotopy sums share one recursion on the first block.
-The word differential is one kernel, ``_delta``: it reads the arity
-tables a family builds once, sums a word's prefix degrees once, and takes
-the sign of each (position, arity) term from ``signs.delta_parity``.
+A family builds one pattern trie of its structure constants; the word
+differential ``_delta`` and the first-block recursion both walk it, and
+every sign of a delta term comes from ``signs.delta_parity``.
 
 Degrees: a generator carries its co-index mu+ (number of positive Hessian
 directions); a word of exponent d has mu = sum of co-indices + d*N_L and
@@ -20,7 +20,7 @@ cardinality q = number of factors.  Structure constants must shift mu by
 
 from itertools import product as _iproduct
 
-from .errors import BlockError, RangeError, ShapeError
+from .errors import BlockError, CapError, RangeError, ShapeError
 from .fields import field, typed
 from .signs import (
     delta_parity,
@@ -32,6 +32,13 @@ from .signs import (
 )
 
 _ROLE_SHIFT = {"m": 2, "h": 1, "k": 0}
+
+# Most generator tuples basis_words may list, all word lengths together.
+# A check holds up to about 6 KB per basis word in its delta memo, word
+# list and failing residues (peak RSS of dense failing random families at
+# q = 9; 1.3 KB for the polynomial family at q = 7), so the cap keeps one
+# check under about 600 MB.
+MAX_WORDS = 100_000
 
 
 class TruncationWindow:
@@ -70,6 +77,12 @@ class OperationFamily:
     """Immutable table of structure constants for one role.
 
     ``ops``: {arity: {input syms tuple: {(out sym, d): int coefficient}}}.
+    ``trie``: the same constants as a pattern trie.  A node is a pair
+    [children, terms]: children maps a symbol to the next node, and terms
+    lists, as (out sym, d, coef, labelled) tuples, the constants of the
+    pattern spelled by the path to the node, whose arity is its depth;
+    labelled says whether out sym carries an interval label.  The root's
+    terms are the arity-0 constants.
     """
 
     def __init__(
@@ -88,7 +101,10 @@ class OperationFamily:
         self.n = n
         self.NL = NL
         self.c = c
-        self.gens = {g.sym: g for g in generators}
+        self.gens, where = {}, {}
+        for t, g in enumerate(generators):
+            _refuse_repeat(where, "sym", g.sym, "generators[%d]" % t)
+            self.gens[g.sym] = g
         self.suspended = suspended
         table = {}
         missing = []
@@ -114,13 +130,22 @@ class OperationFamily:
                 % ", ".join("arity %d at %r" % mp for mp in missing)
             )
         self.ops = table
-        # read by delta once per word: the non-empty arity tables in
-        # ascending arity, each generator's co-index, the labelled symbols
-        self.tables = tuple((l, table[l]) for l in sorted(table) if table[l])
         self.coidx = {s: g.coidx for s, g in self.gens.items()}
         self.labelled = frozenset(s for s, g in self.gens.items() if g.label != "f")
-        self._arities = tuple(l for l, _ in self.tables)
+        self._arities = tuple(l for l in sorted(table) if table[l])
         self._validate()
+        self.trie = [{}, ()]
+        for rules in table.values():
+            for pattern, outs in rules.items():
+                if not outs:
+                    continue
+                node = self.trie
+                for sym in pattern:
+                    node = node[0].setdefault(sym, [{}, ()])
+                node[1] = tuple(
+                    (sym, d, coef, sym in self.labelled)
+                    for (sym, d), coef in outs.items()
+                )
 
     def _validate(self):
         for g in self.gens.values():
@@ -181,11 +206,33 @@ class OperationFamily:
             prev = j2
 
 
+def _tuple_count(n, qmax):
+    """n + n^2 + ... + n^qmax, in closed form.  For n >= 2, qmax is first
+    cut to the bit length of MAX_WORDS, where the sum already exceeds the
+    cap, so a huge qmax costs no huge power."""
+    if n <= 1:
+        return n * qmax
+    q = min(qmax, MAX_WORDS.bit_length())
+    return (n ** (q + 1) - n) // (n - 1)
+
+
 def basis_words(fam, window):
-    """All block-valid generator tuples with 1 <= q <= window.qmax."""
+    """All block-valid generator tuples with 1 <= q <= window.qmax.  More
+    than MAX_WORDS tuples raise CapError before any is built.  Without
+    interval labels every tuple is valid, so none is validated."""
     syms = sorted(fam.gens)
+    if _tuple_count(len(syms), window.qmax) > MAX_WORDS:
+        raise CapError(
+            "%d generators and qmax %d give more than %d words, above the cap"
+            % (len(syms), window.qmax, MAX_WORDS)
+        )
     out = []
+    if not syms:  # no word at all; the cap does not bound qmax here
+        return out
     for q in range(1, window.qmax + 1):
+        if not fam.labelled:
+            out.extend(_iproduct(syms, repeat=q))
+            continue
         for gens in _iproduct(syms, repeat=q):
             try:
                 fam.validate_word(gens)
@@ -292,10 +339,12 @@ def delta(fam, gens, d=0):
 def _delta(fam, gens, d=0):
     """delta on a word known to be valid, in the family's sign convention.
 
-    One pass over the family's arity tables: the degree sums of the word's
-    prefixes (of mu, or of mu - 1 when suspended) are summed once, and each
-    position j whose window has structure constants takes its parity from
-    signs.delta_parity.  An output word replaces a block of gens by one
+    The family's pattern trie is walked from each gap j before a symbol
+    of the word, and from the last gap, where only the root's arity-0
+    constants apply.  A node with constants reached after l symbols gives
+    the arity-l terms at position j: their parity is signs.delta_parity,
+    with the degree sum of gens[:j] (of mu, or of mu - 1 when suspended)
+    kept as a running sum.  An output word replaces a block of gens by one
     symbol; it is validated only when that symbol carries an interval
     label, since dropping labelled factors keeps the labels of a valid
     word in order."""
@@ -304,31 +353,37 @@ def _delta(fam, gens, d=0):
     Q = len(gens)
     suspended = fam.suspended
     shift = 1 if suspended else 0
-    prefix = [0]
-    for s in gens:
-        prefix.append(prefix[-1] + fam.coidx[s] - shift)
-    labelled = fam.labelled
+    coidx = fam.coidx
+    root = fam.trie
     out = {}
-    for l, rules in fam.tables:
-        if l > Q:
-            break
-        q_out = Q - l + 1
-        for j in range(q_out):
-            outs = rules.get(gens[j : j + l])
-            if not outs:
-                continue
-            negate = delta_parity(q_out, j + 1, l, prefix[j], suspended)
-            head, tail = gens[:j], gens[j + l :]
-            for (sym, dd), coef in outs.items():
-                new = head + (sym,) + tail
-                if sym in labelled:
-                    fam.validate_word(new)
-                key = (new, d + dd)
-                c = out.get(key, 0) + (-coef if negate else coef)
-                if c:
-                    out[key] = c
-                else:
-                    del out[key]
+    prefix = 0
+    for j in range(Q + 1):
+        node = root
+        k = j
+        while True:  # about 1.3x faster here than `for k in range(j, Q + 1)`
+            children, terms = node
+            if terms:
+                l = k - j
+                negate = delta_parity(Q - l + 1, j + 1, l, prefix, suspended)
+                head, tail = gens[:j], gens[k:]
+                for sym, dd, coef, labelled in terms:
+                    new = head + (sym,) + tail
+                    if labelled:
+                        fam.validate_word(new)
+                    key = (new, d + dd)
+                    c = out.get(key, 0) + (-coef if negate else coef)
+                    if c:
+                        out[key] = c
+                    else:
+                        del out[key]
+            if k == Q or not children:
+                break
+            node = children.get(gens[k])
+            if node is None:
+                break
+            k += 1
+        if j < Q:
+            prefix += coidx[gens[j]] - shift
     return out
 
 
@@ -406,9 +461,11 @@ def _run_over_words(check_name, fam, window, residue_fn):
     words = basis_words(fam, window)
     failures = []
     for gens in words:
-        residue = _truncate(residue_fn(gens), window.emax)
+        residue = residue_fn(gens)
         if residue:
-            failures.append(((gens, 0), residue))
+            residue = _truncate(residue, window.emax)
+            if residue:
+                failures.append(((gens, 0), residue))
     return Report(check_name, window, len(words), failures)
 
 
@@ -510,22 +567,26 @@ def check_unit(fam, unit_sym, window):
 _UNIT = {((), 0): 1}  # H of the empty word
 
 
-def _first_blocks(out, fam, gens, degs, d, tail, parity):
+def _first_blocks(out, fam, gens, d, tail, parity):
     """Add to ``out`` the terms fam_l(u) (x) tail(v) over the first blocks
     u = gens[:l] with constants in fam, a term whose tail has r factors
-    signed by (-1)^parity(l, D(u), r, |v|)."""
+    signed by (-1)^parity(l, D(u), r, |v|).  One trie walk from position 0
+    finds every such block, summing D(u) as it goes; the root's arity-0
+    constants are no block."""
     q = len(gens)
-    for l in fam.arities():
-        if not 0 < l <= q:  # a block has at least one input
+    node = fam.trie
+    head = 0
+    for l, s in enumerate(gens, 1):
+        node = node[0].get(s)
+        if node is None:
+            return
+        head += fam.coidx[s]
+        if not node[1]:
             continue
-        rules = fam.apply(l, gens[:l])
-        if not rules:
-            continue
-        head = sum(degs[:l])
         for (g2, d2), c2 in tail(gens[l:]).items():
             if parity(l, head, len(g2), q - l) % 2:
                 c2 = -c2
-            for (sym, dd), c in rules.items():
+            for sym, dd, c, _ in node[1]:
                 _add_term(out, (sym,) + g2, d + dd + d2, c * c2)
 
 
@@ -540,7 +601,7 @@ def _morphism_maps(hfam):
     def image(gens, d=0):
         out = {}
         _first_blocks(
-            out, hfam, gens, [hfam.mu(s) for s in gens], d, H,
+            out, hfam, gens, d, H,
             lambda l, head, r, nv: first_block_parity(l, head, r, r - nv),
         )
         return out
@@ -556,14 +617,13 @@ def _homotopy_maps(h1, kfam, H0):
         raise ShapeError("homotopy_K needs a k family")
 
     def image(gens, d=0):
-        degs = [kfam.mu(s) for s in gens]
         out = {}
         _first_blocks(
-            out, kfam, gens, degs, d, H0,
+            out, kfam, gens, d, H0,
             lambda l, head, r, nv: 1 + r + first_block_parity(l, head, r, r - nv),
         )
         _first_blocks(
-            out, h1, gens, degs, d, K,
+            out, h1, gens, d, K,
             lambda l, head, r, nv: l + first_block_parity(l, head, r, r - 1 - nv),
         )
         return out
@@ -754,11 +814,19 @@ def _out_term(o, at):
     )
 
 
+def _refuse_repeat(seen, what, key, at):
+    """Record that the entry at ``at`` has ``key``; a ShapeError naming
+    both entries if an earlier one has it too, which it would overwrite."""
+    if key in seen:
+        raise ShapeError("%s repeats the %s %r of %s" % (at, what, key, seen[key]))
+    seen[key] = at
+
+
 def family_from_obj(obj, role=None):
     """The family that ``obj``, in the form ``family_to_obj`` writes,
-    describes.  A field of another JSON type, a missing required field and
-    an arity that is not an integer are each a ShapeError that names the
-    field."""
+    describes.  A field of another JSON type, a missing required field, an
+    arity that is not an integer and an arity or input pattern given twice
+    are each a ShapeError that names the field."""
     all_ops = field(obj, "ops", dict, "family field ops", {})
     if role is None:
         if len(all_ops) != 1:
@@ -775,16 +843,18 @@ def family_from_obj(obj, role=None):
             )
         sym = field(g, "sym", str, at + ".sym")
         gens.append(Generator(sym, field(g, "coidx", int, at + ".coidx"), label))
-    ops = {}
+    ops, arity_at = {}, {}
     at = "family field ops." + role
     for l, rules in field(all_ops, role, dict, at).items():
         if not l.isdecimal():
             raise ShapeError("%s has arity %r, not an integer" % (at, l))
-        table = {}
+        _refuse_repeat(arity_at, "arity", int(l), "%s.%s" % (at, l))
+        table, rule_at = {}, {}
         for t, rule in enumerate(typed(rules, list, "%s.%s" % (at, l))):
             at_rule = "%s.%s[%d]" % (at, l, t)
             typed(rule, dict, at_rule)
             pattern = tuple(field(rule, "in", [str], at_rule + ".in"))
+            _refuse_repeat(rule_at, "input", pattern, at_rule)
             outs = field(rule, "out", list, at_rule + ".out", nullable=True)
             table[pattern] = None if outs is None else [
                 _out_term(o, "%s.out[%d]" % (at_rule, u)) for u, o in enumerate(outs)

@@ -8,7 +8,7 @@ from itertools import product
 import pytest
 
 from clustercx import barcx as B
-from clustercx.errors import BlockError, RangeError, ShapeError
+from clustercx.errors import BlockError, CapError, RangeError, ShapeError
 
 WINDOW = B.TruncationWindow(qmax=5, emax=8)
 
@@ -578,6 +578,168 @@ class TestReferenceOracle:
                 assert json.dumps(got.to_obj()) == json.dumps(want.to_obj())
                 failing += not got.passed
         assert failing >= 25
+
+
+def _delta_mismatches(fams, window):
+    """Words of the window where delta and _reference_delta differ, over
+    the families and each word at d = 0 and 1."""
+    return sum(
+        B.delta(fam, gens, d) != _reference_delta(fam, gens, d)
+        for fam in fams
+        for gens in B.basis_words(fam, window)
+        for d in (0, 1)
+    )
+
+
+def _random_m_families(seed, arities):
+    """Eight seeded random differential families, each plain and suspended."""
+    rng = random.Random(seed)
+    fams = [B.random_family(rng, arities=arities) for _ in range(8)]
+    return fams + [B.suspend(f) for f in fams]
+
+
+def _first_terminal(fam):
+    """The trie node of fam's first pattern (in sorted order) of arity >= 1
+    with constants."""
+    l, pattern = min(
+        (l, pat)
+        for l, rules in fam.ops.items()
+        if l
+        for pat, outs in rules.items()
+        if outs
+    )
+    node = fam.trie
+    for sym in pattern:
+        node = node[0][sym]
+    return node
+
+
+class TestPatternTrie:
+    @pytest.mark.parametrize("arities", [(1, 2, 3), (0, 1, 2)], ids=["1-3", "0-2"])
+    def test_delta_matches_reference(self, arities):
+        # arity-0 constants are the trie's root terms, applied at every gap
+        fams = _random_m_families(31, arities)
+        assert _delta_mismatches(fams, B.TruncationWindow(qmax=5)) == 0
+        nonzero = sum(
+            bool(B.delta(f, g)) for f in fams for g in B.basis_words(f, WINDOW)
+        )
+        assert nonzero > 3000
+
+    def test_trie_holds_every_constant(self, lib):
+        library = [lib[name] for name in ("polynomial", "exterior", "circle")]
+        labelled = _labelled(B.random_family(random.Random(34)), {"g1": (0, 1)}, 1)
+        for fam in library + [labelled] + _random_m_families(32, (0, 1, 2, 3)):
+            found = {}
+
+            def walk(node, pattern):
+                children, terms = node
+                for sym, d, coef, labelled in terms:
+                    found.setdefault(pattern, {})[(sym, d)] = coef
+                    assert labelled == (fam.gens[sym].label != "f")
+                for sym, child in children.items():
+                    walk(child, pattern + (sym,))
+
+            walk(fam.trie, ())
+            want = {
+                pat: outs for rules in fam.ops.values()
+                for pat, outs in rules.items() if outs
+            }
+            assert found == want
+
+    def test_negative_control_missing_terminal(self):
+        # the reference comparison sees a trie that lost one pattern's terms
+        fams = _random_m_families(31, (1, 2, 3))[:8]
+        for fam in fams:
+            _first_terminal(fam)[1] = ()
+        assert _delta_mismatches(fams, B.TruncationWindow(qmax=3)) > 0
+
+    def test_negative_control_unshifted_prefix(self):
+        # suspended prefix degrees read without the shift mu - 1
+        fams = _random_m_families(31, (1, 2, 3))[8:]
+        assert all(f.suspended for f in fams)
+        for fam in fams:
+            fam.coidx = {s: c + 1 for s, c in fam.coidx.items()}
+        assert _delta_mismatches(fams, B.TruncationWindow(qmax=3)) > 0
+
+    def test_first_blocks_skip_arity_zero(self):
+        # an h family whose only constant has arity 0: no first block
+        # exists, so H vanishes on every word
+        gens = [B.Generator("x", 0), B.Generator("y", 1)]
+        h = B.OperationFamily("h", gens, {0: {(): [("y", 0, 1)]}})
+        assert h.trie == [{}, (("y", 0, 1, False),)]
+        for word in B.basis_words(h, B.TruncationWindow(qmax=3)):
+            assert B.morphism_H(h, word) == {} == _reference_morphism_H(h, word)
+
+    def test_labelled_words_raise_as_the_reference(self):
+        # _reference_delta validates every rewrite, delta only those that
+        # write a labelled symbol: both raise on the same words
+        rng = random.Random(33)
+        labels = {"g1": (0, 1), "g2": (1, 2)}
+        raised = 0
+        for _ in range(6):
+            fam = _labelled(B.random_family(rng), labels, 2)
+            for m in (fam, B.suspend(fam)):
+                for gens in B.basis_words(m, B.TruncationWindow(qmax=4)):
+                    try:
+                        want = _reference_delta(m, gens)
+                    except BlockError:
+                        with pytest.raises(BlockError):
+                            B.delta(m, gens)
+                        raised += 1
+                        continue
+                    assert B.delta(m, gens) == want
+        assert raised > 100
+
+    def test_mid_word_rewrite_out_of_order(self):
+        # m sends the middle x of (u, x, x) to v (0, 1), after u (1, 2)
+        _, _, m = _interval_families()
+        with pytest.raises(BlockError, match=r"out of order: 2 then \(0, 1\)"):
+            B.delta(m, ("u", "x", "x"))
+        with pytest.raises(BlockError, match=r"out of order: 2 then \(0, 1\)"):
+            _reference_delta(m, ("u", "x", "x"))
+        assert B.delta(m, ("x", "x", "u")) == _reference_delta(m, ("x", "x", "u"))
+
+    @pytest.mark.parametrize("name", ["polynomial", "exterior", "circle"])
+    @pytest.mark.parametrize("qmax", [1, 4, 7])
+    def test_unlabelled_words_match_validating_path(self, lib, name, qmax):
+        fam = lib[name]
+        assert not fam.labelled
+        syms = sorted(fam.gens)
+        validated = []
+        for q in range(1, qmax + 1):
+            for gens in product(syms, repeat=q):
+                fam.validate_word(gens)
+                validated.append(gens)
+        assert B.basis_words(fam, B.TruncationWindow(qmax=qmax)) == validated
+
+
+class TestWordCap:
+    def test_window_just_under_the_cap(self, lib):
+        # 5 + 25 + ... + 5^7 = 97,655 words are listed, 5^8 more are not
+        fam = lib["polynomial"]
+        assert len(B.basis_words(fam, B.TruncationWindow(qmax=7))) == 97655 <= B.MAX_WORDS
+        with pytest.raises(CapError, match="above the cap"):
+            B.basis_words(fam, B.TruncationWindow(qmax=8))
+
+    def test_cap_is_inclusive(self, lib, monkeypatch):
+        # 5 + 25 words: a check of exactly MAX_WORDS words runs
+        fam = lib["polynomial"]
+        monkeypatch.setattr(B, "MAX_WORDS", 30)
+        assert B.check_a_infinity(fam, B.TruncationWindow(qmax=2)).n_words == 30
+        monkeypatch.setattr(B, "MAX_WORDS", 29)
+        with pytest.raises(CapError):
+            B.check_a_infinity(fam, B.TruncationWindow(qmax=2))
+
+    @pytest.mark.parametrize("n_gens", [0, 1, 2, 5])
+    def test_huge_qmax_refused_at_once(self, n_gens):
+        gens = [B.Generator("g%d" % i, 0) for i in range(n_gens)]
+        fam = B.OperationFamily("m", gens, {})
+        window = B.TruncationWindow(qmax=10**12)
+        if n_gens == 0:
+            assert B.basis_words(fam, window) == []
+        else:
+            with pytest.raises(CapError):
+                B.basis_words(fam, window)
 
 
 class TestNegativeControls:

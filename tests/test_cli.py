@@ -222,6 +222,27 @@ class TestChecks:
         code, out = run(capsys, *argv, "--emax", "-1")
         assert code == 1 and json.loads(out)["error"] == "RangeError"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check-ainf", "@polynomial"],
+            ["check-morphism", "--morphism", "@id_h", "--source", "@polynomial",
+             "--target", "@polynomial"],
+            ["check-homotopy", "--h0", "@id_h", "--h1", "@id_h", "--homotopy",
+             "@zero_k", "--source", "@polynomial", "--target", "@polynomial"],
+        ],
+        ids=["check-ainf", "check-morphism", "check-homotopy"],
+    )
+    def test_word_cap_refused_at_once(self, capsys, family_files, argv):
+        # 5 + 5^2 + ... + 5^40 words would be listed one by one
+        argv = [family_files[a[1:]] if a.startswith("@") else a for a in argv]
+        started = time.perf_counter()
+        code, out = run(capsys, *argv, "--qmax", "40", "--json")
+        assert time.perf_counter() - started < 1.0
+        assert code == 1
+        obj = json.loads(out)
+        assert obj["error"] == "CapError" and "above the cap" in obj["detail"]
+
     def test_jobs_flag(self, capsys, family_files):
         code, _ = run(
             capsys,
@@ -765,6 +786,28 @@ REFUSED = {
     "reduce gen-II complex_nodes '1'": _surgery(type="gen-II", complex_nodes="1"),
 }
 
+_A = {"sym": "a", "coidx": 0}
+_AA = {"in": ["a", "a"], "out": [{"sym": "a", "d": 0, "coef": 1}]}
+# family files with a repeated entry, which used to overwrite the earlier
+# one silently, and the two entries the ShapeError must name
+REPEATED = {
+    "check-ainf repeated pattern": (
+        {"generators": [_A], "ops": {"m": {"2": [_AA, {"in": ["a", "a"], "out": []}]}}},
+        ["family field ops.m.2[1]", "family field ops.m.2[0]"],
+    ),
+    "check-ainf repeated generator": (
+        {"generators": [_A, {"sym": "b", "coidx": 0}, _A], "ops": {"m": {"2": [_AA]}}},
+        ["generators[0]", "generators[2]"],
+    ),
+    "check-ainf repeated arity": (
+        {"generators": [_A], "ops": {"m": {"2": [_AA], "02": []}}},
+        ["family field ops.m.02", "family field ops.m.2"],
+    ),
+}
+REFUSED.update(
+    (case, (["check-ainf", "F"], obj, "ShapeError")) for case, (obj, _) in REPEATED.items()
+)
+
 
 class TestRefusedInputs:
     @pytest.mark.parametrize("case", sorted(REFUSED))
@@ -786,6 +829,16 @@ class TestRefusedInputs:
         started = time.perf_counter()
         self.test_refused(capsys, tmp_path, case)
         assert time.perf_counter() - started < 1.0
+
+    @pytest.mark.parametrize("case", sorted(REPEATED))
+    def test_repeated_entry_names_both(self, capsys, tmp_path, case):
+        obj, names = REPEATED[case]
+        p = tmp_path / "fam.json"
+        p.write_text(json.dumps(obj))
+        code, out = run(capsys, "check-ainf", str(p), "--json")
+        assert code == 1
+        detail = json.loads(out)["detail"]
+        assert all(name in detail for name in names), detail
 
     def test_not_json_names_the_file(self, capsys, tmp_path):
         p = tmp_path / "broken.json"
