@@ -319,6 +319,26 @@ def _once(fn, known=()):
     return word_map
 
 
+class _SelfMap:
+    """The word map gens -> image(gens, 0, self) of a first-block sum,
+    computing each word once while the map lives; ``known`` gives images
+    fixed in advance.  image reaches the map's images of shorter words
+    through its argument, not through a closure over the map, so no
+    reference cycle keeps the images alive after the checker drops it."""
+
+    __slots__ = ("_image", "_images")
+
+    def __init__(self, image, known):
+        self._image = image
+        self._images = dict(known)
+
+    def __call__(self, gens):
+        out = self._images.get(gens)
+        if out is None:
+            out = self._images[gens] = self._image(gens, 0, self)
+        return out
+
+
 # -- the word differential ---------------------------------------------------
 
 
@@ -598,7 +618,7 @@ def _morphism_maps(hfam):
     if hfam.role != "h":
         raise ShapeError("morphism_H needs an h family")
 
-    def image(gens, d=0):
+    def image(gens, d, H):
         out = {}
         _first_blocks(
             out, hfam, gens, d, H,
@@ -606,8 +626,8 @@ def _morphism_maps(hfam):
         )
         return out
 
-    H = _once(image, {(): _UNIT})
-    return image, H
+    H = _SelfMap(image, {(): _UNIT})
+    return (lambda gens, d=0: image(gens, d, H)), H
 
 
 def _homotopy_maps(h1, kfam, H0):
@@ -616,7 +636,7 @@ def _homotopy_maps(h1, kfam, H0):
     if kfam.role != "k":
         raise ShapeError("homotopy_K needs a k family")
 
-    def image(gens, d=0):
+    def image(gens, d, K):
         out = {}
         _first_blocks(
             out, kfam, gens, d, H0,
@@ -628,8 +648,8 @@ def _homotopy_maps(h1, kfam, H0):
         )
         return out
 
-    K = _once(image, {(): {}})
-    return image, K
+    K = _SelfMap(image, {(): {}})
+    return (lambda gens, d=0: image(gens, d, K)), K
 
 
 def morphism_H(hfam, gens, d=0):

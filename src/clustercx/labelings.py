@@ -195,20 +195,25 @@ def _color_walk(tree):
     both in preorder."""
     regions = {}
     paths = []
-
-    def walk(v, path, seen):
-        # seen: a colored vertex lies strictly below v
-        if v[1] and not seen:
-            paths.append([path[:j] for j in range(1, len(path) + 1)])
-        here = seen or v[1]
-        for idx, s in enumerate(v[2]):
-            if type(s) is tuple:
-                e = path + (idx,)
-                regions[e] = "above" if here else "touch" if s[1] else "below"
-                walk(s, e, here)
-
-    walk(tree.root, (), False)
+    _walk_colors(tree.root, (), False, regions, paths)
     return regions, paths
+
+
+# Recursive walks are module functions here, not nested ones: a nested
+# function that calls itself is a reference cycle, which only the garbage
+# collector frees, on every call.
+
+
+def _walk_colors(v, path, seen, regions, paths):
+    # seen: a colored vertex lies strictly below v
+    if v[1] and not seen:
+        paths.append([path[:j] for j in range(1, len(path) + 1)])
+    here = seen or v[1]
+    for idx, s in enumerate(v[2]):
+        if type(s) is tuple:
+            e = path + (idx,)
+            regions[e] = "above" if here else "touch" if s[1] else "below"
+            _walk_colors(s, e, here, regions, paths)
 
 
 def _colored_paths(tree):
@@ -275,20 +280,6 @@ def _contraction_fold(t1, t2, witness):
     contracted edges from e up to a colored vertex (none when e's top
     vertex is itself colored)."""
     witness, emap = _check_witness(t1, t2, witness)
-
-    def ups_from(v, path):
-        out = []
-        for idx, item in enumerate(v[2]):
-            if item == LEAF:
-                continue
-            e = path + (idx,)
-            if e in witness:
-                if item[1]:
-                    out.append([e])
-                else:
-                    out.extend([e] + c for c in ups_from(item, e))
-        return out
-
     fold = []
     for e, new_e in emap.items():
         down = [e]
@@ -297,8 +288,24 @@ def _contraction_fold(t1, t2, witness):
             down.append(below)
             below = below[:-1]
         top = t2.vertex_at(e)
-        fold.append((new_e, down, [] if top[1] else ups_from(top, e)))
+        fold.append((new_e, down, [] if top[1] else _ups_from(top, e, witness)))
     return fold
+
+
+def _ups_from(v, path, witness):
+    """The chains of witness edges from the vertex v at path up to a
+    colored vertex."""
+    out = []
+    for idx, item in enumerate(v[2]):
+        if item == LEAF:
+            continue
+        e = path + (idx,)
+        if e in witness:
+            if item[1]:
+                out.append([e])
+            else:
+                out.extend([e] + c for c in _ups_from(item, e, witness))
+    return out
 
 
 def restrict_balanced(lab, t1, t2, witness=None):
@@ -483,24 +490,26 @@ def _marking_sequence(tree):
     gap between markings j and j + 1 that separates its two branches."""
     seq = []
     meets = {}
-    leaves = 0
-
-    def rec(v, prefix):
-        nonlocal leaves
-        if v[0] == 1 and not v[2]:
-            seq.append(("z", prefix))
-            return
-        for idx, item in enumerate(v[2]):
-            if idx == 1 and len(v[2]) == 2:
-                meets[prefix] = len(seq) - 1
-            if item == LEAF:
-                leaves += 1
-                seq.append(("x", leaves))
-            else:
-                rec(item, prefix + (idx,))
-
-    rec(tree.root, ())
+    _mark(tree.root, (), seq, meets, 0)
     return seq, meets
+
+
+def _mark(v, prefix, seq, meets, leaves):
+    """Append the markings of the subtree v at ``prefix``, its leaves
+    numbered from leaves + 1, and record its meets; the leaf count after
+    it."""
+    if v[0] == 1 and not v[2]:
+        seq.append(("z", prefix))
+        return leaves
+    for idx, item in enumerate(v[2]):
+        if idx == 1 and len(v[2]) == 2:
+            meets[prefix] = len(seq) - 1
+        if item == LEAF:
+            leaves += 1
+            seq.append(("x", leaves))
+        else:
+            leaves = _mark(item, prefix + (idx,), seq, meets, leaves)
+    return leaves
 
 
 def _is_chart_maximal(tree):

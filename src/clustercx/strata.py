@@ -432,37 +432,38 @@ def _corner_orderings(tree, perm):
     A leafless branch has no key, so it raises ShapeError.
     """
     orderings = []
-    leaves = 0
+    return orderings, _corner_walk(tree.root, (), perm, orderings, 0)[1]
 
-    def walk(v, path):
-        """(key, grafted leaf numbers) of the subtree v at path."""
-        nonlocal leaves
-        at = len(orderings)
-        orderings.append(None)
-        keys, groups = [], []
-        for idx, item in enumerate(v[2]):
-            if item == LEAF:
-                leaves += 1
-                key, group = perm[leaves - 1], [leaves]
-            else:
-                key, group = walk(item, path + (idx,))
-                if key is None:
-                    raise ShapeError(
-                        "branch at %r has no leaves, so the minimum rule "
-                        "gives it no ordering key" % (path + (idx,),)
-                    )
-            keys.append(key)
-            groups.append(group)
-        ranked = sorted(range(len(keys)), key=keys.__getitem__)
-        order = [0] * len(keys)
-        grafted = []
-        for rank, t in enumerate(ranked, start=1):
-            order[t] = rank
-            grafted += groups[t]
-        orderings[at] = tuple(order)
-        return (keys[ranked[0]] if keys else None), grafted
 
-    return orderings, walk(tree.root, ())[1]
+def _corner_walk(v, path, perm, orderings, leaves):
+    """(key, grafted leaf numbers) of the subtree v at path, whose leaves
+    are numbered from leaves + 1; its vertices' orderings are appended to
+    ``orderings`` in preorder."""
+    at = len(orderings)
+    orderings.append(None)
+    keys, groups = [], []
+    for idx, item in enumerate(v[2]):
+        if item == LEAF:
+            leaves += 1
+            key, group = perm[leaves - 1], [leaves]
+        else:
+            key, group = _corner_walk(item, path + (idx,), perm, orderings, leaves)
+            if key is None:
+                raise ShapeError(
+                    "branch at %r has no leaves, so the minimum rule "
+                    "gives it no ordering key" % (path + (idx,),)
+                )
+            leaves += len(group)
+        keys.append(key)
+        groups.append(group)
+    ranked = sorted(range(len(keys)), key=keys.__getitem__)
+    order = [0] * len(keys)
+    grafted = []
+    for rank, t in enumerate(ranked, start=1):
+        order[t] = rank
+        grafted += groups[t]
+    orderings[at] = tuple(order)
+    return (keys[ranked[0]] if keys else None), grafted
 
 
 # -- symmetric tile complex ----------------------------------------------

@@ -206,18 +206,23 @@ def _colored_leaves(v, seen):
 
 def replace_vertex(tree, path, new_v):
     """The tree with the vertex at ``path`` replaced by ``new_v``."""
+    return PlanarTree(_replaced(tree.root, path, 0, new_v))
 
-    def rec(v, depth):
-        if depth == len(path):
-            return new_v
-        i, col, slots = v
-        idx = path[depth]
-        slots = (
-            slots[:idx] + (rec(slots[idx], depth + 1),) + slots[idx + 1 :]
-        )
-        return vertex(i, col, slots)
 
-    return PlanarTree(rec(tree.root, 0))
+# Recursive walks are module functions here, not nested ones: a nested
+# function that calls itself is a reference cycle, which only the garbage
+# collector frees, on every call.
+
+
+def _replaced(v, path, depth, new_v):
+    if depth == len(path):
+        return new_v
+    i, col, slots = v
+    idx = path[depth]
+    slots = (
+        slots[:idx] + (_replaced(slots[idx], path, depth + 1, new_v),) + slots[idx + 1 :]
+    )
+    return vertex(i, col, slots)
 
 
 # -- enumeration --------------------------------------------------------
@@ -515,30 +520,31 @@ def contract_set(tree, edge_set):
             raise EdgeError("%r is not an interior edge" % (e,))
 
     emap = {}
-
-    def splice(v, old, new, slots):
-        """Append the slots of v, the vertex at old path ``old``, to
-        ``slots``, the slot list of the new vertex at ``new``: children in
-        edge_set are spliced in too, the others become new vertices.
-        Returns v's marks and color merged with the spliced children's."""
-        i, col = v[0], v[1]
-        for idx, item in enumerate(v[2]):
-            path = old + (idx,)
-            if item == LEAF:
-                slots.append(LEAF)
-            elif path in edge_set:
-                ci, ccol = splice(item, path, new, slots)
-                i, col = i + ci, col or ccol
-            else:
-                emap[path] = new_path = new + (len(slots),)
-                sub = []
-                ci, ccol = splice(item, path, new_path, sub)
-                slots.append(vertex(ci, ccol, sub))
-        return i, col
-
     root = []
-    i, col = splice(tree.root, (), (), root)
+    i, col = _splice(tree.root, (), (), root, edge_set, emap)
     return PlanarTree(vertex(i, col, root)), emap
+
+
+def _splice(v, old, new, slots, edge_set, emap):
+    """Append the slots of v, the vertex at old path ``old``, to ``slots``,
+    the slot list of the new vertex at ``new``: children in edge_set are
+    spliced in too, the others become new vertices, their paths recorded
+    in ``emap``.  Returns v's marks and color merged with the spliced
+    children's."""
+    i, col = v[0], v[1]
+    for idx, item in enumerate(v[2]):
+        path = old + (idx,)
+        if item == LEAF:
+            slots.append(LEAF)
+        elif path in edge_set:
+            ci, ccol = _splice(item, path, new, slots, edge_set, emap)
+            i, col = i + ci, col or ccol
+        else:
+            emap[path] = new_path = new + (len(slots),)
+            sub = []
+            ci, ccol = _splice(item, path, new_path, sub, edge_set, emap)
+            slots.append(vertex(ci, ccol, sub))
+    return i, col
 
 
 def contract(tree, edge):
@@ -584,16 +590,17 @@ def leq(t1, t2):
 
 
 def to_obj(tree):
-    def enc(v):
-        i, col, slots = v
-        return {
-            "b": sum(1 for s in slots if s == LEAF),
-            "i": i,
-            "col": col,
-            "children": [LEAF if s == LEAF else enc(s) for s in slots],
-        }
+    return _enc(tree.root)
 
-    return enc(tree.root)
+
+def _enc(v):
+    i, col, slots = v
+    return {
+        "b": sum(1 for s in slots if s == LEAF),
+        "i": i,
+        "col": col,
+        "children": [LEAF if s == LEAF else _enc(s) for s in slots],
+    }
 
 
 def from_obj(obj):
@@ -601,19 +608,19 @@ def from_obj(obj):
     missing ``i`` is 0 and a missing ``col`` false.  ShapeError unless each
     node is an object with a list of children ("x" or nodes), an integer
     ``i`` and a boolean ``col``; RangeError on a negative ``i``."""
+    return PlanarTree(_dec(obj))
 
-    def dec(o):
-        typed(o, dict, "a tree node")
-        i = field(o, "i", int, "a tree node's i", 0)
-        col = field(o, "col", bool, "a tree node's col", False)
-        children = field(o, "children", list, "a tree node's children", [])
-        if i < 0:
-            raise RangeError("i must be nonnegative (got i=%d)" % i)
-        slots = [LEAF if c == LEAF else dec(c) for c in children]
-        b = slots.count(LEAF)
-        given = field(o, "b", int, "a tree node's b", b)
-        if given != b:
-            raise OrderError("leaf count b=%r disagrees with children" % given)
-        return vertex(i, col, slots)
 
-    return PlanarTree(dec(obj))
+def _dec(o):
+    typed(o, dict, "a tree node")
+    i = field(o, "i", int, "a tree node's i", 0)
+    col = field(o, "col", bool, "a tree node's col", False)
+    children = field(o, "children", list, "a tree node's children", [])
+    if i < 0:
+        raise RangeError("i must be nonnegative (got i=%d)" % i)
+    slots = [LEAF if c == LEAF else _dec(c) for c in children]
+    b = slots.count(LEAF)
+    given = field(o, "b", int, "a tree node's b", b)
+    if given != b:
+        raise OrderError("leaf count b=%r disagrees with children" % given)
+    return vertex(i, col, slots)
