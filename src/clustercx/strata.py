@@ -18,7 +18,7 @@ is relative to that product orientation.
 import json
 import math
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 from . import trees
 from .errors import GhostCornerError, ShapeError, StabilityError
@@ -240,78 +240,78 @@ def facet_kind(stratum):
 # -- boundary faces with orientation signs -------------------------------
 
 
-def _splits_of_vertex(v):
-    """All one-step refinements of a single vertex.
+def _face_walk(v, path, out):
+    """Append (path, vertex, pre) for each vertex of the subtree at ``v``
+    to ``out`` in preorder, where pre[j] is the total dimension of the
+    subtree factors in the vertex's slots[:j]; return the subtree's
+    dimension."""
+    pre = [0]
+    out.append((path, v, pre))
+    for idx, x in enumerate(v[2]):
+        d = _face_walk(x, path + (idx,), out) if type(x) is tuple else 0
+        pre.append(pre[-1] + d)
+    return pre[-1] + vertex_dim(v)
+
+
+def _splits_of_vertex(v, pre):
+    """All stable one-step refinements of a single vertex.
 
     Yields (new_vertex, sign) where new_vertex replaces v and sign is the
     facet sign of the split times the sign of moving each new child factor
-    past the subtree factors of the slots before it, into preorder.
+    past the subtree factors of the slots before it, into preorder.  pre[j]
+    is the total dimension of the subtree factors in slots[:j], as
+    ``_face_walk`` records it.
     """
     i, col, slots = v
     s = len(slots)
-    # pre[j]: total dimension of the subtree factors in slots[:j]
-    pre = [0]
-    for x in slots:
-        pre.append(pre[-1] if x == LEAF else pre[-1] + _subtree_factor_dim(x))
-    # bubble: a consecutive window becomes an uncolored child; v keeps its
-    # color (a plain split, or the lower facet shape on a colored vertex)
+    # bubble: a window of w slots becomes an uncolored child with ib marks;
+    # v keeps its color (a plain split, or the lower facet shape).  The child
+    # is stable iff w + 2*ib >= 2, the rest iff (s - w + 2) + 2*(i - ib) >= 2
+    # (colored) or 3; the child's dimension w - 2 + 2*ib has the parity of w.
     facet_sign = sign_lower_quilt if col else sign_concat
+    need = 2 if col else 3
     for w in range(s + 1):
+        lo = 1 if w < 2 else 0
+        hi = i - max(0, (need - s + w - 1) // 2)
+        if lo > hi:
+            continue
         for a in range(s - w + 1):
-            for ib in range(i + 1):
-                vb = vertex(ib, False, slots[a : a + w])
-                va = vertex(i - ib, col, slots[:a] + (vb,) + slots[a + w :])
-                if not (
-                    trees._stable_vertex(va) and trees._stable_vertex(vb)
-                ):
-                    continue
-                sign = facet_sign(s - w + 1, a + 1, w)
-                yield va, -sign if pre[a] * vertex_dim(vb) % 2 else sign
+            sign = facet_sign(s - w + 1, a + 1, w)
+            if pre[a] & w & 1:
+                sign = -sign
+            head, window, tail = slots[:a], slots[a : a + w], slots[a + w :]
+            for ib in range(lo, hi + 1):
+                yield (i - ib, col, head + ((ib, False, window),) + tail), sign
     if not col:
         return
     # seam split (upper facet shape): the slots cut into consecutive blocks
     # under a new uncolored hub.  A block that is one leafless child stays
     # on the hub as it is (colored, it would break the colored axiom); every
-    # other block becomes a colored child.  A colored vertex has a leaf
-    # above it, so at least one block is colored.
+    # other block becomes a colored child, stable over its non-empty block,
+    # of dimension w - 1 + 2*m for w slots and m marks: even for w = 1, so
+    # the sign may sum over the kept blocks too.  A colored vertex has a
+    # leaf above it, so at least one block is colored.  The marks are dealt
+    # out at cut points ``at``; the hub takes the first share and is stable
+    # iff nb + 2 * marks[0] >= 2.
+    leafless = [type(x) is tuple and not trees._count_leaves(x) for x in slots]
     for nb in range(1, s + 1):
         for cuts in combinations(range(1, s), nb - 1):
             bounds = (0,) + cuts + (s,)
-            blocks = [slots[bounds[t] : bounds[t + 1]] for t in range(nb)]
-            kept = [
-                len(b) == 1
-                and isinstance(b[0], tuple)
-                and not trees._count_leaves(b[0])
-                for b in blocks
-            ]
-            n_colored = kept.count(False)
-            upper = sign_upper_quilt([len(b) for b in blocks])
-            for marks in _distribute(i, n_colored + 1):
-                child_marks = iter(marks[1:])
-                hub_slots = []
-                corr = 0
-                stable = True
-                for b, keep, start in zip(blocks, kept, bounds):
-                    if keep:
-                        hub_slots.append(b[0])
-                    else:
-                        c = vertex(next(child_marks), True, b)
-                        stable = stable and trees._stable_vertex(c)
-                        corr += vertex_dim(c) * pre[start]
-                        hub_slots.append(c)
-                va = vertex(marks[0], False, hub_slots)
-                if not (stable and trees._stable_vertex(va)):
+            blocks = [(slots[x:y], x) for x, y in zip(bounds, bounds[1:])]
+            kept = [len(b) == 1 and leafless[x] for b, x in blocks]
+            upper = sign_upper_quilt([len(b) for b, _ in blocks])
+            if sum((len(b) + 1) * pre[x] for b, x in blocks) & 1:
+                upper = -upper
+            for at in combinations_with_replacement(range(i + 1), kept.count(False)):
+                marks = [y - x for x, y in zip((0,) + at, at + (i,))]
+                if nb + 2 * marks[0] < 2:
                     continue
-                yield va, -upper if corr % 2 else upper
-
-
-def _distribute(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _distribute(total - first, parts - 1):
-            yield (first,) + rest
+                child_marks = iter(marks[1:])
+                hub = tuple(
+                    b[0] if keep else (next(child_marks), True, b)
+                    for (b, _), keep in zip(blocks, kept)
+                )
+                yield (marks[0], False, hub), upper
 
 
 def boundary_faces(stratum):
@@ -323,16 +323,18 @@ def boundary_faces(stratum):
     """
     fam = stratum.family
     tree = stratum.tree
+    walk = []
+    _face_walk(tree.root, (), walk)
     out = []
     prefix = 0
-    for path, v in tree.vertices():
-        for va, sign in _splits_of_vertex(v):
+    for path, v, pre in walk:
+        for va, sign in _splits_of_vertex(v, pre):
             cand = Stratum(
                 fam, trees.replace_vertex(tree, path, va), stratum.perm
             )
             if fam == "Q" and not cand.tree.check_colored_axiom():
                 continue
-            out.append((cand, -sign if prefix % 2 else sign))
+            out.append((cand, -sign if prefix & 1 else sign))
         prefix += vertex_dim(v)
     return out
 

@@ -219,10 +219,8 @@ def _replaced(v, path, depth, new_v):
         return new_v
     i, col, slots = v
     idx = path[depth]
-    slots = (
-        slots[:idx] + (_replaced(slots[idx], path, depth + 1, new_v),) + slots[idx + 1 :]
-    )
-    return vertex(i, col, slots)
+    new_v = _replaced(slots[idx], path, depth + 1, new_v)
+    return (i, col, slots[:idx] + (new_v,) + slots[idx + 1 :])
 
 
 # -- enumeration --------------------------------------------------------

@@ -170,8 +170,10 @@ def test_split_candidates(l, k, candidates, rejected):
     seen = bad = 0
     for e in range(2 * l + 2 * k + 1):
         for t in trees.enumerate_colored_types(l, k, e):
-            for path, v in t.vertices():
-                for va, _ in strata._splits_of_vertex(v):
+            walk = []
+            strata._face_walk(t.root, (), walk)
+            for path, v, pre in walk:
+                for va, _ in strata._splits_of_vertex(v, pre):
                     cand = trees.replace_vertex(t, path, va)
                     seen += 1
                     bad += not assert_walk_facts(cand)

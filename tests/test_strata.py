@@ -4,7 +4,7 @@ import hashlib
 import json
 from collections import Counter
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations, product
 from math import comb
 
 import pytest
@@ -254,6 +254,174 @@ class TestBoundary:
         assert strata.boundary_squares_to_zero("Q", 3, 0)
         for l, k in [(2, 1), (3, 1), (1, 2), (2, 2)]:
             assert strata.boundary_squares_to_zero("Q", l, k), (l, k)
+        assert strata.boundary_squares_to_zero("K", 7, 0)
+        assert strata.boundary_squares_to_zero("K", 3, 2)
+        for l, k in [(5, 0), (1, 3), (4, 1)]:
+            assert strata.boundary_squares_to_zero("Q", l, k), (l, k)
+
+
+def _reference_dim(v):
+    """The dimension of the subtree at v, summed over its vertices."""
+    return sum(strata.vertex_dim(u) for _, u in PlanarTree(v).vertices())
+
+
+def _reference_pre(slots):
+    """pre[j]: the total dimension of the subtrees in slots[:j]."""
+    pre = [0]
+    for x in slots:
+        pre.append(pre[-1] if x == LEAF else pre[-1] + _reference_dim(x))
+    return pre
+
+
+def _compositions(total, parts):
+    """Every way to write total as an ordered sum of parts nonnegative
+    terms, in lexicographic order."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def _reference_splits(v):
+    """``strata._splits_of_vertex`` as it was first written: build every
+    bubble and seam candidate with ``trees.vertex``, then drop those with
+    an unstable vertex."""
+    i, col, slots = v
+    s = len(slots)
+    pre = _reference_pre(slots)
+    facet_sign = signs.sign_lower_quilt if col else signs.sign_concat
+    for w in range(s + 1):
+        for a in range(s - w + 1):
+            for ib in range(i + 1):
+                vb = vertex(ib, False, slots[a : a + w])
+                va = vertex(i - ib, col, slots[:a] + (vb,) + slots[a + w :])
+                if not (trees._stable_vertex(va) and trees._stable_vertex(vb)):
+                    continue
+                sign = facet_sign(s - w + 1, a + 1, w)
+                yield va, -sign if pre[a] * strata.vertex_dim(vb) % 2 else sign
+    if not col:
+        return
+    for nb in range(1, s + 1):
+        for cuts in combinations(range(1, s), nb - 1):
+            bounds = (0,) + cuts + (s,)
+            blocks = [slots[bounds[t] : bounds[t + 1]] for t in range(nb)]
+            kept = [
+                len(b) == 1 and isinstance(b[0], tuple) and not trees._count_leaves(b[0])
+                for b in blocks
+            ]
+            upper = signs.sign_upper_quilt([len(b) for b in blocks])
+            for marks in _compositions(i, kept.count(False) + 1):
+                child_marks = iter(marks[1:])
+                hub_slots = []
+                corr = 0
+                stable = True
+                for b, keep, start in zip(blocks, kept, bounds):
+                    if keep:
+                        hub_slots.append(b[0])
+                    else:
+                        c = vertex(next(child_marks), True, b)
+                        stable = stable and trees._stable_vertex(c)
+                        corr += strata.vertex_dim(c) * pre[start]
+                        hub_slots.append(c)
+                va = vertex(marks[0], False, hub_slots)
+                if stable and trees._stable_vertex(va):
+                    yield va, -upper if corr % 2 else upper
+
+
+# slot kinds: a leaf, leafless children of even and odd dimension, and
+# leafy children of even and odd dimension
+_BARE = vertex(1, False, ())
+_SLOT_KINDS = (
+    LEAF,
+    _BARE,
+    vertex(1, False, (_BARE,)),
+    vertex(0, False, (LEAF, LEAF)),
+    vertex(0, False, (LEAF, LEAF, LEAF)),
+)
+
+
+def _slot_fills(s):
+    """Every sequence of s slot kinds for s <= 4; above that, the fills
+    that step through the kinds with each stride, from each start, so
+    every kind still meets every position."""
+    n = len(_SLOT_KINDS)
+    if s <= 4:
+        return list(product(_SLOT_KINDS, repeat=s))
+    fills = {
+        tuple(_SLOT_KINDS[(q + p * j) % n] for j in range(s))
+        for p in range(n)
+        for q in range(n)
+    }
+    return sorted(fills, key=repr)
+
+
+class TestSplitOracle:
+    @pytest.mark.parametrize("s", range(7))
+    def test_same_splits_in_the_same_order(self, s):
+        """Every vertex with s slots, at most 3 marks and either color."""
+        for slots in _slot_fills(s):
+            for i in range(4):
+                for col in (False, True):
+                    v = vertex(i, col, slots)
+                    new = strata._splits_of_vertex(v, _reference_pre(slots))
+                    assert list(new) == list(_reference_splits(v)), v
+
+    @pytest.mark.parametrize("family, l, k", [("K", 5, 0), ("Q", 3, 1)])
+    def test_walk_matches_the_preorder(self, family, l, k):
+        """The one walk behind boundary_faces: the preorder's (path,
+        vertex) pairs, each with the prefix sums of its slots' subtree
+        dimensions."""
+        for st in strata.face_poset(family, l, k).strata:
+            walk = []
+            assert strata._face_walk(st.tree.root, (), walk) == st.dim
+            assert [(p, v) for p, v, _ in walk] == st.tree.vertices()
+            for _, v, pre in walk:
+                assert pre == _reference_pre(v[2])
+
+
+def _bubble_of_first_two(v, va):
+    """An uncolored three-slot vertex whose first two slots bubble off."""
+    ib = v[0] - va[0]
+    return not v[1] and len(v[2]) == 3 and va[2] == (
+        vertex(ib, False, v[2][:2]),
+        v[2][2],
+    )
+
+
+def _seam_in_two(v, va):
+    """A colored two-slot vertex cut into two blocks under a hub."""
+    return v[1] and not va[1] and len(v[2]) == 2 and len(va[2]) == 2
+
+
+class TestBoundaryNegativeControl:
+    """With the sign of one split shape negated, the boundary no longer
+    squares to zero."""
+
+    @pytest.mark.parametrize(
+        "shape, family, l, k",
+        [
+            (_bubble_of_first_two, "K", 5, 0),
+            (_bubble_of_first_two, "Q", 3, 1),
+            (_seam_in_two, "Q", 3, 1),
+        ],
+    )
+    def test_one_flipped_sign_breaks_d_squared(self, monkeypatch, shape, family, l, k):
+        splits = strata._splits_of_vertex
+        flipped = []
+
+        def wrong(v, pre):
+            for va, sign in splits(v, pre):
+                if shape(v, va):
+                    flipped.append(va)
+                    sign = -sign
+                yield va, sign
+
+        assert strata.boundary_squares_to_zero(family, l, k)
+        monkeypatch.setattr(strata, "_splits_of_vertex", wrong)
+        assert not strata.boundary_squares_to_zero(family, l, k)
+        assert flipped
 
 
 # (boundary_faces, boundary_matrix) digests pinned from the implementation
