@@ -422,6 +422,7 @@ def chi_quilted(lab, eps):
     - above the colors:     x + eps, over 1.
     """
     _check_eps(eps)
+    _check_rational(lab, "chi_quilted")
     tree = lab.tree
     regions, paths = _color_walk(tree)
     y = _common_product(_products(lab, paths))
@@ -454,6 +455,16 @@ def chi_quilted(lab, eps):
 
 def _frac(q):
     return q if type(q) is Fraction else Fraction(q)
+
+
+def _check_rational(lab, what):
+    """ShapeError naming an edge whose label is an EpsFrac."""
+    for e, v in lab.labels.items():
+        if isinstance(v, EpsFrac):
+            raise ShapeError(
+                "%s label on edge %s must be a rational, not %r"
+                % (what, edge_id(e), v)
+            )
 
 
 def _terms(*pairs):
@@ -568,13 +579,9 @@ def chart_inverse(lab):
     tree = lab.tree
     if not _is_chart_maximal(tree):
         raise ShapeError("chart needs a maximal combinatorial type")
+    _check_rational(lab, "chart")
     delta = {(): Fraction(1)}
     for e in tree.edges():
-        if isinstance(lab[e], EpsFrac):
-            raise ShapeError(
-                "chart label on edge %s must be a rational, not %r"
-                % (edge_id(e), lab[e])
-            )
         if lab[e] < 0:
             raise RangeError(
                 "negative label %s on edge %s" % (lab[e], edge_id(e))

@@ -285,12 +285,12 @@ def _splits_of_vertex(v, pre):
     if not col:
         return
     # seam split (upper facet shape): the slots cut into consecutive blocks
-    # under a new uncolored hub.  A block that is one leafless child stays
-    # on the hub as it is (colored, it would break the colored axiom); every
-    # other block becomes a colored child, stable over its non-empty block,
-    # of dimension w - 1 + 2*m for w slots and m marks: even for w = 1, so
-    # the sign may sum over the kept blocks too.  A colored vertex has a
-    # leaf above it, so at least one block is colored.  The marks are dealt
+    # under a new uncolored hub.  A colored vertex needs a leaf above it, so
+    # a cut with a block of two or more leafless children is skipped, and a
+    # leafless child alone in its block stays on the hub.  Every other block
+    # of w slots becomes a colored child with m marks, stable as w >= 1, of
+    # dimension w - 1 + 2*m: even for w = 1, so the sign may sum over the
+    # kept blocks too.  At least one block is colored.  The marks are dealt
     # out at cut points ``at``; the hub takes the first share and is stable
     # iff nb + 2 * marks[0] >= 2.
     leafless = [type(x) is tuple and not trees._count_leaves(x) for x in slots]
@@ -298,7 +298,9 @@ def _splits_of_vertex(v, pre):
         for cuts in combinations(range(1, s), nb - 1):
             bounds = (0,) + cuts + (s,)
             blocks = [(slots[x:y], x) for x, y in zip(bounds, bounds[1:])]
-            kept = [len(b) == 1 and leafless[x] for b, x in blocks]
+            kept = [all(leafless[x : x + len(b)]) for b, x in blocks]
+            if any(keep and len(b) > 1 for (b, _), keep in zip(blocks, kept)):
+                continue
             upper = sign_upper_quilt([len(b) for b, _ in blocks])
             if sum((len(b) + 1) * pre[x] for b, x in blocks) & 1:
                 upper = -upper
@@ -319,7 +321,8 @@ def boundary_faces(stratum):
 
     Returns a list of (Stratum, sign).  The sign is the vertex-local sign
     of the split (see ``_splits_of_vertex``) times the product-orientation
-    prefix parity of the factors before the split vertex.
+    prefix parity of the factors before the split vertex.  Every split is
+    a face: the generator keeps stability and the colored axiom.
     """
     fam = stratum.family
     tree = stratum.tree
@@ -329,12 +332,10 @@ def boundary_faces(stratum):
     prefix = 0
     for path, v, pre in walk:
         for va, sign in _splits_of_vertex(v, pre):
-            cand = Stratum(
+            face = Stratum(
                 fam, trees.replace_vertex(tree, path, va), stratum.perm
             )
-            if fam == "Q" and not cand.tree.check_colored_axiom():
-                continue
-            out.append((cand, -sign if prefix & 1 else sign))
+            out.append((face, -sign if prefix & 1 else sign))
         prefix += vertex_dim(v)
     return out
 

@@ -13,6 +13,7 @@ edges are addressed by the path of slot indices from the root.
 """
 
 from functools import lru_cache
+from itertools import combinations
 
 from .errors import (
     CapError,
@@ -38,15 +39,10 @@ def vertex(i, col, slots):
     return (int(i), bool(col), tuple(slots))
 
 
-def _is_vertex(item):
-    return isinstance(item, tuple)
-
-
 def _stable_vertex(v):
-    i, col, slots = v
-    need = 2 if col else 3
-    # one boundary special point for the root marking / parent node
-    return len(slots) + 1 + 2 * i >= need
+    # slots + root-ward point + 2 * marks >= 3, or >= 2 when colored: the
+    # test every reading of the tree grammar makes on its slot counts
+    return len(v[2]) + 2 * v[0] >= 2 - v[1]
 
 
 class PlanarTree:
@@ -112,7 +108,7 @@ class PlanarTree:
             if not 0 <= idx < len(v[2]):
                 raise EdgeError("path %r has no slot %d" % (path, idx))
             item = v[2][idx]
-            if not _is_vertex(item):
+            if type(item) is not tuple:
                 raise EdgeError("path %r runs into a leaf" % (path,))
             v = item
         return v
@@ -148,7 +144,7 @@ def _count_leaves(v):
 
 
 # The counts are folds over the vertex tuples: no paths, no list.  The
-# walks type-test with ``type(s) is tuple``, not _is_vertex, since every
+# walks type-test with ``type(s) is tuple``, the quickest test, since every
 # stratum and cluster type reads them.
 
 
@@ -338,8 +334,8 @@ class _List:
 
     def close(self, subtrees, seqs, i, col):
         for e, ss in seqs.items():
-            vs = (vertex(i, col, s) for s in ss)
-            subtrees.setdefault(e, []).extend(filter(_stable_vertex, vs))
+            keep = [(i, col, s) for s in ss if len(s) + 2 * i >= 2 - col]
+            subtrees.setdefault(e, []).extend(keep)
 
 
 LIST = _List()
@@ -550,26 +546,18 @@ def contract(tree, edge):
     return contract_set(tree, [edge])[0]
 
 
-def _same_params(t1, t2):
-    return (
-        t1.num_leaves == t2.num_leaves and t1.num_marks == t2.num_marks
-    )
-
-
 def contraction_witness(t1, t2):
     """An edge set S of ``t2`` with ``contract_set(t2, S) == t1``, or None.
 
     For colored trees the contraction must yield a valid colored tree
     (merged vertices inherit the color of either endpoint).
     """
-    if not _same_params(t1, t2):
+    if (t1.num_leaves, t1.num_marks) != (t2.num_leaves, t2.num_marks):
         raise ShapeError("trees have different (l, k)")
     d = t2.n_edges - t1.n_edges
     if d < 0:
         return None
     edges = t2.edges()
-    from itertools import combinations
-
     for subset in combinations(edges, d):
         cand, _ = contract_set(t2, subset)
         if cand == t1:

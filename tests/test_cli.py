@@ -548,6 +548,18 @@ class TestFileFields:
         assert obj["error"] == "ShapeError"
         assert obj["detail"].startswith("chart label on edge 0 must be a rational")
 
+    def test_chi_quilted_eps_label(self, capsys, tmp_path):
+        p = tmp_path / "lab.json"
+        labels = {"0": {"base": "1/2", "exp": "1"}}
+        p.write_text(json.dumps({"tree": _CHERRY, "labels": labels}))
+        code, out = run(capsys, "chi", str(p), "--quilted", "--json")
+        assert code == 1
+        obj = json.loads(out)
+        assert obj["error"] == "ShapeError"
+        assert obj["detail"].startswith(
+            "chi_quilted label on edge 0 must be a rational"
+        )
+
     @pytest.mark.parametrize("states", [[1], {"0": 1}, "broken"])
     def test_edge_states_of_the_wrong_type(self, capsys, tmp_path, states):
         obj = {

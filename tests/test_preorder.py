@@ -3,12 +3,13 @@ recursions they replaced: edge order, the vertex, mark and colored
 counts, stratum codim and dim, the colored axiom, the root-to-color paths
 and the edge regions.  Rejected seam-split candidates, which break the
 colored axiom in every way a split can, are covered as well as the listed
-strata."""
+strata; the split generator yields exactly the candidates the axiom keeps."""
 
 import pytest
 
 from clustercx import labelings as L, strata, trees
 from clustercx.trees import LEAF
+from test_strata import _reference_splits
 
 
 def _reference_edges(v, prefix=()):
@@ -160,24 +161,36 @@ def test_only_q52_is_beyond_the_listing_cap():
     assert _size(trees.colored, 5, 2) > trees.MAX_STRATA
 
 
+# the splits the generator yields at each (l, k) of test_split_candidates
+_GENERATED = {(2, 2): 2873, (1, 3): 2916, (3, 2): 33105}
+
+
 @pytest.mark.parametrize(
     "l, k, candidates, rejected",
     [(2, 2, 2884, 11), (1, 3, 2958, 42), (3, 2, 33173, 68)],
 )
 def test_split_candidates(l, k, candidates, rejected):
-    """Every seam or bubble split of every Q stratum, before the colored
-    axiom filters it."""
-    seen = bad = 0
+    """Every stable seam or bubble split of every Q stratum, as the
+    reference builds it before the colored axiom filters it, and the splits
+    the generator yields: those the axiom keeps, in the same order."""
+    seen = bad = made = 0
     for e in range(2 * l + 2 * k + 1):
         for t in trees.enumerate_colored_types(l, k, e):
             walk = []
             strata._face_walk(t.root, (), walk)
             for path, v, pre in walk:
-                for va, _ in strata._splits_of_vertex(v, pre):
+                kept = []
+                for va, _ in _reference_splits(v):
                     cand = trees.replace_vertex(t, path, va)
                     seen += 1
-                    bad += not assert_walk_facts(cand)
-    assert (seen, bad) == (candidates, rejected)
+                    if assert_walk_facts(cand):
+                        kept.append(va)
+                    else:
+                        bad += 1
+                new = [va for va, _ in strata._splits_of_vertex(v, pre)]
+                assert new == kept, (t, path)
+                made += len(new)
+    assert (seen, bad, made) == (candidates, rejected, _GENERATED[l, k])
 
 
 def _recolored(v, flags):

@@ -357,16 +357,28 @@ def _slot_fills(s):
     return sorted(fills, key=repr)
 
 
+def _reference_faces(v):
+    """The ``_reference_splits`` of v that keep the colored axiom: a seam
+    candidate, the uncolored hub that replaces a colored v, must pass
+    ``check_colored_axiom`` as a tree of its own."""
+    for va, sign in _reference_splits(v):
+        if not v[1] or va[1] or PlanarTree(va).check_colored_axiom():
+            yield va, sign
+
+
 class TestSplitOracle:
     @pytest.mark.parametrize("s", range(7))
     def test_same_splits_in_the_same_order(self, s):
-        """Every vertex with s slots, at most 3 marks and either color."""
+        """Every vertex with s slots, at most 3 marks and either color,
+        save colored ones with no leaf: no Q tree has one."""
         for slots in _slot_fills(s):
             for i in range(4):
                 for col in (False, True):
                     v = vertex(i, col, slots)
+                    if col and not trees._count_leaves(v):
+                        continue
                     new = strata._splits_of_vertex(v, _reference_pre(slots))
-                    assert list(new) == list(_reference_splits(v)), v
+                    assert list(new) == list(_reference_faces(v)), v
 
     @pytest.mark.parametrize("family, l, k", [("K", 5, 0), ("Q", 3, 1)])
     def test_walk_matches_the_preorder(self, family, l, k):

@@ -149,12 +149,13 @@ class TestEnumeration:
                     assert t.num_leaves == l
                     assert t.num_marks == k
                     assert t.n_edges == e
-                    assert t.is_stable
+                    assert t.is_stable()
 
     def test_colored_axiom_on_enumeration(self):
         for n_edges in range(0, 4):
             for t in trees.enumerate_colored_types(3, 0, n_edges):
                 assert t.check_colored_axiom()
+                assert t.is_stable()
                 assert t.n_colored >= 1
 
 
