@@ -113,12 +113,7 @@ def _cmd_fvector(args):
 
 def _cmd_export(args):
     poset = strata.face_poset(args.family, args.l, args.k)
-    text = strata.export_poset(poset, fmt=args.format)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-        return _report(args, "pass", {"written": args.output})
-    print(text)
+    print(strata.export_poset(poset, fmt=args.format))
     return 0
 
 
@@ -339,7 +334,6 @@ def build_parser():
     q = add_parser("export", help="face poset as json or dot")
     fam_lk(q)
     q.add_argument("--format", default="json", choices=["json", "dot"])
-    q.add_argument("--output", default=None)
     q.set_defaults(fn=_cmd_export)
 
     q = add_parser("collar", help="collar cells and gluings")

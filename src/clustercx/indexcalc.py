@@ -9,9 +9,11 @@ complex nodes) the index-drop inequalities consume.
 """
 
 from itertools import combinations, combinations_with_replacement
+from math import comb
 
 from . import trees
 from .errors import (
+    CapError,
     DegenerateError,
     EdgeError,
     MonotoneError,
@@ -21,6 +23,10 @@ from .errors import (
 )
 from .fields import REQUIRED, field, typed
 from .trees import LEAF, PlanarTree, check_nonnegative, replace_vertex, vertex
+
+# `clustercx labelings` peaks at about 400 B of RSS per labeling (129 MB for
+# the 293,921 of --l 11 --c 9), so the cap keeps a listing under 400 MB.
+MAX_LABELINGS = 1_000_000
 
 
 class EndpointCondition:
@@ -332,6 +338,17 @@ def reduction_index_audit(rec, assumed_index, n=3, NL=2):
 # -- end labelings -----------------------------------------------------------
 
 
+def count_end_labelings(l, c, family):
+    """``len(enumerate_end_labelings(l, c, family))`` in closed form: the
+    C(l+c+1, l+1) chains less c merged constants, or C(l+c, l) maps."""
+    check_nonnegative(l=l, c=c)
+    if family == "otimes":
+        return comb(l + c + 1, l + 1) - c
+    if family == "bullet":
+        return comb(l + c, l)
+    raise ShapeError("family must be otimes or bullet")
+
+
 def enumerate_end_labelings(l, c, family):
     """All end labelings of length l over colors 0..c (or 1..c+1).
 
@@ -339,25 +356,27 @@ def enumerate_end_labelings(l, c, family):
     j_0 <= j_1 <= ... <= j_l <= c, with the constant (trivial) chains
     identified to the single all-zero representative.  Pointed labelings
     are the maps {1..l} -> {1..c+1} whose values below c+1 are strictly
-    increasing.
+    increasing.  More than MAX_LABELINGS raise CapError before any is built.
     """
-    check_nonnegative(l=l, c=c)
+    n = count_end_labelings(l, c, family)
+    if n > MAX_LABELINGS:
+        raise CapError(
+            "%d %s labelings, above the cap of %d" % (n, family, MAX_LABELINGS)
+        )
     if family == "otimes":
         return {
             (0,) * (l + 1) if chain[0] == chain[-1] else chain
             for chain in combinations_with_replacement(range(c + 1), l + 1)
         }
-    if family == "bullet":
-        out = set()
-        for r in range(min(l, c) + 1):
-            for at in combinations(range(l), r):
-                for small in combinations(range(1, c + 1), r):
-                    vals = [c + 1] * l
-                    for p, j in zip(at, small):
-                        vals[p] = j
-                    out.add(tuple(vals))
-        return out
-    raise ShapeError("family must be otimes or bullet")
+    out = set()
+    for r in range(min(l, c) + 1):
+        for at in combinations(range(l), r):
+            for small in combinations(range(1, c + 1), r):
+                vals = [c + 1] * l
+                for p, j in zip(at, small):
+                    vals[p] = j
+                out.add(tuple(vals))
+    return out
 
 
 def induced_component_labeling(lab, intervals, family, c=None):

@@ -350,8 +350,7 @@ def _exponent(region, b):
 
 
 class ExponentData:
-    def __init__(self, b, m, n):
-        self.b = b
+    def __init__(self, m, n):
         self.m = m
         self.n = n
 
@@ -365,20 +364,16 @@ def exponents(tree, tmax=None, witness=None):
     edges entering the balanced restriction at l; otherwise N_l = M_l.
     """
     target = tmax if tmax is not None else tree
-    b = {}
-    m = {}
-    for e, region in _edge_regions(target).items():
-        b[e] = len(e)
-        m[e] = _exponent(region, len(e))
+    m = {e: _exponent(region, len(e)) for e, region in _edge_regions(target).items()}
     if tmax is None:
-        return ExponentData(b, m, dict(m))
+        return ExponentData(m, dict(m))
     n = {}
     for new_e, down, ups in _contraction_fold(tree, tmax, witness):
         total = m[down[0]]
         for x in down[1:] + (ups[0] if ups else []):
             total += m[x]
         n[new_e] = total
-    return ExponentData(b, m, n)
+    return ExponentData(m, n)
 
 
 # -- collar maps chi ---------------------------------------------------------
@@ -653,8 +648,9 @@ def _sum_terms(v, side, at):
 
 def _label_object(v, at):
     """The EpsFrac that a label object, {"base", "exp"} or {"num", "den"},
-    writes."""
+    writes; ``base``, the eps it was written at, must be a rational."""
     if "base" in v:
+        fields.rational(v.get("base"), at + ".base")
         return EpsFrac.eps_power(fields.rational(v.get("exp"), at + ".exp"))
     num = _sum_terms(v, "num", at)
     den = _sum_terms(v, "den", at)

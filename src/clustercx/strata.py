@@ -89,14 +89,6 @@ class Stratum:
         return "Stratum(%r, %r%s)" % (self.family, self.tree, extra)
 
     @property
-    def l(self):
-        return self.tree.num_leaves
-
-    @property
-    def k(self):
-        return self.tree.num_marks
-
-    @property
     def codim(self):
         if self.family == "Q":
             return self.tree.n_edges - (self.tree.n_colored - 1)
@@ -136,11 +128,13 @@ class FacePoset:
     @property
     def rows(self):
         if self._rows is None:
+            # faces keep their stratum's family and perm: the tree finds them
+            index = self._tree_index()
             rows = []
             for s in self.strata:
                 row = {}
                 for f, sign in boundary_faces(s):
-                    b = self.index(f)
+                    b = index[f.tree]
                     row[b] = row.get(b, 0) + sign
                 rows.append(row)
             self._rows = rows

@@ -471,14 +471,11 @@ def enumerate_types(l, k, codim):
     if codim < 0:
         raise ShapeError("codim must be nonnegative")
     if not params_stable(l, k):
-        if (l, k) == (1, 0) or (l, k) == (0, 1):
-            if codim == 0:
-                slots = (LEAF,) if l == 1 else ()
-                return [PlanarTree(vertex(k, False, slots))]
-            raise StabilityError(
-                "unstable (l,k)=(%d,%d) admits no refined strata" % (l, k)
-            )
-        raise StabilityError("no stable type with l=%d, k=%d" % (l, k))
+        if (l, k) != (1, 0):
+            raise StabilityError("no stable type with l=%d, k=%d" % (l, k))
+        if codim:
+            raise StabilityError("unstable (l,k)=(1,0) admits no refined strata")
+        return [PlanarTree(vertex(0, False, (LEAF,)))]
     return _listed(plain, l, k, codim)
 
 
@@ -557,12 +554,10 @@ def contraction_witness(t1, t2):
     d = t2.n_edges - t1.n_edges
     if d < 0:
         return None
-    edges = t2.edges()
-    for subset in combinations(edges, d):
-        cand, _ = contract_set(t2, subset)
-        if cand == t1:
-            if t2.is_colored and not cand.check_colored_axiom():
-                continue
+    for subset in combinations(t2.edges(), d):
+        if contract_set(t2, subset)[0] == t1:
+            if t2.is_colored and not t1.check_colored_axiom():
+                return None
             return frozenset(subset)
     return None
 

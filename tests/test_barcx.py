@@ -112,6 +112,46 @@ class TestUnit:
         assert fam.apply(2, ("m", "m")) == {}
         assert fam.apply(1, ("m",)) == {}
 
+    @staticmethod
+    def _circle_with(lib, arity, rules):
+        obj = B.family_to_obj(lib["circle"])
+        obj["ops"]["m"][str(arity)] = [
+            {"in": list(ins), "out": [{"sym": out, "d": 0, "coef": c}]}
+            for ins, out, c in rules
+        ]
+        return B.family_from_obj(obj)
+
+    def test_unit_rejects_nonzero_m1(self, lib):
+        # m1(M) = m: the pointwise entry comes first, then every window word
+        # fails the contracting homotopy by the new m1 term, in basis order
+        fam = self._circle_with(lib, 1, [(("M",), "m", 1)])
+        report = B.check_unit(fam, "M", B.TruncationWindow(qmax=2))
+        assert report.n_words == 8
+        assert report.failures == [
+            ((("m1", "M"), 0), {("m", 0): 1}),
+            ((("M",), 0), {(("m", "M"), 0): -1}),
+            ((("m",), 0), {(("m", "m"), 0): -1}),
+            ((("M", "M"), 0), {(("m", "M", "M"), 0): 1}),
+            ((("M", "m"), 0), {(("m", "M", "m"), 0): 1}),
+            ((("m", "M"), 0), {(("m", "m", "M"), 0): 1}),
+            ((("m", "m"), 0), {(("m", "m", "m"), 0): 1}),
+        ]
+
+    def test_unit_rejects_higher_constant_on_the_unit(self, lib):
+        # m3 constants whose first input is M: one pointwise entry each, in
+        # the family's rule order, before the contracting-homotopy words
+        fam = self._circle_with(
+            lib, 3, [(("M", "m", "m"), "m", 1), (("M", "M", "m"), "M", 2)]
+        )
+        report = B.check_unit(fam, "M", B.TruncationWindow(qmax=2))
+        assert report.n_words == 8
+        assert report.failures == [
+            ((("M", "m", "m"), 0), {("m", 0): 1}),
+            ((("M", "M", "m"), 0), {("M", 0): 2}),
+            ((("M", "m"), 0), {(("M",), 0): 2}),
+            ((("m", "m"), 0), {(("m",), 0): 1}),
+        ]
+
 
 def _identity_h(fam, c=1):
     return B.OperationFamily(

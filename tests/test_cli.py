@@ -10,12 +10,13 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import clustercx
-from clustercx import barcx, cli, errors, strata, trees
+from clustercx import barcx, cli, errors, labelings, signs, strata, trees
 from test_golden import CASES, FIXTURES
 
 
@@ -90,6 +91,80 @@ class TestBasics:
     def test_sign_concat(self, capsys):
         code, out = run(capsys, "sign", "concat", "--l1", "2", "--j", "2", "--l2", "2")
         assert code == 0 and out.strip() == "-1"
+
+    def test_sign_lower(self, capsys):
+        for l1 in (1, 2, 3):
+            for j in range(1, l1 + 1):
+                for l2 in (0, 1, 2):
+                    argv = ["--l1", str(l1), "--j", str(j), "--l2", str(l2)]
+                    code, out = run(capsys, "sign", "lower", *argv)
+                    want = signs.sign_lower_quilt(l1, j, l2)
+                    assert code == 0 and int(out) == want
+
+    @pytest.mark.parametrize("parts", ["2", "2,3", "3,2,1", "2,3,1", "1,2,2,3"])
+    def test_sign_upper(self, capsys, parts):
+        code, out = run(capsys, "sign", "upper", "--parts", parts, "--json")
+        want = signs.sign_upper_quilt([int(x) for x in parts.split(",")])
+        assert code == 0 and json.loads(out)["data"] == {"sign": want}
+
+    @pytest.mark.parametrize(
+        "l1, j, l2, perm",
+        [(3, 1, 2, "1,3,2,4"), (3, 1, 2, "1,2,3,4"), (2, 2, 1, "1,2,3"),
+         (3, 2, 2, "1,2,4,3,5"), (4, 1, 1, "1,4,3,2")],
+    )
+    def test_sign_bullet(self, capsys, l1, j, l2, perm):
+        code, out = run(
+            capsys, "sign", "bullet", "--l1", str(l1), "--j", str(j),
+            "--l2", str(l2), "--perm", perm,
+        )
+        want = signs.sign_bullet(l1, j, l2, [int(x) for x in perm.split(",")])
+        assert code == 0 and int(out) == want
+
+    def test_fvector_json(self, capsys):
+        code, out = run(capsys, "fvector", "--family", "Q", "--l", "3", "--json")
+        assert code == 0
+        assert out == '{"command":"fvector --family Q --l 3 --json",' \
+            '"data":{"f_vector":[6,6,1]},"verdict":"pass"}\n'
+
+    def test_human_report_is_indented_json(self, capsys, family_files):
+        # human mode prints the same report, indented; only the check
+        # commands add their timing
+        for argv, timed in (
+            (["strata", "--family", "Q", "--l", "3"], False),
+            (["check-ainf", family_files["circle"], "--qmax", "2"], True),
+        ):
+            code, out = run(capsys, *argv)
+            _, machine = run(capsys, *argv, "--json")
+            obj = json.loads(out)
+            assert code == 0
+            assert out == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+            assert ("timing_s" in obj) is timed
+            if timed:
+                assert obj.pop("timing_s") >= 0
+            obj["command"] += " --json"
+            assert obj == json.loads(machine)
+
+    def test_unopenable_file_is_a_usage_error(self, capsys, tmp_path):
+        missing = str(tmp_path / "missing.json")
+        for argv in (["chi", missing], ["check-ainf", missing], ["index", missing]):
+            assert cli.main(argv + ["--json"]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("usage error: ") and missing in err
+
+    def test_export_has_no_output_flag(self, capsys, tmp_path):
+        # a file is written with the shell's `>`
+        target = tmp_path / "x"
+        code = cli.main(["export", "--l", "3", "--output", str(target)])
+        assert code == 2 and not target.exists()
+
+    def test_collar_needs_positive_dimension(self, capsys):
+        code, out = run(capsys, "collar", "--l", "2", "--k", "0", "--json")
+        assert code == 1
+        assert json.loads(out) == {
+            "detail": "collar needs positive dimension",
+            "error": "StabilityError",
+            "verdict": "fail",
+        }
 
     def test_usage_error(self, capsys):
         assert cli.main(["nosuch"]) == 2
@@ -311,6 +386,18 @@ class TestIndexCommands:
         assert code == 0
         assert json.loads(out)["data"]["count"] == 2
 
+    @pytest.mark.parametrize("family", ["otimes", "bullet"])
+    def test_labelings_cap_refused_at_once(self, capsys, family):
+        # 77,558,746 otimes and 40,116,600 bullet labelings would be built
+        started = time.perf_counter()
+        code, out = run(
+            capsys, "labelings", "--l", "14", "--c", "14", "--family", family, "--json"
+        )
+        assert time.perf_counter() - started < 1.0
+        assert code == 1
+        obj = json.loads(out)
+        assert obj["error"] == "CapError" and "above the cap" in obj["detail"]
+
     def test_oversized_poset_rejected(self, capsys):
         started = time.time()
         code, out = run(capsys, "export", "--l", "10", "--k", "4", "--json")
@@ -526,6 +613,7 @@ class TestFileFields:
         [
             ({"num": 1, "den": [["0", "1"]]}, "label '0'.num must be "),
             ({"base": "1/2", "exp": [1]}, "label '0'.exp must be "),
+            ({"base": "garbage", "exp": "1"}, "label '0'.base must be "),
             ("1/0", "label '0' must be a string p/q with q != 0"),
         ],
     )
@@ -559,6 +647,27 @@ class TestFileFields:
         assert obj["detail"].startswith(
             "chi_quilted label on edge 0 must be a rational"
         )
+
+    def test_chi_quilted_eps_powers_read_back(self, capsys, tmp_path):
+        # chi of the all-zero labeling is l -> eps^M_l, written as
+        # {"base", "exp"} labels, and reads back as the same values
+        c = {"i": 0, "col": True, "children": ["x"]}
+        tobj = {"i": 0, "col": False, "children": [
+            {"i": 0, "col": False, "children": [c, c]}, c]}
+        zero = {"0": "0", "0.0": "0", "0.1": "0", "1": "0"}
+        p = tmp_path / "lab.json"
+        p.write_text(json.dumps({"tree": tobj, "labels": zero}))
+        code, out = run(capsys, "chi", str(p), "--quilted", "--eps", "1/3", "--json")
+        assert code == 0
+        labels = json.loads(out)["data"]["labels"]
+        half = {"base": "1/3", "exp": "1/2"}
+        assert labels == {"0": half, "0.0": half, "0.1": half,
+                          "1": {"base": "1/3", "exp": "1"}}
+        tree = trees.from_obj(tobj)
+        chi = labelings.chi_quilted(
+            labelings.labeling_from_obj(tree, zero), Fraction(1, 3)
+        )
+        assert labelings.labeling_from_obj(tree, labels) == chi
 
     @pytest.mark.parametrize("states", [[1], {"0": 1}, "broken"])
     def test_edge_states_of_the_wrong_type(self, capsys, tmp_path, states):

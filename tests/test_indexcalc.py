@@ -7,7 +7,7 @@ from math import comb
 import pytest
 
 from clustercx import indexcalc as I, strata as S
-from clustercx.errors import MonotoneError, ShapeError, SurgeryError
+from clustercx.errors import CapError, MonotoneError, ShapeError, SurgeryError
 from clustercx.trees import LEAF, PlanarTree, vertex
 
 
@@ -202,6 +202,27 @@ class TestEndLabelings:
                     if all(a < b for a, b in zip(small, small[1:])):
                         maps.add(vals)
                 assert I.enumerate_end_labelings(l, c, "bullet") == maps
+
+    @pytest.mark.parametrize("family", ["otimes", "bullet"])
+    def test_closed_form_counts(self, family):
+        for l in range(7):
+            for c in range(6):
+                got = len(I.enumerate_end_labelings(l, c, family))
+                assert I.count_end_labelings(l, c, family) == got
+
+    @pytest.mark.parametrize(
+        "family, l, c, n", [("otimes", 3, 2, 13), ("bullet", 3, 2, 10)]
+    )
+    def test_cap_boundary(self, monkeypatch, family, l, c, n):
+        # n labelings pass a cap of n and are refused, unbuilt, by n - 1
+        assert I.count_end_labelings(l, c, family) == n
+        monkeypatch.setattr(I, "MAX_LABELINGS", n)
+        assert len(I.enumerate_end_labelings(l, c, family)) == n
+        monkeypatch.setattr(I, "MAX_LABELINGS", n - 1)
+        monkeypatch.setattr(I, "combinations", None)
+        monkeypatch.setattr(I, "combinations_with_replacement", None)
+        with pytest.raises(CapError, match="^%d %s labelings, above the cap" % (n, family)):
+            I.enumerate_end_labelings(l, c, family)
 
     def test_brute_force_l1_c1(self):
         brute = set()

@@ -47,6 +47,24 @@ class TestBalance:
                     checked += 1
         assert checked > 30
 
+    def test_restriction_through_upward_chains(self):
+        # u, uncolored, takes in both colored children above it; the label
+        # of (0,) below u then carries the product of one upward chain
+        c = vertex(0, True, (LEAF,))
+        t2 = PlanarTree(vertex(0, False, (vertex(0, False, (c, c)), c)))
+        S = [(0, 0), (0, 1)]
+        t1, _ = trees.contract_set(t2, S)
+        assert t1 == PlanarTree(vertex(0, False, (vertex(0, True, (LEAF, LEAF)), c)))
+        half3 = Fraction(3, 2)
+        lab = L.EdgeLabeling(
+            t2, {(0,): Fraction(2), (0, 0): half3, (0, 1): half3, (1,): Fraction(3)}
+        )
+        want = {(0,): Fraction(3), (1,): Fraction(3)}
+        for witness in (S, None):
+            assert L.restrict_balanced(lab, t1, t2, witness).labels == want
+            n = L.exponents(t1, tmax=t2, witness=witness).n
+            assert n == {(0,): Fraction(1), (1,): Fraction(1)}
+
     def test_restrict_plain_keeps_values(self):
         t = colored_pool()[4]
         lab = L.EdgeLabeling(t, {e: Fraction(1, 2) for e in t.edges()})
@@ -366,6 +384,10 @@ class TestSerialization:
              "label '0'.exp must be a string p/q with q != 0, not [1]"),
             ({"base": "1/2"},
              "label '0'.exp must be a string p/q with q != 0, not None"),
+            ({"base": "garbage", "exp": "1"},
+             "label '0'.base must be a string p/q with q != 0, not 'garbage'"),
+            ({"base": 0.5, "exp": "1"},
+             "label '0'.base must be a string p/q with q != 0, not 0.5"),
             ({"num": 1, "den": [["0", "1"]]},
              "label '0'.num must be a list of [exponent, coefficient] pairs, not 1"),
             ({"num": [["0", "1"]], "den": [["0"]]},

@@ -226,6 +226,18 @@ class TestContraction:
             w = trees.contraction_witness(t, t)
             assert w == frozenset()
 
+    def test_witness_refuses_a_colored_merge_on_a_path(self):
+        # contracting (0,) merges a colored vertex into the uncolored root,
+        # which then sits below the other colored vertex: the contraction
+        # exists as a tree but breaks the colored axiom
+        c = vertex(0, True, (LEAF,))
+        t2 = PlanarTree(vertex(0, False, (c, c)))
+        t1 = trees.contract(t2, (0,))
+        assert t1 == PlanarTree(vertex(0, True, (LEAF, c)))
+        assert not t1.check_colored_axiom()
+        assert trees.contraction_witness(t1, t2) is None
+        assert not trees.leq(t1, t2)
+
     @given(st.integers(3, 5), st.integers(0, 2))
     @settings(max_examples=20, deadline=None)
     def test_contraction_preserves_params(self, l, e):
