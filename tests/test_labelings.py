@@ -384,10 +384,6 @@ class TestSerialization:
              "label '0'.exp must be a string p/q with q != 0, not [1]"),
             ({"base": "1/2"},
              "label '0'.exp must be a string p/q with q != 0, not None"),
-            ({"base": "garbage", "exp": "1"},
-             "label '0'.base must be a string p/q with q != 0, not 'garbage'"),
-            ({"base": 0.5, "exp": "1"},
-             "label '0'.base must be a string p/q with q != 0, not 0.5"),
             ({"num": 1, "den": [["0", "1"]]},
              "label '0'.num must be a list of [exponent, coefficient] pairs, not 1"),
             ({"num": [["0", "1"]], "den": [["0"]]},
@@ -400,6 +396,10 @@ class TestSerialization:
             ({"num": [["0", "1"]], "den": []}, "label '0' has a zero denominator"),
             ({"num": [["0", "1"]], "den": [["0", "0"]]},
              "label '0' has a zero denominator"),
+            ({"base": "garbage", "exp": "1"},
+             "label '0'.base must be a string p/q with q != 0, not 'garbage'"),
+            ({"base": 0.5, "exp": "1"},
+             "label '0'.base must be a string p/q with q != 0, not 0.5"),
         ],
     )
     def test_malformed_label(self, label, detail):
