@@ -6,11 +6,14 @@ integer combinations of single generators with a Novikov exponent t^d.
 The module assembles the word differential, the morphism and homotopy
 sums with their facet signs, and checks the defining relations on every
 basis word inside a finite truncation window.  Every facet, Koszul and
-Getzler-Jones sign is a call into ``signs``, whose formulas the tests pin;
-the morphism and homotopy sums share one recursion on the first block.
-A family builds one pattern trie of its structure constants; the word
-differential ``_delta`` and the first-block recursion both walk it, and
-every sign of a delta term comes from ``signs.delta_parity``.
+Getzler-Jones sign is a call into ``signs``, whose formulas the tests pin.
+The word differential, the morphism and the homotopy sums are each a
+recursion on the first block, held in a per-check word map: delta is a
+coderivation, so delta(x v) is the terms at the first gap plus
+x (x) delta(v) re-signed, and H and K are coalgebra maps.  A family builds
+one pattern trie of its structure constants, which every recursion walks
+from a word's first symbol, and every sign of a delta term comes from
+``signs.delta_parity``.
 
 Degrees: a generator carries its co-index mu+ (number of positive Hessian
 directions); a word of exponent d has mu = sum of co-indices + d*N_L and
@@ -34,10 +37,14 @@ from .signs import (
 _ROLE_SHIFT = {"m": 2, "h": 1, "k": 0}
 
 # Most generator tuples basis_words may list, all word lengths together.
-# A check holds up to about 6 KB per basis word in its delta memo, word
-# list and failing residues (peak RSS of dense failing random families at
-# q = 9; 1.3 KB for the polynomial family at q = 7), so the cap keeps one
-# check under about 600 MB.
+# A check holds its word list, its word maps (delta, H, K) and its failing
+# residues.  Peak RSS per basis word: the polynomial family at q = 7
+# (97,655 words), 0.5 KB under check-ainf and 1.2 KB under check-morphism
+# of the identity, so the cap keeps such checks far under 600 MB.  The
+# failing residues of a dense family grow with the word length, not the
+# word count: on 3-generator dense failing random families check-ainf
+# takes 5.3 KB per word at q = 7 and 8.4 KB at q = 8, and check-morphism
+# 33 KB and 63 KB, 628 MB at q = 8 (9,840 words).  No word cap bounds that.
 MAX_WORDS = 100_000
 
 
@@ -319,23 +326,23 @@ def _once(fn, known=()):
     return word_map
 
 
-class _SelfMap:
-    """The word map gens -> image(gens, 0, self) of a first-block sum,
-    computing each word once while the map lives; ``known`` gives images
-    fixed in advance.  image reaches the map's images of shorter words
-    through its argument, not through a closure over the map, so no
-    reference cycle keeps the images alive after the checker drops it."""
+class _SelfMap(dict):
+    """The word map gens -> image(gens, 0, lookup) of a first-block sum: a
+    dict from words to their images that computes a missing image on
+    lookup, so each word's image is computed once while the map lives;
+    ``known`` gives images fixed in advance.  image reaches the map's
+    images of shorter words through its ``lookup`` argument, not through a
+    closure over the map, so no reference cycle keeps the images alive
+    after the checker drops it."""
 
-    __slots__ = ("_image", "_images")
+    __slots__ = ("_image",)
 
     def __init__(self, image, known):
+        super().__init__(known)
         self._image = image
-        self._images = dict(known)
 
-    def __call__(self, gens):
-        out = self._images.get(gens)
-        if out is None:
-            out = self._images[gens] = self._image(gens, 0, self)
+    def __missing__(self, gens):
+        out = self[gens] = self._image(gens, 0, self.__getitem__)
         return out
 
 
@@ -352,63 +359,132 @@ def delta(fam, gens, d=0):
     Koszul sign of a degree-1 operation on the degrees mu - 1.  Both are
     signs.delta_parity.  The word is validated first.
     """
-    fam.validate_word(gens)
-    return _delta(fam, gens, d)
-
-
-def _delta(fam, gens, d=0):
-    """delta on a word known to be valid, in the family's sign convention.
-
-    The family's pattern trie is walked from each gap j before a symbol
-    of the word, and from the last gap, where only the root's arity-0
-    constants apply.  A node with constants reached after l symbols gives
-    the arity-l terms at position j: their parity is signs.delta_parity,
-    with the degree sum of gens[:j] (of mu, or of mu - 1 when suspended)
-    kept as a running sum.  An output word replaces a block of gens by one
-    symbol; it is validated only when that symbol carries an interval
-    label, since dropping labelled factors keeps the labels of a valid
-    word in order."""
-    if fam.role != "m":
-        raise ShapeError("delta needs a differential family")
-    Q = len(gens)
-    suspended = fam.suspended
-    shift = 1 if suspended else 0
-    coidx = fam.coidx
-    root = fam.trie
-    out = {}
-    prefix = 0
-    for j in range(Q + 1):
-        node = root
-        k = j
-        while True:  # about 1.3x faster here than `for k in range(j, Q + 1)`
-            children, terms = node
-            if terms:
-                l = k - j
-                negate = delta_parity(Q - l + 1, j + 1, l, prefix, suspended)
-                head, tail = gens[:j], gens[k:]
-                for sym, dd, coef, labelled in terms:
-                    new = head + (sym,) + tail
-                    if labelled:
-                        fam.validate_word(new)
-                    key = (new, d + dd)
-                    c = out.get(key, 0) + (-coef if negate else coef)
-                    if c:
-                        out[key] = c
-                    else:
-                        del out[key]
-            if k == Q or not children:
-                break
-            node = children.get(gens[k])
-            if node is None:
-                break
-            k += 1
-        if j < Q:
-            prefix += coidx[gens[j]] - shift
-    return out
+    image = _DeltaMap(fam).checked(gens)
+    return {(g2, d + d2): c for (g2, d2), c in image.items()} if d else dict(image)
 
 
 def delta_comb(fam, comb):
-    return _comb_map(lambda g: delta(fam, g), comb)
+    return _comb_map(_DeltaMap(fam).checked, comb)
+
+
+def _tail_flips(mu, suspended):
+    """(even, odd): the parity by which an arity-l term of delta(v)
+    changes when a symbol of co-index mu is put in front of v, for l even
+    and for l odd.  The term moves one position right, its output word
+    gains a factor and its prefix gains the symbol's degree (mu, or
+    mu - 1 when suspended), so the change is the difference of two
+    signs.delta_parity values: 1 + l * mu in the plain convention and
+    mu - 1 in the suspended one, a function of l's parity alone."""
+    shifted = mu - 1 if suspended else mu
+    return tuple(
+        delta_parity(2, 2, l, shifted, suspended) ^ delta_parity(1, 1, l, 0, suspended)
+        for l in (0, 1)
+    )
+
+
+class _DeltaMap(dict):
+    """The word map gens -> delta(gens) of a differential family, in its
+    sign convention: a dict from words to their images that computes a
+    missing image on lookup, so each word's image is computed once while
+    the map lives.  An image is built by _delta_image from the image of
+    the word's suffix after its first symbol, so the map also holds the
+    images of all suffixes; it passes itself to _delta_image, and nothing
+    closes over it.  Suffixes and images of valid words are valid;
+    ``checked`` validates a word the map does not hold yet."""
+
+    __slots__ = ("fam", "flips")
+
+    def __init__(self, fam):
+        if fam.role != "m":
+            raise ShapeError("delta needs a differential family")
+        super().__init__()
+        self.fam = fam
+        # per symbol, the flips indexed by the parity of the length of the
+        # word it heads and then by that of a tail term, as l = Q - |g2|
+        self.flips = {}
+        for s, mu in fam.coidx.items():
+            even, odd = _tail_flips(mu, fam.suspended)
+            self.flips[s] = ((even, odd), (odd, even))
+
+    def __missing__(self, gens):
+        tail = self.get(gens[1:])
+        if tail is None and gens:
+            # the longest suffix held, then each longer one: a loop, not a
+            # recursion, so a word of any length can be mapped
+            k = 1
+            while tail is None and k < len(gens):
+                k += 1
+                tail = self.get(gens[k:])
+            if tail is None:
+                tail = self[()] = _delta_image(self, (), None)
+            for i in range(k - 1, 0, -1):
+                tail = self[gens[i:]] = _delta_image(self, gens[i:], tail)
+        out = self[gens] = _delta_image(self, gens, tail)
+        return out
+
+    def checked(self, gens):
+        out = self.get(gens)
+        if out is None:
+            self.fam.validate_word(gens)
+            out = self[gens]
+        return out
+
+
+def _delta_image(dmap, gens, tail):
+    """delta(gens) from its first gap and ``tail`` = delta(gens[1:]): delta
+    is a coderivation, so delta(x v) is the terms at the gap before x plus
+    x (x) delta(v), each tail term re-signed by _tail_flips.
+
+    The arity-0 constants before x and one trie walk from x give the
+    first-gap terms, each signed by signs.delta_parity at j = 1; a first
+    block replaces gens[:l] by one symbol and the output is validated when
+    that symbol carries an interval label, since dropping labelled factors
+    keeps the labels of a valid word in order.  A tail term x (x) g2 is
+    validated whenever x carries a label, as x may be out of order with a
+    labelled symbol written into g2."""
+    fam = dmap.fam
+    suspended = fam.suspended
+    Q = len(gens)
+    out = {}
+    node = fam.trie
+    l = 0
+    while True:
+        children, terms = node
+        if terms:
+            negate = delta_parity(Q - l + 1, 1, l, 0, suspended)
+            rest = gens[l:]
+            for sym, dd, coef, labelled in terms:
+                new = (sym,) + rest
+                if labelled:
+                    fam.validate_word(new)
+                # first-gap terms of different arities differ in length
+                out[new, dd] = -coef if negate else coef
+        if l == Q or not children:
+            break
+        node = children.get(gens[l])
+        if node is None:
+            break
+        l += 1
+    if not Q:
+        return out
+    x = gens[0]
+    if x in fam.labelled:
+        for g2, _ in tail:
+            fam.validate_word((x,) + g2)
+    flip = dmap.flips[x][Q & 1]
+    if not out:
+        return {
+            ((x,) + g2, d2): -c if flip[len(g2) & 1] else c
+            for (g2, d2), c in tail.items()
+        }
+    for (g2, d2), c in tail.items():
+        key = ((x,) + g2, d2)
+        c = out.get(key, 0) + (-c if flip[len(g2) & 1] else c)
+        if c:
+            out[key] = c
+        else:
+            del out[key]
+    return out
 
 
 # -- suspension --------------------------------------------------------------
@@ -528,11 +604,9 @@ def check_a_infinity(fam, window, via_suspension=False):
     if via_suspension:
         name = "a-infinity(suspended)"
         fam = fam if fam.suspended else suspend(fam)
-    # one memo for both factors: each distinct word's delta is computed once
-    inner = _once(lambda g: _delta(fam, g))
-    return _run_over_words(
-        name, fam, window, lambda gens: _comb_map(inner, inner(gens))
-    )
+    # one map for both factors: each distinct word's delta is computed once
+    D = _DeltaMap(fam).__getitem__
+    return _run_over_words(name, fam, window, lambda gens: _comb_map(D, D(gens)))
 
 
 def check_gj_relations(fam, window):
@@ -562,9 +636,11 @@ def check_unit(fam, unit_sym, window):
             if pattern[0] == unit_sym and outs:
                 failures.append(((pattern, 0), dict(outs)))
 
+    D = _DeltaMap(fam)  # delta of U(w) reads delta of w as its tail
+
     def residue(gens):
-        lhs = delta(fam, (unit_sym,) + gens)
-        for (g2, d2), c in _delta(fam, gens).items():
+        lhs = dict(D.checked((unit_sym,) + gens))
+        for (g2, d2), c in D[gens].items():
             _add_term(lhs, (unit_sym,) + g2, d2, c)
         return _sub(lhs, {(gens, 0): 1})
 
@@ -626,7 +702,7 @@ def _morphism_maps(hfam):
         )
         return out
 
-    H = _SelfMap(image, {(): _UNIT})
+    H = _SelfMap(image, {(): _UNIT}).__getitem__
     return (lambda gens, d=0: image(gens, d, H)), H
 
 
@@ -648,7 +724,7 @@ def _homotopy_maps(h1, kfam, H0):
         )
         return out
 
-    K = _SelfMap(image, {(): {}})
+    K = _SelfMap(image, {(): {}}).__getitem__
     return (lambda gens, d=0: image(gens, d, K)), K
 
 
@@ -667,10 +743,10 @@ def check_chain_map(hfam, m0, m1, window):
     validated as words of m0 by delta(0)."""
     _one_table(hfam, m0, m1)
     outer, H = _morphism_maps(hfam)
-    delta0 = _once(lambda g: delta(m0, g))
+    delta1, delta0 = _DeltaMap(m1).__getitem__, _DeltaMap(m0).checked
 
     def residue(gens):
-        return _sub(_comb_map(H, _delta(m1, gens)), _comb_map(delta0, outer(gens)))
+        return _sub(_comb_map(H, delta1(gens)), _comb_map(delta0, outer(gens)))
 
     return _run_over_words("chain-map", m1, window, residue)
 
@@ -692,11 +768,11 @@ def check_homotopy(h0, h1, kfam, m0, m1, window):
     outer1 = _morphism_maps(h1)[0]
     outer0, H0 = _morphism_maps(h0)
     outer, K = _homotopy_maps(h1, kfam, H0)
-    delta0 = _once(lambda g: delta(m0, g))
+    delta1, delta0 = _DeltaMap(m1).__getitem__, _DeltaMap(m0).checked
 
     def residue(gens):
         out = _sub(outer1(gens), outer0(gens))
-        out = _sub(out, _comb_map(K, _delta(m1, gens)))
+        out = _sub(out, _comb_map(K, delta1(gens)))
         return _sub(out, _comb_map(delta0, outer(gens)))
 
     return _run_over_words("homotopy", m1, window, residue)

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import sys
 from itertools import product
 
 import pytest
@@ -18,6 +19,21 @@ def lib():
     return B.example_library()
 
 
+def _count_delta_images(monkeypatch):
+    """The (family, word) pairs whose delta image is built from here on,
+    in order: the calls of the per-word image function of every delta
+    word map."""
+    calls = []
+    real = B._delta_image
+
+    def counted(dmap, gens, tail):
+        calls.append((dmap.fam, gens))
+        return real(dmap, gens, tail)
+
+    monkeypatch.setattr(B, "_delta_image", counted)
+    return calls
+
+
 class TestAInfinity:
     @pytest.mark.parametrize("name", ["polynomial", "exterior", "circle"])
     def test_delta_squared_zero(self, lib, name):
@@ -30,19 +46,13 @@ class TestAInfinity:
     @pytest.mark.parametrize("name", ["polynomial", "exterior", "circle"])
     @pytest.mark.parametrize("suspended", [False, True])
     def test_each_delta_computed_once(self, lib, monkeypatch, name, suspended):
-        # the outer and the inner delta of delta o delta read one memo, so
-        # _delta runs once per distinct word: every basis word and every
-        # word in their images
-        calls = []
-        real = B._delta
-
-        def counted(fam, gens, d=0):
-            calls.append(gens)
-            return real(fam, gens, d)
-
-        monkeypatch.setattr(B, "_delta", counted)
+        # the outer and the inner delta of delta o delta read one map, so
+        # a word's image is built once per distinct word: every basis word,
+        # every word in their images and every suffix of those
+        counted = _count_delta_images(monkeypatch)
         report = B.check_a_infinity(lib[name], WINDOW, via_suspension=suspended)
         assert report.passed
+        calls = [gens for _, gens in counted]
         words = set(B.basis_words(lib[name], WINDOW))
         assert len(words) == report.n_words
         assert len(calls) == len(set(calls)) and words <= set(calls)
@@ -101,6 +111,17 @@ class TestUnit:
 
     def test_polynomial_unit(self, lib):
         assert B.check_unit(lib["polynomial"], "1", B.TruncationWindow(qmax=3)).passed
+
+    def test_each_delta_computed_once(self, lib, monkeypatch):
+        # delta(U(w)) and delta(w) read one map, and delta(w) is the tail
+        # of delta(U(w)), so each word's image is built once
+        fam, window = lib["circle"], B.TruncationWindow(qmax=4)
+        counted = _count_delta_images(monkeypatch)
+        assert B.check_unit(fam, "M", window).passed
+        calls = [gens for _, gens in counted]
+        words = set(B.basis_words(fam, window))
+        assert len(calls) == len(set(calls))
+        assert words | {("M",) + w for w in words} <= set(calls)
 
     def test_circle_matches_cup_oracle(self, lib):
         o = B.circle_cup_oracle()
@@ -233,6 +254,29 @@ class TestMorphismsAndHomotopies:
             h, h, kzero, fam, fam, B.TruncationWindow(qmax=4)
         )
         assert report.passed
+
+    def test_each_delta_computed_once(self, monkeypatch):
+        # delta(1) of the source words and delta(0) of the images each read
+        # one map per check, so each builds a word's image once; delta(1)
+        # covers the basis.  K is zero here, so the homotopy check applies
+        # delta(0) to no word
+        m0, m1, h = _conjugated_pair()
+        kzero = B.OperationFamily("k", list(m1.gens.values()), {}, n=2)
+        window = B.TruncationWindow(qmax=3)
+        words = set(B.basis_words(m1, window))
+        calls = _count_delta_images(monkeypatch)
+        for check, any_delta0 in (
+            (lambda: B.check_chain_map(h, m0, m1, window), True),
+            (lambda: B.check_homotopy(h, h, kzero, m0, m1, window), False),
+        ):
+            del calls[:]
+            report = check()
+            assert report.passed and report.n_words == len(words)
+            delta1 = [gens for fam, gens in calls if fam is m1]
+            delta0 = [gens for fam, gens in calls if fam is m0]
+            assert len(delta1) + len(delta0) == len(calls)
+            assert len(delta1) == len(set(delta1)) and words <= set(delta1)
+            assert len(delta0) == len(set(delta0)) and bool(delta0) == any_delta0
 
 
 class TestDual:
@@ -751,6 +795,64 @@ class TestPatternTrie:
                 fam.validate_word(gens)
                 validated.append(gens)
         assert B.basis_words(fam, B.TruncationWindow(qmax=qmax)) == validated
+
+
+class TestSuffixRecursion:
+    @pytest.mark.parametrize("suspended", [False, True])
+    def test_tail_flip_is_the_delta_parity_difference(self, suspended):
+        # an arity-l term of delta(v), moved behind a symbol of co-index mu:
+        # one more output factor, one position right, the symbol's degree
+        # (mu, or mu - 1 suspended) added to the prefix
+        checked = 0
+        for q_out in range(1, 8):
+            for j in range(1, q_out + 1):
+                for l in range(q_out + 1):
+                    for prefix in range(7):
+                        for mu in range(3):
+                            shifted = mu - 1 if suspended else mu
+                            want = B.delta_parity(
+                                q_out + 1, j + 1, l, prefix + shifted, suspended
+                            ) ^ B.delta_parity(q_out, j, l, prefix, suspended)
+                            assert B._tail_flips(mu, suspended)[l & 1] == want
+                            checked += 1
+        assert checked == 3 * 7 * sum(q * (q + 1) for q in range(1, 8))
+
+    def test_unflipped_tails_mismatch_the_reference(self, monkeypatch):
+        # negative control: tail terms copied with their signs in v
+        monkeypatch.setattr(B, "_tail_flips", lambda mu, suspended: (0, 0))
+        fams = _random_m_families(31, (1, 2, 3))
+        assert _delta_mismatches(fams, B.TruncationWindow(qmax=3)) > 0
+
+    def test_long_word_from_an_empty_map(self, lib):
+        # one delta() call builds the images of all eleven proper suffixes
+        fam = lib["exterior"]
+        word = ("t", "1", "1", "t", "1", "t", "1", "1", "1", "1", "t", "1")
+        for m in (fam, B.suspend(fam)):
+            for d in (0, 1):
+                got = B.delta(m, word, d)
+                assert got == _reference_delta(m, word, d)
+                assert got
+
+    def test_word_longer_than_the_recursion_limit(self, lib):
+        # the suffixes are built in a loop, not by recursion
+        word = ("m", "M") * sys.getrecursionlimit()
+        fam = lib["circle"]
+        assert B.delta(fam, word) == _reference_delta(fam, word)
+
+    def test_out_of_order_tail_behind_a_labelled_symbol(self):
+        # m writes v (0, 1) in place of x.  Behind u (1, 2) that is out of
+        # order at every gap j >= 1, while the suffix images are valid on
+        # their own: the check is made where u is put in front of them
+        _, _, m = _interval_families()
+        message = r"^interval labels out of order: 2 then \(0, 1\)$"
+        for word in (("u", "x"), ("u", "x", "x"), ("u", "x", "x", "x")):
+            for call in (B.delta, _reference_delta):
+                with pytest.raises(BlockError, match=message):
+                    call(m, word)
+            dmap = B._DeltaMap(m)
+            assert dmap[word[1:]]  # held and valid
+            with pytest.raises(BlockError, match=message):
+                dmap.checked(word)
 
 
 class TestWordCap:

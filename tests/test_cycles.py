@@ -105,3 +105,12 @@ def test_first_block_maps_leave_no_cycle():
     assert cycles_left(lambda: B.check_chain_map(h, fam, fam, window)) == 0
     assert cycles_left(lambda: B.check_homotopy(h, h, kzero, fam, fam, window)) == 0
     assert cycles_left(lambda: B.morphism_H(h, ("a", "a2"))) == 0
+
+
+def test_delta_maps_leave_no_cycle():
+    fam = B.example_library()["circle"]
+    window = B.TruncationWindow(qmax=4)
+    assert cycles_left(lambda: B.check_a_infinity(fam, window)) == 0
+    assert cycles_left(lambda: B.check_a_infinity(fam, window, via_suspension=True)) == 0
+    assert cycles_left(lambda: B.check_unit(fam, "M", window)) == 0
+    assert cycles_left(lambda: B.delta(fam, ("M", "m", "M", "m"))) == 0
