@@ -38,13 +38,14 @@ _ROLE_SHIFT = {"m": 2, "h": 1, "k": 0}
 
 # Most generator tuples basis_words may list, all word lengths together.
 # A check holds its word list, its word maps (delta, H, K) and its failing
-# residues.  Peak RSS per basis word: the polynomial family at q = 7
-# (97,655 words), 0.5 KB under check-ainf and 1.2 KB under check-morphism
-# of the identity, so the cap keeps such checks far under 600 MB.  The
-# failing residues of a dense family grow with the word length, not the
-# word count: on 3-generator dense failing random families check-ainf
-# takes 5.3 KB per word at q = 7 and 8.4 KB at q = 8, and check-morphism
-# 33 KB and 63 KB, 628 MB at q = 8 (9,840 words).  No word cap bounds that.
+# residues.  Peak RSS of the polynomial family at q = 7 (97,655 words):
+# 77 MB under check-ainf and 86 MB under check-morphism of the identity,
+# whose source and target share one delta map, so the cap keeps such
+# checks far under 600 MB.  The failing residues of a dense family grow
+# with the word length, not the word count: on 3-generator dense failing
+# random families check-ainf takes 5.3 KB per word at q = 7 and 8.4 KB at
+# q = 8, and check-morphism 33 KB and 63 KB, 628 MB at q = 8 (9,840
+# words).  No word cap bounds that.
 MAX_WORDS = 100_000
 
 
@@ -728,6 +729,17 @@ def _homotopy_maps(h1, kfam, H0):
     return (lambda gens, d=0: image(gens, d, K)), K
 
 
+def _delta_maps(m1, m0):
+    """delta(1) of the source words and delta(0), which validates its words,
+    for a check whose families share one generator table (_one_table).
+    When m0 and m1 are the same differential family, one map serves both,
+    so each word's image is built once."""
+    D1 = _DeltaMap(m1)
+    same = (m0.role, m0.ops, m0.suspended) == (m1.role, m1.ops, m1.suspended)
+    D0 = D1 if same else _DeltaMap(m0)
+    return D1.__getitem__, D0.checked
+
+
 def morphism_H(hfam, gens, d=0):
     """H(w) t^d, the morphism sum over the first blocks of w: each block u
     with constants contributes h_l(u) (x) H(v) for the rest v of w, with
@@ -743,7 +755,7 @@ def check_chain_map(hfam, m0, m1, window):
     validated as words of m0 by delta(0)."""
     _one_table(hfam, m0, m1)
     outer, H = _morphism_maps(hfam)
-    delta1, delta0 = _DeltaMap(m1).__getitem__, _DeltaMap(m0).checked
+    delta1, delta0 = _delta_maps(m1, m0)
 
     def residue(gens):
         return _sub(_comb_map(H, delta1(gens)), _comb_map(delta0, outer(gens)))
@@ -768,7 +780,7 @@ def check_homotopy(h0, h1, kfam, m0, m1, window):
     outer1 = _morphism_maps(h1)[0]
     outer0, H0 = _morphism_maps(h0)
     outer, K = _homotopy_maps(h1, kfam, H0)
-    delta1, delta0 = _DeltaMap(m1).__getitem__, _DeltaMap(m0).checked
+    delta1, delta0 = _delta_maps(m1, m0)
 
     def residue(gens):
         out = _sub(outer1(gens), outer0(gens))

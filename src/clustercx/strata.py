@@ -699,24 +699,35 @@ def collar_cells(l, k):
 
 
 def export_poset(poset, fmt="json"):
+    """The poset as text: JSON or Graphviz DOT.
+
+    The JSON is written by a writer for this one schema, and its bytes are
+    those of ``json.dumps(payload, sort_keys=True, indent=2)``, which falls
+    back to the pure-Python encoder once an indent is given.  The writer
+    relies on the sorted key order: ``coverings``, ``family``, ``k``,
+    ``l``, ``schema``, ``strata`` at the top; ``codim``, ``dim``, ``id``,
+    ``tree`` per stratum; and ``b``, ``children``, ``col``, ``i`` per tree
+    vertex, the fields ``trees.to_obj`` writes.
+    """
     if fmt == "json":
-        payload = {
-            "schema": "clustercx.face_poset/1",
-            "family": poset.family,
-            "l": poset.l,
-            "k": poset.k,
-            "strata": [
-                {
-                    "id": i,
-                    "dim": s.dim,
-                    "codim": s.codim,
-                    "tree": trees.to_obj(s.tree),
-                }
-                for i, s in enumerate(poset.strata)
-            ],
-            "coverings": [list(c) for c in poset.coverings],
-        }
-        return json.dumps(payload, sort_keys=True, indent=2)
+        coverings = ["[\n      %d,\n      %d\n    ]" % c for c in poset.coverings]
+        strata = [
+            '{\n      "codim": %d,\n      "dim": %d,\n      "id": %d,\n'
+            '      "tree": %s\n    }'
+            % (s.codim, s.dim, i, _vertex_json(s.tree.root, "      "))
+            for i, s in enumerate(poset.strata)
+        ]
+        return (
+            '{\n  "coverings": %s,\n  "family": %s,\n  "k": %d,\n  "l": %d,\n'
+            '  "schema": "clustercx.face_poset/1",\n  "strata": %s\n}'
+            % (
+                _json_list(coverings, "  "),
+                json.dumps(poset.family),
+                poset.k,
+                poset.l,
+                _json_list(strata, "  "),
+            )
+        )
     if fmt == "dot":
         lines = ["digraph faces {"]
         for i, s in enumerate(poset.strata):
@@ -728,3 +739,34 @@ def export_poset(poset, fmt="json"):
         lines.append("}")
         return "\n".join(lines)
     raise ShapeError("unknown export format %r" % (fmt,))
+
+
+_LEAF_JSON = json.dumps(LEAF)
+
+
+def _json_list(items, pad):
+    """A JSON list of the written ``items`` whose closing bracket sits at
+    indent ``pad``, as json.dumps with indent=2 writes it."""
+    if not items:
+        return "[]"
+    inner = pad + "  "
+    return "[\n%s%s\n%s]" % (inner, (",\n" + inner).join(items), pad)
+
+
+def _vertex_json(v, pad):
+    """``trees.to_obj`` of the subtree at vertex v as JSON text, with the
+    vertex's closing brace at indent ``pad``."""
+    i, col, slots = v
+    inner = pad + "    "
+    children = [_LEAF_JSON if s == LEAF else _vertex_json(s, inner) for s in slots]
+    return '{\n%s  "b": %d,\n%s  "children": %s,\n%s  "col": %s,\n%s  "i": %d\n%s}' % (
+        pad,
+        slots.count(LEAF),
+        pad,
+        _json_list(children, pad + "  "),
+        pad,
+        "true" if col else "false",
+        pad,
+        i,
+        pad,
+    )

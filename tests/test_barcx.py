@@ -278,6 +278,58 @@ class TestMorphismsAndHomotopies:
             assert len(delta1) == len(set(delta1)) and words <= set(delta1)
             assert len(delta0) == len(set(delta0)) and bool(delta0) == any_delta0
 
+    def test_one_delta_map_for_one_family(self, lib, monkeypatch):
+        # a source and target with equal tables, as one object or two, share
+        # one delta map, so each word's image is built once: 780 basis words
+        # and the empty word.  The reports, failing ones (H = 2 id) too,
+        # match those of two maps; the conjugated pair keeps two maps
+        fam = lib["polynomial"]
+        twin = B.family_from_obj(B.family_to_obj(fam))
+        window = B.TruncationWindow(qmax=4)
+        kzero = B.OperationFamily("k", list(fam.gens.values()), {}, n=fam.n)
+        cases = []
+        for m0 in (fam, twin):
+            for h in (_identity_h(fam), _identity_h(fam, 2)):
+                cases.append(
+                    (m0, fam, lambda h=h, m0=m0: B.check_chain_map(h, m0, fam, window))
+                )
+                cases.append(
+                    (
+                        m0,
+                        fam,
+                        lambda h=h, m0=m0: B.check_homotopy(
+                            h, h, kzero, m0, fam, window
+                        ),
+                    )
+                )
+        c0, c1, ch = _conjugated_pair()
+        cases.append((c0, c1, lambda: B.check_chain_map(ch, c0, c1, window)))
+
+        def two_maps(m1, m0):
+            return B._DeltaMap(m1).__getitem__, B._DeltaMap(m0).checked
+
+        calls = _count_delta_images(monkeypatch)
+        verdicts = []
+        for m0, m1, check in cases:
+            del calls[:]
+            report = check()
+            verdicts.append(report.passed)
+            assert len(calls) == len(set(calls))
+            if m1 is c1:
+                assert {f for f, _ in calls} == {m0, m1}
+            else:
+                assert {f for f, _ in calls} == {m1} and len(calls) == 781
+            with monkeypatch.context() as mp:
+                mp.setattr(B, "_delta_maps", two_maps)
+                assert check().to_obj() == report.to_obj()
+        assert True in verdicts and False in verdicts
+        # equal (empty) tables of another role share no map: delta refuses it
+        gens = list(fam.gens.values())
+        empty_m = B.OperationFamily("m", gens, {})
+        empty_h = B.OperationFamily("h", gens, {})
+        with pytest.raises(ShapeError, match="differential family"):
+            B.check_chain_map(_identity_h(fam), empty_h, empty_m, window)
+
 
 class TestDual:
     @pytest.mark.parametrize("name", ["polynomial", "exterior", "circle"])

@@ -80,6 +80,8 @@ class TestBasics:
             ("Q", 4, 0): "9d5c58ddd2f431729b0eee6aa98f1e08947cf81a2d2e7888b6252aa6c3bcee96",
             ("Q", 3, 1): "0033457903ea8d93ef2829e92e98de075c0f3c7c91167a96ab2a813fcbfada1e",
             ("Ks", 4, 1): "5dacff2a1bb97d6832396f3f6c0ceffce731b253f6d3f707ca70079b73695ad6",
+            # one stratum and no coverings: "coverings": []
+            ("K", 2, 0): "0e4f387fbab0914107f1852b8c56eb2ce82eeba307897b80f15c0ee462c8f35d",
         }
         for (family, l, k), want in pins.items():
             code, out = run(

@@ -896,6 +896,44 @@ class TestTiles:
         assert model.order == 2
 
 
+def _reference_export(poset):
+    """The JSON export as the payload dict and json.dumps wrote it, before
+    ``export_poset`` had its own writer; the writer must match its bytes."""
+    payload = {
+        "schema": "clustercx.face_poset/1",
+        "family": poset.family,
+        "l": poset.l,
+        "k": poset.k,
+        "strata": [
+            {
+                "id": i,
+                "dim": s.dim,
+                "codim": s.codim,
+                "tree": trees.to_obj(s.tree),
+            }
+            for i, s in enumerate(poset.strata)
+        ],
+        "coverings": [list(c) for c in poset.coverings],
+    }
+    return json.dumps(payload, sort_keys=True, indent=2)
+
+
+def _export_sweep():
+    """(family, l, k) for l <= 6 and k <= 2 whose poset is stable and has
+    at most 3,000 strata, counted without building it."""
+    out = []
+    for family in ("K", "Q", "Ks"):
+        for l in range(7):
+            for k in range(3):
+                try:
+                    n = sum(strata.f_vector(family, l, k))
+                except (StabilityError, CapError):
+                    continue
+                if n <= 3000:
+                    out.append((family, l, k))
+    return out
+
+
 class TestCollarAndExport:
     def test_strata_cap(self, monkeypatch):
         # K (4, 0) has 11 strata: a poset of exactly MAX_STRATA is built
@@ -919,3 +957,16 @@ class TestCollarAndExport:
         assert len(obj["strata"]) == 11
         dot = strata.export_poset(poset, "dot")
         assert dot.startswith("digraph")
+
+    def test_export_json_matches_json_dumps(self):
+        sweep = _export_sweep()
+        assert ("K", 2, 0) in sweep and ("Q", 4, 1) in sweep
+        empty_coverings = slotless = 0
+        for family, l, k in sweep:
+            poset = strata.face_poset(family, l, k)
+            got = strata.export_poset(poset, "json")
+            assert got == _reference_export(poset), (family, l, k)
+            empty_coverings += '"coverings": []' in got
+            slotless += '"children": []' in got
+        # K (2, 0) has no coverings; a marked vertex may have no slots
+        assert empty_coverings and slotless
