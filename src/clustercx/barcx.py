@@ -44,8 +44,9 @@ _ROLE_SHIFT = {"m": 2, "h": 1, "k": 0}
 # checks far under 600 MB.  The failing residues of a dense family grow
 # with the word length, not the word count: on 3-generator dense failing
 # random families check-ainf takes 5.3 KB per word at q = 7 and 8.4 KB at
-# q = 8, and check-morphism 33 KB and 63 KB, 628 MB at q = 8 (9,840
-# words).  No word cap bounds that.
+# q = 8, and check-morphism 21 KB and 30 KB, 294 MB at q = 8 (9,840
+# words), though the CLI serializes only the three failures it prints.
+# No word cap bounds that.
 MAX_WORDS = 100_000
 
 
@@ -538,19 +539,20 @@ class Report:
             "window": self.window.to_obj(),
             "passed": self.passed,
             "words_checked": self.n_words,
-            "failures": [
-                {
-                    "word": list(gens),
-                    "d": d,
-                    "residue": sorted(
-                        [list(g2), d2, c]
-                        for (g2, d2), c in residue.items()
-                    ),
-                }
-                for (gens, d), residue in self.failures
-            ],
+            "failures": [failure_to_obj(f) for f in self.failures],
             "note": "verified on all basis words up to the window bounds",
         }
+
+
+def failure_to_obj(failure):
+    """One ((gens, d), residue) entry of ``Report.failures`` as JSON data,
+    its residue terms sorted."""
+    (gens, d), residue = failure
+    return {
+        "word": list(gens),
+        "d": d,
+        "residue": sorted([list(g2), d2, c] for (g2, d2), c in residue.items()),
+    }
 
 
 def _run_over_words(check_name, fam, window, residue_fn):

@@ -202,7 +202,7 @@ def _finish_check(args, report, started):
     }
     witness = None
     if not report.passed:
-        witness = report.to_obj()["failures"][:3]
+        witness = [barcx.failure_to_obj(f) for f in report.failures[:3]]
     return _report(
         args,
         "pass" if report.passed else "fail",

@@ -317,6 +317,13 @@ def boundary_faces(stratum):
     of the split (see ``_splits_of_vertex``) times the product-orientation
     prefix parity of the factors before the split vertex.  Every split is
     a face: the generator keeps stability and the colored axiom.
+
+    Only vertices of positive dimension are split.  A split replaces v by
+    new vertices (a bubble: the child and the rest; a seam: the hub and
+    its colored blocks) whose dimensions add up to vertex_dim(v) - 1, as a
+    facet of a vertex cell is a product of smaller cells.  A vertex is
+    stable iff its dimension is >= 0, so a vertex of dimension 0 has no
+    stable split.  It adds 0 to the prefix, so no sign changes.
     """
     fam = stratum.family
     tree = stratum.tree
@@ -325,12 +332,14 @@ def boundary_faces(stratum):
     out = []
     prefix = 0
     for path, v, pre in walk:
-        for va, sign in _splits_of_vertex(v, pre):
-            face = Stratum(
-                fam, trees.replace_vertex(tree, path, va), stratum.perm
-            )
-            out.append((face, -sign if prefix & 1 else sign))
-        prefix += vertex_dim(v)
+        d = vertex_dim(v)
+        if d > 0:
+            for va, sign in _splits_of_vertex(v, pre):
+                face = Stratum(
+                    fam, trees.replace_vertex(tree, path, va), stratum.perm
+                )
+                out.append((face, -sign if prefix & 1 else sign))
+        prefix += d
     return out
 
 

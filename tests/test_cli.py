@@ -357,6 +357,35 @@ class TestChecks:
         assert jobs.pop("command") == " ".join(argv + ["--jobs", "2", "--json"])
         assert jobs == plain
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check-ainf", "@bad", "--qmax", "3"],
+            ["check-morphism", "--morphism", "@id_h", "--source", "@bad",
+             "--target", "@polynomial", "--qmax", "3"],
+            ["check-homotopy", "--h0", "@double_h", "--h1", "@id_h", "--homotopy",
+             "@zero_k", "--source", "@polynomial", "--target", "@polynomial",
+             "--qmax", "3"],
+        ],
+        ids=["check-ainf", "check-morphism", "check-homotopy"],
+    )
+    def test_counterexample_without_the_full_report(
+        self, capsys, monkeypatch, family_files, argv
+    ):
+        # the CLI serializes the three failures it prints, not every failure
+        argv = [family_files[a[1:]] if a.startswith("@") else a for a in argv]
+        code, expected = run(capsys, *argv, "--json")
+
+        def refused(self):
+            raise AssertionError("Report.to_obj called")
+
+        monkeypatch.setattr(barcx.Report, "to_obj", refused)
+        code2, out = run(capsys, *argv, "--json")
+        assert code == code2 == 1
+        assert out == expected
+        obj = json.loads(out)
+        assert obj["verdict"] == "fail" and 1 <= len(obj["counterexample"]) <= 3
+
 
 class TestIndexCommands:
     def test_index(self, capsys, family_files):

@@ -366,19 +366,23 @@ def _reference_faces(v):
             yield va, sign
 
 
+def _oracle_vertices(s):
+    """Every vertex with s slots, at most 3 marks and either color, save
+    colored ones with no leaf: no Q tree has one."""
+    for slots in _slot_fills(s):
+        for i in range(4):
+            for col in (False, True):
+                v = vertex(i, col, slots)
+                if not col or trees._count_leaves(v):
+                    yield v
+
+
 class TestSplitOracle:
     @pytest.mark.parametrize("s", range(7))
     def test_same_splits_in_the_same_order(self, s):
-        """Every vertex with s slots, at most 3 marks and either color,
-        save colored ones with no leaf: no Q tree has one."""
-        for slots in _slot_fills(s):
-            for i in range(4):
-                for col in (False, True):
-                    v = vertex(i, col, slots)
-                    if col and not trees._count_leaves(v):
-                        continue
-                    new = strata._splits_of_vertex(v, _reference_pre(slots))
-                    assert list(new) == list(_reference_faces(v)), v
+        for v in _oracle_vertices(s):
+            new = strata._splits_of_vertex(v, _reference_pre(v[2]))
+            assert list(new) == list(_reference_faces(v)), v
 
     @pytest.mark.parametrize("family, l, k", [("K", 5, 0), ("Q", 3, 1)])
     def test_walk_matches_the_preorder(self, family, l, k):
@@ -391,6 +395,42 @@ class TestSplitOracle:
             assert [(p, v) for p, v, _ in walk] == st.tree.vertices()
             for _, v, pre in walk:
                 assert pre == _reference_pre(v[2])
+
+    def test_zero_dimensional_vertices_have_no_split(self):
+        """The oracle's vertices of dimension 0: the 25 two-slot plain
+        vertices without marks, the bare one-mark vertex and the 3 leafy
+        one-slot colored vertices without marks."""
+        seen = 0
+        for s in range(7):
+            for v in _oracle_vertices(s):
+                if strata.vertex_dim(v) == 0:
+                    seen += 1
+                    pre = _reference_pre(v[2])
+                    assert not list(strata._splits_of_vertex(v, pre)), v
+                    assert not list(_reference_faces(v)), v
+        assert seen == 29
+
+    @pytest.mark.parametrize("family, l, k", [("K", 5, 0), ("Q", 3, 1), ("Ks", 3, 1)])
+    def test_zero_dimensional_vertices_are_not_split(self, monkeypatch, family, l, k):
+        """boundary_faces asks for the splits of positive-dimensional
+        vertices only, though the walks hold vertices of dimension 0."""
+        poset = strata.face_poset(family, l, k)
+        zero = 0
+        for st in poset.strata:
+            walk = []
+            strata._face_walk(st.tree.root, (), walk)
+            zero += sum(strata.vertex_dim(v) == 0 for _, v, _ in walk)
+        assert zero
+        splits = strata._splits_of_vertex
+        asked = []
+
+        def counted(v, pre):
+            asked.append(strata.vertex_dim(v))
+            return splits(v, pre)
+
+        monkeypatch.setattr(strata, "_splits_of_vertex", counted)
+        assert any(poset.rows)
+        assert asked and min(asked) > 0
 
 
 def _bubble_of_first_two(v, va):
