@@ -195,7 +195,8 @@ def grading_profile(family, l, k):
 
     Read from the COUNT reading of the tree grammar, so it runs on families
     with millions of strata.  The dimension sum is tallied vertex by
-    vertex, independently of the edge count, so comparing it against
+    vertex, as C = dims + edges per group of slot sequences, and comes
+    out as C - edges per stratum, so comparing it against
     dimension(family, l, k) checks the grading.  Returns a new dict on
     every call.
     """

@@ -273,41 +273,71 @@ def params_stable(l, k):
 #   leafless side branch.
 #
 # Built in this order, LIST gives the trees of each edge count in the
-# canonical order that stratum ids follow.
+# canonical order that stratum ids follow.  COUNT packs the counts over
+# the edge count of a group of sequences into one int (see _Count); its
+# subtree table stays flat, {(edges, colored, dim): count}, the table
+# grading_profile and the LIST cap read.
+
+
+# Bits per edge count in a packed COUNT value (see _Count).
+_DIGIT = 64
+_MASK = (1 << _DIGIT) - 1
 
 
 class _Count:
-    """Tree counts.  A sequence is keyed by (edges, colored, s, D), with s
-    the slot count and D = (sum of child subtree dims) + s; a subtree by
-    (edges, colored, dim).  A vertex with i marks over a sequence has dim
-    D - 2 + 2i, plus 1 when colored.  Only the stability thresholds read s
-    (s + 2i >= 2 uncolored, >= 1 colored), so s is kept as min(s, 2).
-    Uncolored keys carry colored = 0."""
+    """Tree counts.  A sequence of e edges, with s slots and
+    D = (sum of child subtree dims) + s, is keyed by (colored, s, C) with
+    C = D + e; a subtree by (edges, colored, dim).  A vertex with i marks
+    over a sequence has dim D - 2 + 2i, plus 1 when colored.  Only the
+    stability thresholds read s (s + 2i >= 2 uncolored, >= 1 colored), so
+    s is kept as min(s, 2).  Uncolored keys carry colored = 0.
+
+    The value of a sequence key is its counts over e packed into one int,
+    a _DIGIT-bit digit per edge count (Kronecker substitution: von zur
+    Gathen and Gerhard, *Modern Computer Algebra*, section 8.4), so a graft
+    convolves the edge counts of a group of rests and a group of children
+    with one integer product.  The re-keying is a bijection (D = C - e),
+    so the dimension is still tallied vertex by vertex, and within the
+    caps a table has at most 20 groups.  A digit never carries: it counts
+    distinct sequences of one table, and check_caps keeps the largest
+    table total, 9.5e13 (47 bits, colored sequences at (10, 4)), far under
+    2**_DIGIT."""
 
     def unit(self):
-        return {(0, 0, 0, 0): 1}
+        return {(0, 0, 0): 1}
 
     def leaf(self, seqs, rests):
-        for (e, nc, s, D), n in rests.items():
-            key = (e, nc, min(s + 1, 2), D + 1)
-            seqs[key] = seqs.get(key, 0) + n
+        for (nc, s, C), p in rests.items():
+            key = (nc, min(s + 1, 2), C + 1)
+            seqs[key] = seqs.get(key, 0) + p
 
     def graft(self, seqs, children, rests):
-        # the rest moves one slot right, behind the new first slot
-        rests = [
-            (e + 1, nc, min(s + 1, 2), D + 1, n)
-            for (e, nc, s, D), n in rests.items()
-        ]
+        # the children packed over their edges, grouped by (colored, C)
+        groups = {}
         for (ec, ncc, dc), m in children.items():
-            for e, nc, s, D, n in rests:
-                key = (e + ec, nc + ncc, s, D + dc)
-                seqs[key] = seqs.get(key, 0) + m * n
+            key = (ncc, dc + ec)
+            groups[key] = groups.get(key, 0) + (m << _DIGIT * ec)
+        for (nc, s, C), p in rests.items():
+            # the rest moves one slot right, behind the new first slot,
+            # whose edge adds 1 to e and to D
+            s = min(s + 1, 2)
+            p <<= _DIGIT
+            for (ncc, cc), q in groups.items():
+                key = (nc + ncc, s, C + cc + 2)
+                seqs[key] = seqs.get(key, 0) + p * q
 
     def close(self, subtrees, seqs, i, col):
-        for (e, nc, s, D), n in seqs.items():
+        for (nc, s, C), p in seqs.items():
             if s + 2 * i >= 2 - col:
-                key = (e, nc + col, D - 2 + 2 * i + col)
-                subtrees[key] = subtrees.get(key, 0) + n
+                dim = C - 2 + 2 * i + col
+                e = 0
+                while p:
+                    n = p & _MASK
+                    if n:
+                        key = (e, nc + col, dim - e)
+                        subtrees[key] = subtrees.get(key, 0) + n
+                    p >>= _DIGIT
+                    e += 1
 
 
 COUNT = _Count()
@@ -418,7 +448,9 @@ def _first_slots(l, k):
 
 @lru_cache(maxsize=None)
 def plain(G, l, k):
-    """Uncolored (sequences, subtrees) with totals (l, k), read by G."""
+    """Uncolored (sequences, subtrees) with totals (l, k), read by G;
+    CapError past the caps, where COUNT's packed digits could carry."""
+    check_caps(l, k)
     seqs = G.unit() if l == k == 0 else {}
     if l >= 1:
         G.leaf(seqs, plain(G, l - 1, k)[0])
@@ -434,7 +466,9 @@ def plain(G, l, k):
 
 @lru_cache(maxsize=None)
 def colored(G, l, k):
-    """Below-seam (sequences, subtrees) with totals (l, k), read by G."""
+    """Below-seam (sequences, subtrees) with totals (l, k), read by G;
+    CapError past the caps, where COUNT's packed digits could carry."""
+    check_caps(l, k)
     seqs = G.unit() if l == k == 0 else {}
     for lc, kc in _first_slots(l, k):
         G.graft(seqs, colored(G, lc, kc)[1], colored(G, l - lc, k - kc)[0])

@@ -141,6 +141,18 @@ def _reference_grading_profile(family, l, k):
     return out
 
 
+class _MisGraded(trees._Count):
+    """The COUNT reading with one grading error: a vertex with marks
+    closes one dimension short."""
+
+    def close(self, subtrees, seqs, i, col):
+        closed = {}
+        super().close(closed, seqs, i, col)
+        for (e, nc, d), n in closed.items():
+            key = (e, nc, d - 1 if i else d)
+            subtrees[key] = subtrees.get(key, 0) + n
+
+
 class TestGradings:
     def test_dimensions(self):
         assert strata.dimension("K", 4, 0) == 2
@@ -175,7 +187,7 @@ class TestGradings:
                 assert n > 0
 
     # the reference takes about 0.7 s for these; Q up to the caps (10, 4)
-    # also agrees but takes about 10 s
+    # takes 6-10 s, so a CI step outside tier-1 compares it
     @pytest.mark.parametrize(
         "fam, lmax, kmax", [("K", 10, 4), ("Ks", 10, 4), ("Q", 7, 3)]
     )
@@ -225,6 +237,16 @@ class TestGradings:
             prof[(99, 99)] = 1
             assert strata.grading_profile(fam, l, k) == want
             assert strata.f_vector(fam, l, k) == fv
+
+    @pytest.mark.parametrize("fam, l, k", [("K", 4, 1), ("Ks", 3, 2), ("Q", 3, 1)])
+    def test_one_wrong_dimension_shift_is_caught(self, monkeypatch, fam, l, k):
+        want = _reference_grading_profile(fam, l, k)
+        assert strata.grading_profile(fam, l, k) == want
+        # the tables are cached on the reading, so a new one starts cold
+        monkeypatch.setattr(trees, "COUNT", _MisGraded())
+        got = strata.grading_profile(fam, l, k)
+        assert sum(got.values()) == sum(want.values())
+        assert got != want
 
     def test_negative_arguments(self):
         for fam, l, k in [("K", -1, 0), ("Ks", 3, -1), ("Q", -2, 1)]:

@@ -98,6 +98,14 @@ def _reference_below_slot_seqs(l, k, e):
     return tuple(seqs)
 
 
+def _reference_dim(v):
+    """The moduli dimension of the subtree at v, summed over its vertices:
+    slots - 2 + 2 * marks at each, plus 1 at each colored one."""
+    i, col, slots = v
+    d = len(slots) - 2 + 2 * i + col
+    return d + sum(_reference_dim(s) for s in slots if s != LEAF)
+
+
 def _class_size(table, l, k):
     return sum(table(trees.COUNT, l, k)[1].values())
 
@@ -176,6 +184,21 @@ class TestEnumeration:
             total += len(got)
         assert total == _class_size(getattr(trees, kind), l, k)
 
+    @pytest.mark.parametrize("kind, l, k", LISTED_CLASSES)
+    def test_count_table_matches_listing(self, kind, l, k):
+        # the COUNT subtree table, entry by entry, against the listed trees
+        listed = (
+            trees.enumerate_types
+            if kind == "plain"
+            else trees.enumerate_colored_types
+        )
+        tally = {}
+        for e in range(2 * l + 2 * k):
+            for t in listed(l, k, e):
+                key = (e, t.n_colored, _reference_dim(t.root))
+                tally[key] = tally.get(key, 0) + 1
+        assert getattr(trees, kind)(trees.COUNT, l, k)[1] == tally
+
     def test_listing_refused_above_cap(self):
         # K (10, 4) has about 3.1e11 trees and Q (10, 4) about 4.9e13
         for listed in (trees.enumerate_types, trees.enumerate_colored_types):
@@ -183,6 +206,43 @@ class TestEnumeration:
             with pytest.raises(CapError, match="above the cap"):
                 listed(10, 4, 0)
             assert time.monotonic() - started < 1.0
+
+
+def _digit_total(p):
+    """The sum of the digits of a packed COUNT value."""
+    n = 0
+    while p:
+        n += p & trees._MASK
+        p >>= trees._DIGIT
+    return n
+
+
+class TestPackedCounts:
+    def test_digits_stay_far_under_the_digit_width(self):
+        # A digit of a packed sequence count, and any partial sum or
+        # product that builds it, counts distinct trees of one table, so
+        # it is at most the table's total.  The largest total within the
+        # caps is that of the colored sequences at (10, 4).
+        totals = []
+        for table in (trees.plain, trees.colored):
+            for l in range(trees.MAX_LEAVES + 1):
+                for k in range(trees.MAX_MARKS + 1):
+                    seqs, subtrees = table(trees.COUNT, l, k)
+                    totals.append(sum(map(_digit_total, seqs.values())))
+                    totals.append(sum(subtrees.values()))
+        largest = max(totals)
+        assert largest == 94_762_481_768_580
+        assert largest == sum(
+            map(_digit_total, trees.colored(trees.COUNT, 10, 4)[0].values())
+        )
+        assert largest.bit_length() <= trees._DIGIT - 8
+
+    def test_tables_refused_past_the_caps(self):
+        for table in (trees.plain, trees.colored):
+            for G in (trees.COUNT, trees.LIST, trees.MOVES):
+                for l, k in [(trees.MAX_LEAVES + 1, 0), (0, trees.MAX_MARKS + 1)]:
+                    with pytest.raises(CapError):
+                        table(G, l, k)
 
 
 class TestContraction:
