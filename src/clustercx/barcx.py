@@ -8,12 +8,14 @@ sums with their facet signs, and checks the defining relations on every
 basis word inside a finite truncation window.  Every facet, Koszul and
 Getzler-Jones sign is a call into ``signs``, whose formulas the tests pin.
 The word differential, the morphism and the homotopy sums are each a
-recursion on the first block, held in a per-check word map: delta is a
-coderivation, so delta(x v) is the terms at the first gap plus
-x (x) delta(v) re-signed, and H and K are coalgebra maps.  A family builds
-one pattern trie of its structure constants, which every recursion walks
-from a word's first symbol, and every sign of a delta term comes from
-``signs.delta_parity``.
+recursion over the suffixes of a word: delta is a coderivation, so
+delta(x v) is the terms at the first gap plus x (x) delta(v) re-signed,
+and H and K are coalgebra maps, summed over first blocks.  One word map
+class (_WordMap) holds all three per check; it builds a missing word's
+suffixes shortest first, in a loop, so words of any length can be mapped.
+A family builds one pattern trie of its structure constants, which every
+recursion walks from a word's first symbol, and every sign of a delta
+term comes from ``signs.delta_parity``.
 
 Degrees: a generator carries its co-index mu+ (number of positive Hessian
 directions); a word of exponent d has mu = sum of co-indices + d*N_L and
@@ -21,6 +23,7 @@ cardinality q = number of factors.  Structure constants must shift mu by
 2 - arity (differentials), 1 - arity (morphisms) or -arity (homotopies).
 """
 
+from functools import cache
 from itertools import product as _iproduct
 
 from .errors import BlockError, CapError, RangeError, ShapeError
@@ -313,39 +316,57 @@ def _comb_map(word_map, comb):
     return out
 
 
-def _once(fn, known=()):
-    """The word map gens -> fn(gens), computing each word once while the
-    map lives; ``known`` gives images fixed in advance.  A checker builds
-    one per inner map of its relation and drops it on return."""
-    images = dict(known)
-
-    def word_map(gens):
-        image = images.get(gens)
-        if image is None:
-            image = images[gens] = fn(gens)
-        return image
-
-    return word_map
-
-
-class _SelfMap(dict):
-    """The word map gens -> image(gens, 0, lookup) of a first-block sum: a
+class _WordMap(dict):
+    """The word map gens -> image of a recursion on the first symbol: a
     dict from words to their images that computes a missing image on
     lookup, so each word's image is computed once while the map lives;
-    ``known`` gives images fixed in advance.  image reaches the map's
-    images of shorter words through its ``lookup`` argument, not through a
-    closure over the map, so no reference cycle keeps the images alive
-    after the checker drops it."""
+    ``known`` gives images fixed in advance.
 
-    __slots__ = ("_image",)
+    ``image(wmap, gens, tail)`` builds the image of gens from ``tail``, the
+    map's image of gens[1:], and may read any shorter suffix from the map.
+    A miss builds the longest suffix it lacks first and then each longer
+    one, in a loop rather than a recursion, so a word of any length can be
+    mapped and every suffix of a held word is held.  image gets the map as
+    an argument and closes over nothing that holds it, so no reference
+    cycle keeps the images alive after the caller drops the map.  ``fam``
+    validates words from outside (``checked``); ``aux`` holds what image
+    reads besides the map and its family."""
 
-    def __init__(self, image, known):
+    __slots__ = ("fam", "image", "aux")
+
+    def __init__(self, fam, image, known, aux=None):
         super().__init__(known)
-        self._image = image
+        self.fam = fam
+        self.image = image
+        self.aux = aux
 
     def __missing__(self, gens):
-        out = self[gens] = self._image(gens, 0, self.__getitem__)
+        tail = self.get(gens[1:])
+        if tail is None and gens:
+            k = 1
+            while tail is None and k < len(gens):
+                k += 1
+                tail = self.get(gens[k:])
+            if tail is None:
+                tail = self[()] = self.image(self, (), None)
+            for i in range(k - 1, 0, -1):
+                tail = self[gens[i:]] = self.image(self, gens[i:], tail)
+        out = self[gens] = self.image(self, gens, tail)
         return out
+
+    def checked(self, gens):
+        """The image of gens, validated first unless the map holds it:
+        suffixes and images of valid words are valid."""
+        out = self.get(gens)
+        if out is None:
+            self.fam.validate_word(gens)
+            out = self[gens]
+        return out
+
+
+def _times_t(image, d):
+    """A copy of ``image`` t^d: every term's exponent raised by d."""
+    return {(g2, d + d2): c for (g2, d2), c in image.items()} if d else dict(image)
 
 
 # -- the word differential ---------------------------------------------------
@@ -361,12 +382,11 @@ def delta(fam, gens, d=0):
     Koszul sign of a degree-1 operation on the degrees mu - 1.  Both are
     signs.delta_parity.  The word is validated first.
     """
-    image = _DeltaMap(fam).checked(gens)
-    return {(g2, d + d2): c for (g2, d2), c in image.items()} if d else dict(image)
+    return _times_t(_delta_map(fam).checked(gens), d)
 
 
 def delta_comb(fam, comb):
-    return _comb_map(_DeltaMap(fam).checked, comb)
+    return _comb_map(_delta_map(fam).checked, comb)
 
 
 def _tail_flips(mu, suspended):
@@ -384,52 +404,19 @@ def _tail_flips(mu, suspended):
     )
 
 
-class _DeltaMap(dict):
+def _delta_map(fam):
     """The word map gens -> delta(gens) of a differential family, in its
-    sign convention: a dict from words to their images that computes a
-    missing image on lookup, so each word's image is computed once while
-    the map lives.  An image is built by _delta_image from the image of
-    the word's suffix after its first symbol, so the map also holds the
-    images of all suffixes; it passes itself to _delta_image, and nothing
-    closes over it.  Suffixes and images of valid words are valid;
-    ``checked`` validates a word the map does not hold yet."""
-
-    __slots__ = ("fam", "flips")
-
-    def __init__(self, fam):
-        if fam.role != "m":
-            raise ShapeError("delta needs a differential family")
-        super().__init__()
-        self.fam = fam
-        # per symbol, the flips indexed by the parity of the length of the
-        # word it heads and then by that of a tail term, as l = Q - |g2|
-        self.flips = {}
-        for s, mu in fam.coidx.items():
-            even, odd = _tail_flips(mu, fam.suspended)
-            self.flips[s] = ((even, odd), (odd, even))
-
-    def __missing__(self, gens):
-        tail = self.get(gens[1:])
-        if tail is None and gens:
-            # the longest suffix held, then each longer one: a loop, not a
-            # recursion, so a word of any length can be mapped
-            k = 1
-            while tail is None and k < len(gens):
-                k += 1
-                tail = self.get(gens[k:])
-            if tail is None:
-                tail = self[()] = _delta_image(self, (), None)
-            for i in range(k - 1, 0, -1):
-                tail = self[gens[i:]] = _delta_image(self, gens[i:], tail)
-        out = self[gens] = _delta_image(self, gens, tail)
-        return out
-
-    def checked(self, gens):
-        out = self.get(gens)
-        if out is None:
-            self.fam.validate_word(gens)
-            out = self[gens]
-        return out
+    sign convention, each image built by _delta_image from that of the
+    word's suffix.  Its ``aux`` holds, per symbol, the tail flips indexed
+    by the parity of the length of the word it heads and then by that of
+    a tail term, as l = Q - |g2|."""
+    if fam.role != "m":
+        raise ShapeError("delta needs a differential family")
+    flips = {}
+    for s, mu in fam.coidx.items():
+        even, odd = _tail_flips(mu, fam.suspended)
+        flips[s] = ((even, odd), (odd, even))
+    return _WordMap(fam, _delta_image, (), flips)
 
 
 def _delta_image(dmap, gens, tail):
@@ -473,7 +460,7 @@ def _delta_image(dmap, gens, tail):
     if x in fam.labelled:
         for g2, _ in tail:
             fam.validate_word((x,) + g2)
-    flip = dmap.flips[x][Q & 1]
+    flip = dmap.aux[x][Q & 1]
     if not out:
         return {
             ((x,) + g2, d2): -c if flip[len(g2) & 1] else c
@@ -608,7 +595,7 @@ def check_a_infinity(fam, window, via_suspension=False):
         name = "a-infinity(suspended)"
         fam = fam if fam.suspended else suspend(fam)
     # one map for both factors: each distinct word's delta is computed once
-    D = _DeltaMap(fam).__getitem__
+    D = _delta_map(fam).__getitem__
     return _run_over_words(name, fam, window, lambda gens: _comb_map(D, D(gens)))
 
 
@@ -639,7 +626,7 @@ def check_unit(fam, unit_sym, window):
             if pattern[0] == unit_sym and outs:
                 failures.append(((pattern, 0), dict(outs)))
 
-    D = _DeltaMap(fam)  # delta of U(w) reads delta of w as its tail
+    D = _delta_map(fam)  # delta of U(w) reads delta of w as its tail
 
     def residue(gens):
         lhs = dict(D.checked((unit_sym,) + gens))
@@ -666,12 +653,12 @@ def check_unit(fam, unit_sym, window):
 _UNIT = {((), 0): 1}  # H of the empty word
 
 
-def _first_blocks(out, fam, gens, d, tail, parity):
-    """Add to ``out`` the terms fam_l(u) (x) tail(v) over the first blocks
-    u = gens[:l] with constants in fam, a term whose tail has r factors
-    signed by (-1)^parity(l, D(u), r, |v|).  One trie walk from position 0
-    finds every such block, summing D(u) as it goes; the root's arity-0
-    constants are no block."""
+def _first_blocks(out, fam, gens, tails, parity):
+    """Add to ``out`` the terms fam_l(u) (x) tails[v] over the first blocks
+    u = gens[:l] with constants in fam and the rest v = gens[l:], a term
+    whose tail has r factors signed by (-1)^parity(l, D(u), r, |v|).  One
+    trie walk from position 0 finds every such block, summing D(u) as it
+    goes; the root's arity-0 constants are no block."""
     q = len(gens)
     node = fam.trie
     head = 0
@@ -682,73 +669,77 @@ def _first_blocks(out, fam, gens, d, tail, parity):
         head += fam.coidx[s]
         if not node[1]:
             continue
-        for (g2, d2), c2 in tail(gens[l:]).items():
+        for (g2, d2), c2 in tails[gens[l:]].items():
             if parity(l, head, len(g2), q - l) % 2:
                 c2 = -c2
             for sym, dd, c, _ in node[1]:
-                _add_term(out, (sym,) + g2, d + dd + d2, c * c2)
+                _add_term(out, (sym,) + g2, dd + d2, c * c2)
 
 
-def _morphism_maps(hfam):
-    """(image, H): image(gens, d) is H(gens) t^d from the first blocks of
-    gens, and H the word map image(gens) that computes each word once and
-    serves the suffix images.  A checker keeps H for its inner words and
-    sends outer words to image, so only inner words and suffixes are held."""
+def _h_parity(l, head, r, nv):
+    return first_block_parity(l, head, r, r - nv)
+
+
+def _k_parity(l, head, r, nv):
+    return 1 + r + first_block_parity(l, head, r, r - nv)
+
+
+def _h1_parity(l, head, r, nv):
+    return l + first_block_parity(l, head, r, r - 1 - nv)
+
+
+def _morphism_image(H, gens, tail):
+    """H(gens) from the first blocks of gens, with the suffix images read
+    from the map H (tail is one of them)."""
+    out = {}
+    _first_blocks(out, H.fam, gens, H, _h_parity)
+    return out
+
+
+def _homotopy_image(K, gens, tail):
+    """K(gens) = k (x) H0 + h1 (x) K over the first blocks of gens, with
+    ``K.aux`` = (h1, H0) and the suffix images of K read from K."""
+    h1, H0 = K.aux
+    out = {}
+    _first_blocks(out, K.fam, gens, H0, _k_parity)
+    _first_blocks(out, h1, gens, K, _h1_parity)
+    return out
+
+
+def _morphism_map(hfam):
+    """The word map of H.  A checker reads it for its inner words and
+    calls _morphism_image on it for its outer words, so only inner words
+    and suffixes are held."""
     if hfam.role != "h":
         raise ShapeError("morphism_H needs an h family")
-
-    def image(gens, d, H):
-        out = {}
-        _first_blocks(
-            out, hfam, gens, d, H,
-            lambda l, head, r, nv: first_block_parity(l, head, r, r - nv),
-        )
-        return out
-
-    H = _SelfMap(image, {(): _UNIT}).__getitem__
-    return (lambda gens, d=0: image(gens, d, H)), H
+    return _WordMap(hfam, _morphism_image, {(): _UNIT})
 
 
-def _homotopy_maps(h1, kfam, H0):
-    """(image, K) as _morphism_maps gives them for H, for the homotopy sum
-    K = k (x) H0 + h1 (x) K, with H0 the word map of h0's H."""
+def _homotopy_map(h1, kfam, H0):
+    """The word map of K, as _morphism_map gives that of H, with H0 the
+    word map of h0's H."""
     if kfam.role != "k":
         raise ShapeError("homotopy_K needs a k family")
-
-    def image(gens, d, K):
-        out = {}
-        _first_blocks(
-            out, kfam, gens, d, H0,
-            lambda l, head, r, nv: 1 + r + first_block_parity(l, head, r, r - nv),
-        )
-        _first_blocks(
-            out, h1, gens, d, K,
-            lambda l, head, r, nv: l + first_block_parity(l, head, r, r - 1 - nv),
-        )
-        return out
-
-    K = _SelfMap(image, {(): {}}).__getitem__
-    return (lambda gens, d=0: image(gens, d, K)), K
+    return _WordMap(kfam, _homotopy_image, {(): {}}, (h1, H0))
 
 
 def _delta_maps(m1, m0):
-    """delta(1) of the source words and delta(0), which validates its words,
-    for a check whose families share one generator table (_one_table).
-    When m0 and m1 are the same differential family, one map serves both,
-    so each word's image is built once."""
-    D1 = _DeltaMap(m1)
+    """The delta maps of m1 and m0 for a check whose families share one
+    generator table (_one_table).  When m0 and m1 are the same
+    differential family, one map serves both, so each word's image is
+    built once."""
+    D1 = _delta_map(m1)
     same = (m0.role, m0.ops, m0.suspended) == (m1.role, m1.ops, m1.suspended)
-    D0 = D1 if same else _DeltaMap(m0)
-    return D1.__getitem__, D0.checked
+    return D1, D1 if same else _delta_map(m0)
 
 
 def morphism_H(hfam, gens, d=0):
     """H(w) t^d, the morphism sum over the first blocks of w: each block u
     with constants contributes h_l(u) (x) H(v) for the rest v of w, with
     the first-block sign; the suffix images are computed once per call."""
-    image = _morphism_maps(hfam)[0]
+    H = _morphism_map(hfam)
     hfam.validate_word(gens)
-    return image(gens, d)
+    return _times_t(_morphism_image(H, gens, None), d)
 
 
 def check_chain_map(hfam, m0, m1, window):
@@ -756,11 +747,13 @@ def check_chain_map(hfam, m0, m1, window):
     source complex (whose differential is m1).  The images of H are
     validated as words of m0 by delta(0)."""
     _one_table(hfam, m0, m1)
-    outer, H = _morphism_maps(hfam)
-    delta1, delta0 = _delta_maps(m1, m0)
+    H = _morphism_map(hfam)
+    D1, D0 = _delta_maps(m1, m0)
+    inner, delta0 = H.__getitem__, D0.checked
 
     def residue(gens):
-        return _sub(_comb_map(H, delta1(gens)), _comb_map(delta0, outer(gens)))
+        outer = _morphism_image(H, gens, None)
+        return _sub(_comb_map(inner, D1[gens]), _comb_map(delta0, outer))
 
     return _run_over_words("chain-map", m1, window, residue)
 
@@ -770,24 +763,24 @@ def homotopy_K(h0, h1, kfam, gens, d=0):
     h1_l(u) (x) K(v), signed as H is and further by the homotopy position
     parity."""
     _one_table(h0, h1, kfam)
-    image = _homotopy_maps(h1, kfam, _morphism_maps(h0)[1])[0]
+    K = _homotopy_map(h1, kfam, _morphism_map(h0))
     kfam.validate_word(gens)
-    return image(gens, d)
+    return _times_t(_homotopy_image(K, gens, None), d)
 
 
 def check_homotopy(h0, h1, kfam, m0, m1, window):
     """Residues of H(1) - H(0) - K o delta(1) - delta(0) o K; one H0 word
     map serves the outer H(0) and the tails of K."""
     _one_table(h0, h1, kfam, m0, m1)
-    outer1 = _morphism_maps(h1)[0]
-    outer0, H0 = _morphism_maps(h0)
-    outer, K = _homotopy_maps(h1, kfam, H0)
-    delta1, delta0 = _delta_maps(m1, m0)
+    H1, H0 = _morphism_map(h1), _morphism_map(h0)
+    K = _homotopy_map(h1, kfam, H0)
+    D1, D0 = _delta_maps(m1, m0)
+    inner, delta0 = K.__getitem__, D0.checked
 
     def residue(gens):
-        out = _sub(outer1(gens), outer0(gens))
-        out = _sub(out, _comb_map(K, delta1(gens)))
-        return _sub(out, _comb_map(delta0, outer(gens)))
+        out = _sub(_morphism_image(H1, gens, None), _morphism_image(H0, gens, None))
+        out = _sub(out, _comb_map(inner, D1[gens]))
+        return _sub(out, _comb_map(delta0, _homotopy_image(K, gens, None)))
 
     return _run_over_words("homotopy", m1, window, residue)
 
@@ -860,7 +853,7 @@ def check_leibniz(fam, window):
     so a pass says nothing about the family: the check tests the sign
     code of the derivation and of the split."""
     dga = _derivation(fam)
-    part = _once(dga)
+    part = cache(dga)
 
     def residue(gens):
         Q = len(gens)

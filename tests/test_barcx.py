@@ -306,7 +306,7 @@ class TestMorphismsAndHomotopies:
         cases.append((c0, c1, lambda: B.check_chain_map(ch, c0, c1, window)))
 
         def two_maps(m1, m0):
-            return B._DeltaMap(m1).__getitem__, B._DeltaMap(m0).checked
+            return B._delta_map(m1), B._delta_map(m0)
 
         calls = _count_delta_images(monkeypatch)
         verdicts = []
@@ -885,11 +885,48 @@ class TestSuffixRecursion:
                 assert got == _reference_delta(m, word, d)
                 assert got
 
-    def test_word_longer_than_the_recursion_limit(self, lib):
-        # the suffixes are built in a loop, not by recursion
-        word = ("m", "M") * sys.getrecursionlimit()
-        fam = lib["circle"]
-        assert B.delta(fam, word) == _reference_delta(fam, word)
+    @pytest.mark.parametrize("which", ["delta", "morphism_H", "homotopy_K"])
+    def test_word_longer_than_the_recursion_limit(self, lib, which):
+        # the suffixes are built in a loop, not by recursion.  For H and K:
+        # x of co-index 1 and y of co-index 0, h0 the identity, h1 the
+        # identity on y alone and k sending x to y.  Every block is one
+        # symbol, so the first-block signs give H0(w) = w, K(y v) =
+        # -y (x) K(v) and K(x v) = (-1)^|v| y (x) H0(v) (h1 is 0 on x), and
+        # K(y^a x^b) = (-1)^(a+b) y^(a+1) x^(b-1).  The reference confirms
+        # both forms on short words; it lists every arity composition, too
+        # many at the long word's length
+        n = sys.getrecursionlimit()
+        if which == "delta":
+            word = ("m", "M") * n
+            fam = lib["circle"]
+            assert B.delta(fam, word) == _reference_delta(fam, word)
+            return
+        gens = [B.Generator("x", 1), B.Generator("y", 0)]
+        h0 = B.OperationFamily("h", gens, {1: {(s,): [(s, 0, 1)] for s in "xy"}})
+        h1 = B.OperationFamily("h", gens, {1: {("y",): [("y", 0, 1)]}})
+        k = B.OperationFamily("k", gens, {1: {("x",): [("y", 0, 1)]}})
+
+        def closed_form(a, b):
+            word = ("y",) * a + ("x",) * b
+            if which == "morphism_H":
+                return word, {(word, 0): 1}
+            return word, {(("y",) * (a + 1) + ("x",) * (b - 1), 0): (-1) ** (a + b)}
+
+        def call(word):
+            if which == "morphism_H":
+                return B.morphism_H(h0, word)
+            return B.homotopy_K(h0, h1, k, word)
+
+        reference = {
+            "morphism_H": lambda word: _reference_morphism_H(h0, word),
+            "homotopy_K": lambda word: _reference_homotopy_K(h0, h1, k, word),
+        }[which]
+        for a, b in product(range(4), range(1, 4)):
+            word, want = closed_form(a, b)
+            assert reference(word) == want == call(word)
+        word, want = closed_form(n, n)
+        assert len(word) == 2 * sys.getrecursionlimit()
+        assert call(word) == want
 
     def test_out_of_order_tail_behind_a_labelled_symbol(self):
         # m writes v (0, 1) in place of x.  Behind u (1, 2) that is out of
@@ -901,7 +938,7 @@ class TestSuffixRecursion:
             for call in (B.delta, _reference_delta):
                 with pytest.raises(BlockError, match=message):
                     call(m, word)
-            dmap = B._DeltaMap(m)
+            dmap = B._delta_map(m)
             assert dmap[word[1:]]  # held and valid
             with pytest.raises(BlockError, match=message):
                 dmap.checked(word)

@@ -105,6 +105,7 @@ def test_first_block_maps_leave_no_cycle():
     assert cycles_left(lambda: B.check_chain_map(h, fam, fam, window)) == 0
     assert cycles_left(lambda: B.check_homotopy(h, h, kzero, fam, fam, window)) == 0
     assert cycles_left(lambda: B.morphism_H(h, ("a", "a2"))) == 0
+    assert cycles_left(lambda: B.homotopy_K(h, h, kzero, ("a", "a2"))) == 0
 
 
 def test_delta_maps_leave_no_cycle():
@@ -114,3 +115,10 @@ def test_delta_maps_leave_no_cycle():
     assert cycles_left(lambda: B.check_a_infinity(fam, window, via_suspension=True)) == 0
     assert cycles_left(lambda: B.check_unit(fam, "M", window)) == 0
     assert cycles_left(lambda: B.delta(fam, ("M", "m", "M", "m"))) == 0
+    comb = {(("M", "m"), 0): 1, (("m", "M", "m"), 1): -2}
+    assert cycles_left(lambda: B.delta_comb(fam, comb)) == 0
+
+
+def test_leibniz_cache_leaves_no_cycle():
+    fam = B.example_library()["circle"]
+    assert cycles_left(lambda: B.check_leibniz(fam, B.TruncationWindow(qmax=4))) == 0
