@@ -165,18 +165,30 @@ def _strata(family, l, k):
     in the canonical order of the trees."""
     top = dimension(family, l, k)
     if family != "Q":
-        return [
-            Stratum(family, t)
-            for codim in range(top + 1)
-            for t in trees.enumerate_types(l, k, codim)
-        ]
+        return _wrapped(
+            family, [trees.enumerate_types(l, k, codim) for codim in range(top + 1)]
+        )
     # edges = codim + (colored - 1), and a tree has at most l colored vertices
-    out = [
-        Stratum(family, t)
-        for e in range(top + l)
-        for t in trees.enumerate_colored_types(l, k, e)
-    ]
+    out = _wrapped(
+        family, [trees.enumerate_colored_types(l, k, e) for e in range(top + l)]
+    )
     return sorted(out, key=lambda s: s.codim)
+
+
+def _wrapped(family, tree_lists):
+    """A stratum of ``family``, a name in FAMILIES, for each tree of each
+    list: the fields are set directly, so the one tag is not checked once
+    per tree."""
+    new = Stratum.__new__
+    out = []
+    for ts in tree_lists:
+        for t in ts:
+            s = new(Stratum)
+            s.family = family
+            s.tree = t
+            s.perm = None
+            out.append(s)
+    return out
 
 
 def face_poset(family, l, k):
@@ -674,11 +686,11 @@ class ClusterType:
     STATES = frozenset(("node", "line", "broken"))
 
     def __init__(self, stratum, edge_states, n_complex_nodes=0):
-        if set(edge_states) != set(stratum.tree.edges()):
+        if edge_states.keys() != set(stratum.tree.edges()):
             raise ShapeError("edge states must cover the interior edges")
         states = list(edge_states.values())
-        unknown = set(states) - self.STATES
-        if unknown:
+        if not self.STATES.issuperset(states):
+            unknown = set(states) - self.STATES
             raise ShapeError(
                 "unknown edge state %s: a state is 'node', 'line' or 'broken'"
                 % ", ".join(sorted(map(repr, unknown)))

@@ -46,15 +46,24 @@ def _stable_vertex(v):
 
 
 class PlanarTree:
-    """Immutable rooted planar (optionally colored) tree."""
+    """Immutable rooted planar (optionally colored) tree.
 
-    __slots__ = ("root",)
+    ``_edges`` memoizes the edge paths: None until the first ``edges()``
+    call walks the tree, then their tuple.  It lives and dies with the
+    tree and takes no part in equality, hashing or pickling."""
+
+    __slots__ = ("root", "_edges")
 
     def __init__(self, root):
-        object.__setattr__(self, "root", root)
+        _set_root(self, root)
+        _set_edges(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PlanarTree is immutable")
+
+    def __reduce__(self):
+        # the default restore would set the slots through __setattr__
+        return (PlanarTree, (self.root,))
 
     def __eq__(self, other):
         return isinstance(other, PlanarTree) and self.root == other.root
@@ -77,7 +86,10 @@ class PlanarTree:
 
     @property
     def n_edges(self):
-        return _count_vertices(self.root) - 1
+        edges = self._edges
+        if edges is None:
+            return _count_vertices(self.root) - 1
+        return len(edges)
 
     @property
     def n_colored(self):
@@ -89,10 +101,15 @@ class PlanarTree:
 
     def edges(self):
         """Interior edges as root-paths of slot indices, depth-first order:
-        each non-root vertex of the preorder walk names the edge below it."""
-        out = []
-        _edge_walk(self.root, (), out)
-        return out
+        each non-root vertex of the preorder walk names the edge below it.
+        The first call walks the tree; every call returns a fresh list."""
+        edges = self._edges
+        if edges is None:
+            out = []
+            _edge_walk(self.root, (), out)
+            _set_edges(self, tuple(out))
+            return out
+        return list(edges)
 
     def vertices(self):
         """(path, vertex) pairs in depth-first preorder; root path is ()."""
@@ -136,6 +153,10 @@ class PlanarTree:
         return _colored_leaves(self.root, False) is not None
 
 
+# the slot setters, which bypass the blocked __setattr__
+_set_root = PlanarTree.root.__set__
+_set_edges = PlanarTree._edges.__set__
+
 _SPECIAL_COROLLAS = {vertex(0, False, (LEAF,))}
 
 
@@ -168,11 +189,13 @@ def _tally(v, j):
 
 def _edge_walk(v, path, out):
     """Append the edge paths below ``v``, at ``path``, in preorder."""
-    for idx, s in enumerate(v[2]):
+    idx = 0
+    for s in v[2]:
         if type(s) is tuple:
             p = path + (idx,)
             out.append(p)
             _edge_walk(s, p, out)
+        idx += 1
 
 
 def _preorder(v, path, out):
@@ -254,8 +277,9 @@ def params_stable(l, k):
 # COUNT tallies the trees, LIST builds them, and MOVES tallies them pointed
 # at their transposition moves.  Each table builder takes a
 # reading G, is cached on G and the totals (l, k) alone, and returns
-# (sequences, subtrees): the slot sequences and the stable subtrees with
-# l leaves and k marks, keyed and valued by G.
+# (sequences, subtrees, children): the slot sequences and the stable
+# subtrees with l leaves and k marks, keyed and valued by G, and the
+# subtrees in the form G.graft reads, G.children(subtrees), made once.
 #
 # * A sequence has a leaf or a subtree of totals (lc, kc) in its first
 #   slot, followed by a sequence with the rest.  (0, 0) has no stable
@@ -276,7 +300,8 @@ def params_stable(l, k):
 # canonical order that stratum ids follow.  COUNT packs the counts over
 # the edge count of a group of sequences into one int (see _Count); its
 # subtree table stays flat, {(edges, colored, dim): count}, the table
-# grading_profile and the LIST cap read.
+# grading_profile and the LIST cap read, and its children are the same
+# counts packed and grouped.
 
 
 # Bits per edge count in a packed COUNT value (see _Count).
@@ -311,18 +336,21 @@ class _Count:
             key = (nc, min(s + 1, 2), C + 1)
             seqs[key] = seqs.get(key, 0) + p
 
-    def graft(self, seqs, children, rests):
-        # the children packed over their edges, grouped by (colored, C)
+    def children(self, subtrees):
+        # the subtrees packed over their edges, grouped by (colored, C)
         groups = {}
-        for (ec, ncc, dc), m in children.items():
+        for (ec, ncc, dc), m in subtrees.items():
             key = (ncc, dc + ec)
             groups[key] = groups.get(key, 0) + (m << _DIGIT * ec)
+        return groups
+
+    def graft(self, seqs, children, rests):
         for (nc, s, C), p in rests.items():
             # the rest moves one slot right, behind the new first slot,
             # whose edge adds 1 to e and to D
             s = min(s + 1, 2)
             p <<= _DIGIT
-            for (ncc, cc), q in groups.items():
+            for (ncc, cc), q in children.items():
                 key = (nc + ncc, s, C + cc + 2)
                 seqs[key] = seqs.get(key, 0) + p * q
 
@@ -349,6 +377,9 @@ class _List:
 
     def unit(self):
         return {0: [()]}
+
+    def children(self, subtrees):
+        return subtrees
 
     def leaf(self, seqs, rests):
         for e, rs in rests.items():
@@ -394,6 +425,9 @@ class _Moves:
 
     def unit(self):
         return {(0, (), 0): (1,) + (0,) * 6}
+
+    def children(self, subtrees):
+        return subtrees
 
     def leaf(self, seqs, rests):
         for key, val in rests.items():
@@ -448,32 +482,33 @@ def _first_slots(l, k):
 
 @lru_cache(maxsize=None)
 def plain(G, l, k):
-    """Uncolored (sequences, subtrees) with totals (l, k), read by G;
-    CapError past the caps, where COUNT's packed digits could carry."""
+    """Uncolored (sequences, subtrees, children) with totals (l, k), read
+    by G; CapError past the caps, where COUNT's packed digits could carry."""
     check_caps(l, k)
     seqs = G.unit() if l == k == 0 else {}
     if l >= 1:
         G.leaf(seqs, plain(G, l - 1, k)[0])
     for lc, kc in _first_slots(l, k):
-        G.graft(seqs, plain(G, lc, kc)[1], plain(G, l - lc, k - kc)[0])
+        G.graft(seqs, plain(G, lc, kc)[2], plain(G, l - lc, k - kc)[0])
     subtrees = {}
     for i in range(k + 1):
         src = seqs if i == 0 else plain(G, l, k - i)[0]
         G.close(subtrees, src, i, False)
-    G.graft(seqs, subtrees, G.unit())
-    return seqs, subtrees
+    children = G.children(subtrees)
+    G.graft(seqs, children, G.unit())
+    return seqs, subtrees, children
 
 
 @lru_cache(maxsize=None)
 def colored(G, l, k):
-    """Below-seam (sequences, subtrees) with totals (l, k), read by G;
-    CapError past the caps, where COUNT's packed digits could carry."""
+    """Below-seam (sequences, subtrees, children) with totals (l, k), read
+    by G; CapError past the caps, where COUNT's packed digits could carry."""
     check_caps(l, k)
     seqs = G.unit() if l == k == 0 else {}
     for lc, kc in _first_slots(l, k):
-        G.graft(seqs, colored(G, lc, kc)[1], colored(G, l - lc, k - kc)[0])
+        G.graft(seqs, colored(G, lc, kc)[2], colored(G, l - lc, k - kc)[0])
     if l == 0:
-        subtrees = plain(G, 0, k)[1]
+        _, subtrees, children = plain(G, 0, k)
     else:
         # all colored roots, then all uncolored hubs: the canonical order
         subtrees = {}
@@ -482,8 +517,9 @@ def colored(G, l, k):
         for i in range(k + 1):
             src = seqs if i == 0 else colored(G, l, k - i)[0]
             G.close(subtrees, src, i, False)
-    G.graft(seqs, subtrees, G.unit())
-    return seqs, subtrees
+        children = G.children(subtrees)
+    G.graft(seqs, children, G.unit())
+    return seqs, subtrees, children
 
 
 def _listed(table, l, k, e):

@@ -26,6 +26,12 @@ def run(capsys, *argv):
     return code, out
 
 
+# two stable trees: a stratum of Q only, and a stratum of no family, with
+# a colored vertex under another on the path to two of its leaves
+_COLORED_ROOT = {"i": 4, "col": True, "children": ["x", "x"]}
+_TWO_COLORS = {"col": True, "children": ["x", {"col": True, "children": ["x", "x"]}]}
+
+
 @pytest.fixture(scope="module")
 def family_files(tmp_path_factory):
     d = tmp_path_factory.mktemp("fams")
@@ -459,6 +465,19 @@ class TestIndexCommands:
         code, out = run(capsys, "chart", str(p), "--invert", "--json")
         assert code == 1
         assert json.loads(out)["error"] == "RangeError"
+
+    @pytest.mark.parametrize(
+        "family, tree",
+        [("K", None), ("Ks", None), ("Q", _COLORED_ROOT)],
+    )
+    def test_index_tree_of_its_family(self, capsys, tmp_path, family, tree):
+        obj = dict(FIXTURES["ct.json"], family=family)
+        if tree is not None:
+            obj["tree"] = tree
+        p = tmp_path / "ct.json"
+        p.write_text(json.dumps(obj))
+        code, out = run(capsys, "index", str(p), "--json")
+        assert code == 0 and "index" in json.loads(out)["data"]
 
     def test_index_unknown_edge_state(self, capsys, tmp_path):
         obj = {
@@ -899,6 +918,10 @@ REFUSED = {
     "index NL 0, monotone": _case(_INDEX, "ct_nodes.json", "RangeError", NL=0),
     "index edge_states key 'x'": _case(
         _INDEX, "ct_nodes.json", edge_states={"x": "line"}),
+    "index K colored root": _case(_INDEX, "ct.json", tree=_COLORED_ROOT),
+    "index Q plain tree": _case(_INDEX, "ct.json", family="Q"),
+    "index Q two colors on a path": _case(
+        _INDEX, "ct.json", family="Q", tree=_TWO_COLORS, mu_leaves=[0, 0, 0]),
     "chart no tree": _case(_CHART, "chart_marked.json", tree=_DELETE),
     "chart xs 0": _case(_CHART, "chart_marked.json", xs=0),
     "chart xs ['x']": _case(_CHART, "chart_marked.json", xs=["x"]),

@@ -72,7 +72,16 @@ def _branches_hold_leaves(v):
     )
 
 
+def _edge_memo():
+    """A fresh tree's edge memo filled and read, as the coker sweep reads
+    it: the edges twice, the edge count and a cluster type."""
+    s = strata.Stratum("K", trees.PlanarTree(trees.maximal_types(5, 1)[0].root))
+    states = {e: "node" for e in s.tree.edges()}
+    return s.tree.edges(), s.codim, strata.ClusterType(s, states)
+
+
 CASES = {
+    "edge memo": _edge_memo,
     "contract_set": lambda: trees.contract_set(_tree(), _tree().edges()[:1]),
     "replace_vertex": lambda: trees.replace_vertex(
         _tree(), _tree().edges()[0], trees.vertex(0, False, (trees.LEAF,))

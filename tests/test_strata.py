@@ -1,7 +1,9 @@
 """Face posets, boundary signs, corners, tiles, and collars."""
 
+import copy
 import hashlib
 import json
+import pickle
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations, permutations, product
@@ -1032,3 +1034,37 @@ class TestCollarAndExport:
             slotless += '"children": []' in got
         # K (2, 0) has no coverings; a marked vertex may have no slots
         assert empty_coverings and slotless
+
+
+_CLONES = {
+    "pickle": lambda x: pickle.loads(pickle.dumps(x)),
+    "deepcopy": copy.deepcopy,
+}
+
+
+class TestCopies:
+    """Strata, cluster types and posets hold trees, which pickle and copy
+    as their root; a copy's trees start with an empty edge memo."""
+
+    @pytest.mark.parametrize("how", sorted(_CLONES))
+    def test_stratum_and_cluster_type(self, how):
+        clone = _CLONES[how]
+        s = strata.Stratum("Ks", trees.enumerate_types(3, 1, 2)[0], (2, 1, 3))
+        states = dict(zip(s.tree.edges(), ("node", "broken")))
+        ct = strata.ClusterType(s, states, n_complex_nodes=1)
+        c = clone(s)
+        assert c == s and hash(c) == hash(s) and c.codim == s.codim == 2
+        cc = clone(ct)
+        assert cc.stratum == s and cc.edge_states == states
+        assert (cc.n_breakings, cc.n_real_nodes, cc.n_complex_nodes) == (1, 1, 1)
+        assert cc.stratum.tree._edges is None
+
+    @pytest.mark.parametrize("how", sorted(_CLONES))
+    def test_face_poset(self, how):
+        poset = strata.face_poset("Q", 3, 1)
+        rows = poset.rows
+        c = _CLONES[how](poset)
+        assert (c.family, c.l, c.k) == ("Q", 3, 1)
+        assert c.strata == poset.strata and c.rows == rows
+        assert c.coverings == poset.coverings
+        assert [c.index(s) for s in poset.strata] == list(range(len(rows)))

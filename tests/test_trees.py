@@ -1,5 +1,7 @@
 """Planar-tree enumeration, contraction order, and serialization."""
 
+import copy
+import pickle
 import time
 from functools import lru_cache
 from math import comb
@@ -7,7 +9,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from clustercx import trees
+from clustercx import strata, trees
 from clustercx.errors import (
     CapError,
     EdgeError,
@@ -217,6 +219,67 @@ def _digit_total(p):
     return n
 
 
+class TestEdgeMemo:
+    """``edges()`` walks a tree once and keeps the paths in the tree's
+    memo; the first call and every later one agree with the vertex walk,
+    and so do ``n_edges`` and ``codim``, read off the memo once it is
+    filled."""
+
+    @pytest.mark.parametrize("kind, l, k", LISTED_CLASSES)
+    def test_edges_before_and_after_the_memo_fills(self, kind, l, k):
+        if kind == "plain":
+            listed, family = trees.enumerate_types, "K"
+        else:
+            listed, family = trees.enumerate_colored_types, "Q"
+        for e in range(2 * l + 2 * k):
+            for t in listed(l, k, e):
+                want = [p for p, _ in t.vertices() if p]
+                s = strata.Stratum(family, t)
+                assert t._edges is None
+                before = (t.n_edges, s.codim)
+                first = t.edges()
+                assert t._edges is not None
+                assert first == want and before[0] == len(want) == e
+                first.append((99,))
+                second = t.edges()
+                assert second == want and second is not first
+                second.clear()
+                assert t.edges() == want
+                assert (t.n_edges, s.codim) == before
+
+    def test_filled_memo_keeps_equality_hash_and_immutability(self):
+        t = trees.enumerate_colored_types(3, 1, 2)[0]
+        fresh = PlanarTree(t.root)
+        t.edges()
+        assert t == fresh and fresh == t and hash(t) == hash(fresh)
+        assert {fresh: 1}[t] == 1
+        for name in ("root", "_edges", "other"):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(t, name, None)
+        assert t.root == fresh.root and t.edges() == fresh.edges()
+
+    @pytest.mark.parametrize(
+        "clone",
+        [lambda t: pickle.loads(pickle.dumps(t)), copy.deepcopy, copy.copy],
+        ids=["pickle", "deepcopy", "copy"],
+    )
+    def test_copies_are_equal_fresh_trees(self, clone):
+        t = trees.enumerate_colored_types(3, 1, 2)[0]
+        want = t.edges()
+        c = clone(t)
+        assert type(c) is PlanarTree and c == t and hash(c) == hash(t)
+        # the memo is not copied: the copy walks its own tree
+        assert c._edges is None and c.edges() == want
+        with pytest.raises(AttributeError):
+            c.root = None
+
+    def test_memo_stays_out_of_the_pickle(self):
+        t = trees.enumerate_types(5, 1, 3)[0]
+        fresh = pickle.dumps(PlanarTree(t.root))
+        t.edges()
+        assert pickle.dumps(t) == fresh
+
+
 class TestPackedCounts:
     def test_digits_stay_far_under_the_digit_width(self):
         # A digit of a packed sequence count, and any partial sum or
@@ -227,7 +290,7 @@ class TestPackedCounts:
         for table in (trees.plain, trees.colored):
             for l in range(trees.MAX_LEAVES + 1):
                 for k in range(trees.MAX_MARKS + 1):
-                    seqs, subtrees = table(trees.COUNT, l, k)
+                    seqs, subtrees, _ = table(trees.COUNT, l, k)
                     totals.append(sum(map(_digit_total, seqs.values())))
                     totals.append(sum(subtrees.values()))
         largest = max(totals)
