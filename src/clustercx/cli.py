@@ -75,14 +75,6 @@ def _cluster_type_from_obj(obj):
     if not tree.is_stable():
         raise StabilityError("cluster type tree is not stable")
     stratum = strata.Stratum(fields.field(obj, "family", str, "family", "K"), tree)
-    if stratum.family == "Q":
-        if not tree.check_colored_axiom():
-            raise ShapeError(
-                "a Q cluster type tree needs exactly one colored vertex "
-                "on every root-to-leaf path"
-            )
-    elif tree.is_colored:
-        raise ShapeError("a %s cluster type tree must be uncolored" % stratum.family)
     states = {
         fields.edge(e, "edge_states key"): fields.typed(s, str, "edge_states value")
         for e, s in fields.field(obj, "edge_states", dict, "edge_states", {}).items()

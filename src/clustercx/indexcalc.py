@@ -92,26 +92,20 @@ def index_cr(ct, ec, muF, n=2, interior_incidences=0):
 
 def coker_dim(ct, l, k):
     """Cokernel dimension of the tangent-space inclusion at a cluster
-    type: ambient dimension l - 2 + 2k minus one per breaking and real
+    type: ambient dimension (the corolla's) minus one per breaking and real
     node and two per complex node.  The two unstable smooth cases are an
     isomorphism ((0,0)) and a one-dimensional kernel ((1,0))."""
-    if (l, k) == (0, 0) or (l, k) == (1, 0):
-        return 0
-    if not trees.params_stable(l, k):
+    ambient = trees.corolla_dim(l, k)
+    if ambient < 0:
+        if (l, k) == (0, 0) or (l, k) == (1, 0):
+            return 0
         raise DegenerateError("unstable parameters (%d, %d)" % (l, k))
-    value = (
-        l
-        - 2
-        + 2 * k
-        - ct.n_breakings
-        - ct.n_real_nodes
-        - 2 * ct.n_complex_nodes
-    )
+    value = ambient - ct.n_breakings - ct.n_real_nodes - 2 * ct.n_complex_nodes
     if value < 0:
         raise DegenerateError(
             "overdegenerate type: %d breakings/%d real/%d complex on "
             "ambient dimension %d"
-            % (ct.n_breakings, ct.n_real_nodes, ct.n_complex_nodes, l - 2 + 2 * k)
+            % (ct.n_breakings, ct.n_real_nodes, ct.n_complex_nodes, ambient)
         )
     return value
 
@@ -312,8 +306,8 @@ def reduction_index_audit(rec, assumed_index, n=3, NL=2):
     # contribution, each a positive multiple of N_L >= 2
     index_drop = 2 if applicable else 0
     index_after = assumed_index - index_drop
-    # Ind over the reduced source: -(l - 2 + 2 k(r(C)))
-    source_index = -(l - 2 + 2 * k_after)
+    # Ind over the reduced source: minus the dimension of its corolla
+    source_index = -trees.corolla_dim(l, k_after)
     quotient_bound = index_after - source_index
     penalty = (n - 1) * rec.interior_incidences if n <= 2 else 0
     final_bound = 2 * k_after - 1 - penalty

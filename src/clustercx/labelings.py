@@ -519,13 +519,8 @@ def _mark(v, prefix, seq, meets, leaves):
 
 
 def _is_chart_maximal(tree):
-    for _, (i, col, slots) in tree.vertices():
-        if col:
-            if (len(slots), i) != (1, 0):
-                return False
-        elif (len(slots), i) not in ((2, 0), (0, 1)):
-            return False
-    return True
+    """Every vertex has dimension 0: shapes (2, 0), (0, 1) or colored (1, 0)."""
+    return all(trees.vertex_dim(v) == 0 for _, v in tree.vertices())
 
 
 def simple_ratio_chart(disk, tree):

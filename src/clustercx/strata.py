@@ -19,11 +19,12 @@ import json
 import math
 from collections import Counter
 from itertools import combinations, combinations_with_replacement
+from operator import attrgetter
 
 from . import trees
 from .errors import GhostCornerError, ShapeError, StabilityError
 from .signs import sign_concat, sign_lower_quilt, sign_upper_quilt, perm_parity
-from .trees import LEAF, vertex
+from .trees import LEAF, vertex, vertex_dim
 
 FAMILIES = ("K", "Q", "Ks")
 
@@ -36,22 +37,19 @@ def _norm_family(family):
 
 
 def dimension(family, l, k):
-    """Dimension of the smooth locus: l - 2 + 2k for K/Ks, l - 1 + 2k for Q."""
+    """Dimension of the smooth locus: that of the corolla, quilted for Q."""
     family = _norm_family(family)
-    if family == "Q":
-        if l < 1:
-            raise StabilityError("quilted family needs l >= 1")
-        return l - 1 + 2 * k
-    if not trees.params_stable(l, k):
+    if family == "Q" and l < 1:
+        raise StabilityError("quilted family needs l >= 1")
+    d = trees.corolla_dim(l, k, family == "Q")
+    if d < 0:
         raise StabilityError("no stable disk with l=%d, k=%d" % (l, k))
-    return l - 2 + 2 * k
+    return d
 
 
-def vertex_dim(v):
-    """Moduli dimension of one component: slots - 2 + 2i, plus 1 if quilted."""
-    i, col, slots = v
-    d = len(slots) - 2 + 2 * i
-    return d + 1 if col else d
+def _codim(edges, colored):
+    """Codim of a stratum tree: edges less the colored vertices past the first."""
+    return edges - colored + 1 if colored > 1 else edges
 
 
 def _subtree_factor_dim(v):
@@ -64,14 +62,25 @@ def _subtree_factor_dim(v):
 
 class Stratum:
     """One combinatorial stratum: a family tag, a tree, and for the
-    symmetric family a tile permutation."""
+    symmetric family a tile permutation.  ShapeError on a tree that does
+    not fit the family (a colored K or Ks tree, a Q tree off the colored
+    axiom) or a perm that is no permutation of 1..num_leaves."""
 
     __slots__ = ("family", "tree", "perm")
 
     def __init__(self, family, tree, perm=None):
-        self.family = _norm_family(family)
+        family = _norm_family(family)
+        if family == "Q" and not tree.check_colored_axiom():
+            raise ShapeError("a Q tree needs exactly one colored vertex per leaf path")
+        if family != "Q" and tree.is_colored:
+            raise ShapeError("a %s stratum tree must be uncolored" % family)
+        if perm is not None:
+            perm, n = tuple(perm), tree.num_leaves
+            if len(perm) != n or set(perm) != set(range(1, n + 1)):
+                raise ShapeError("perm %r is not a permutation of 1..%d" % (perm, n))
+        self.family = family
         self.tree = tree
-        self.perm = tuple(perm) if perm is not None else None
+        self.perm = perm
 
     def __eq__(self, other):
         return (
@@ -91,7 +100,7 @@ class Stratum:
     @property
     def codim(self):
         if self.family == "Q":
-            return self.tree.n_edges - (self.tree.n_colored - 1)
+            return _codim(self.tree.n_edges, self.tree.n_colored)
         return self.tree.n_edges
 
     @property
@@ -172,13 +181,13 @@ def _strata(family, l, k):
     out = _wrapped(
         family, [trees.enumerate_colored_types(l, k, e) for e in range(top + l)]
     )
-    return sorted(out, key=lambda s: s.codim)
+    return sorted(out, key=attrgetter("codim"))
 
 
 def _wrapped(family, tree_lists):
     """A stratum of ``family``, a name in FAMILIES, for each tree of each
-    list: the fields are set directly, so the one tag is not checked once
-    per tree."""
+    list, on the trusted path for trees that fit: the fields are set
+    directly, as for the faces of ``boundary_faces``, with no check."""
     new = Stratum.__new__
     out = []
     for ts in tree_lists:
@@ -216,14 +225,10 @@ def grading_profile(family, l, k):
     trees.check_caps(l, k)
     # dimension() raises StabilityError on parameters with no stratum
     dimension(family, l, k)
+    table = trees.colored if family == "Q" else trees.plain
     out = {}
-    if family in ("K", "Ks"):
-        for (e, _, d), n in trees.plain(trees.COUNT, l, k)[1].items():
-            out[(e, d)] = n
-        return out
-    # a quilted stratum has codim = edges - (colored - 1)
-    for (e, ncol, d), n in trees.colored(trees.COUNT, l, k)[1].items():
-        key = (e - (ncol - 1), d)
+    for (e, ncol, d), n in table(trees.COUNT, l, k)[1].items():
+        key = (_codim(e, ncol), d)
         out[key] = out.get(key, 0) + n
     return out
 
@@ -271,15 +276,15 @@ def _splits_of_vertex(v, pre):
     """
     i, col, slots = v
     s = len(slots)
+    d = vertex_dim(v)
     # bubble: a window of w slots becomes an uncolored child with ib marks;
-    # v keeps its color (a plain split, or the lower facet shape).  The child
-    # is stable iff w + 2*ib >= 2, the rest iff (s - w + 2) + 2*(i - ib) >= 2
-    # (colored) or 3; the child's dimension w - 2 + 2*ib has the parity of w.
+    # v keeps its color (a plain split, or the lower facet shape).  The
+    # child's dimension w - 2 + 2*ib has the parity of w, and is >= 0 iff
+    # ib >= lo; the rest's dimension d - w + 1 - 2*ib is >= 0 iff ib <= hi.
     facet_sign = sign_lower_quilt if col else sign_concat
-    need = 2 if col else 3
     for w in range(s + 1):
         lo = 1 if w < 2 else 0
-        hi = i - max(0, (need - s + w - 1) // 2)
+        hi = min(i, (d - w + 1) // 2)
         if lo > hi:
             continue
         for a in range(s - w + 1):
@@ -298,10 +303,11 @@ def _splits_of_vertex(v, pre):
     # of w slots becomes a colored child with m marks, stable as w >= 1, of
     # dimension w - 1 + 2*m: even for w = 1, so the sign may sum over the
     # kept blocks too.  At least one block is colored.  The marks are dealt
-    # out at cut points ``at``; the hub takes the first share and is stable
-    # iff nb + 2 * marks[0] >= 2.
+    # out at cut points ``at``; the hub takes the first share and is kept
+    # iff its dimension is >= 0: hub0 >= -1 without marks, 2 more per mark.
     leafless = [type(x) is tuple and not trees._count_leaves(x) for x in slots]
     for nb in range(1, s + 1):
+        hub0 = trees.corolla_dim(nb, 0)
         for cuts in combinations(range(1, s), nb - 1):
             bounds = (0,) + cuts + (s,)
             blocks = [(slots[x:y], x) for x, y in zip(bounds, bounds[1:])]
@@ -313,7 +319,7 @@ def _splits_of_vertex(v, pre):
                 upper = -upper
             for at in combinations_with_replacement(range(i + 1), kept.count(False)):
                 marks = [y - x for x, y in zip((0,) + at, at + (i,))]
-                if nb + 2 * marks[0] < 2:
+                if hub0 < 0 and not marks[0]:
                     continue
                 child_marks = iter(marks[1:])
                 hub = tuple(
@@ -334,12 +340,12 @@ def boundary_faces(stratum):
     Only vertices of positive dimension are split.  A split replaces v by
     new vertices (a bubble: the child and the rest; a seam: the hub and
     its colored blocks) whose dimensions add up to vertex_dim(v) - 1, as a
-    facet of a vertex cell is a product of smaller cells.  A vertex is
-    stable iff its dimension is >= 0, so a vertex of dimension 0 has no
-    stable split.  It adds 0 to the prefix, so no sign changes.
+    facet of a vertex cell is a product of smaller cells, each of
+    dimension >= 0: a vertex of dimension 0 has no split, and adds 0 to
+    the prefix, so no sign changes.
     """
-    fam = stratum.family
-    tree = stratum.tree
+    fam, tree, perm = stratum.family, stratum.tree, stratum.perm
+    new = Stratum.__new__
     walk = []
     _face_walk(tree.root, (), walk)
     out = []
@@ -348,9 +354,11 @@ def boundary_faces(stratum):
         d = vertex_dim(v)
         if d > 0:
             for va, sign in _splits_of_vertex(v, pre):
-                face = Stratum(
-                    fam, trees.replace_vertex(tree, path, va), stratum.perm
-                )
+                # as in _wrapped: a split keeps stability and the colored axiom
+                face = new(Stratum)
+                face.family = fam
+                face.tree = trees.replace_vertex(tree, path, va)
+                face.perm = perm
                 out.append((face, -sign if prefix & 1 else sign))
         prefix += d
     return out

@@ -39,10 +39,18 @@ def vertex(i, col, slots):
     return (int(i), bool(col), tuple(slots))
 
 
-def _stable_vertex(v):
-    # slots + root-ward point + 2 * marks >= 3, or >= 2 when colored: the
-    # test every reading of the tree grammar makes on its slot counts
-    return len(v[2]) + 2 * v[0] >= 2 - v[1]
+def vertex_dim(v):
+    """Moduli dimension of one component: slots - 2 + 2i, plus 1 if quilted;
+    the component is stable iff it is >= 0."""
+    i, col, slots = v
+    d = len(slots) - 2 + 2 * i
+    return d + 1 if col else d
+
+
+def corolla_dim(l, k, col=False):
+    """``vertex_dim`` of a vertex with l slots and k marks, quilted when
+    ``col``: the dimension of the corolla with l leaves and k marks."""
+    return l - 2 + 2 * k + col
 
 
 class PlanarTree:
@@ -142,10 +150,9 @@ class PlanarTree:
         return list(range(lo, lo + _count_leaves(v)))
 
     def is_stable(self):
-        allow_special = self.root in _SPECIAL_COROLLAS
-        return allow_special or all(
-            _stable_vertex(v) for _, v in self.vertices()
-        )
+        if self.root in _SPECIAL_COROLLAS:
+            return True
+        return all(vertex_dim(v) >= 0 for _, v in self.vertices())
 
     def check_colored_axiom(self):
         """True iff every root-to-leaf path meets exactly one colored vertex
@@ -268,7 +275,7 @@ def check_caps(l, k):
 
 def params_stable(l, k):
     """The smooth corolla with ``l`` leaves, ``k`` marks is stable."""
-    return l + 1 + 2 * k >= 3
+    return corolla_dim(l, k) >= 0
 
 
 # -- the tree grammar -----------------------------------------------------
@@ -295,6 +302,9 @@ def params_stable(l, k):
 #   vertex.  A subtree there is a colored root over uncolored slots or an
 #   uncolored hub over below-seam slots; with no leaves it is a plain
 #   leafless side branch.
+# * A close step reads the vertex rule once, as ``least``, the fewest slots
+#   of a stable vertex with i marks and color col: over s slots it is
+#   stable iff s >= least, and its own dimension is s - least.
 #
 # Built in this order, LIST gives the trees of each edge count in the
 # canonical order that stratum ids follow.  COUNT packs the counts over
@@ -313,9 +323,9 @@ class _Count:
     """Tree counts.  A sequence of e edges, with s slots and
     D = (sum of child subtree dims) + s, is keyed by (colored, s, C) with
     C = D + e; a subtree by (edges, colored, dim).  A vertex with i marks
-    over a sequence has dim D - 2 + 2i, plus 1 when colored.  Only the
-    stability thresholds read s (s + 2i >= 2 uncolored, >= 1 colored), so
-    s is kept as min(s, 2).  Uncolored keys carry colored = 0.
+    over a sequence has dim D + corolla_dim(0, i, col), as D counts its
+    slots.  Only the stability threshold reads s, and it asks for at most
+    2 slots, so s is kept as min(s, 2).  Uncolored keys carry colored = 0.
 
     The value of a sequence key is its counts over e packed into one int,
     a _DIGIT-bit digit per edge count (Kronecker substitution: von zur
@@ -355,9 +365,10 @@ class _Count:
                 seqs[key] = seqs.get(key, 0) + p * q
 
     def close(self, subtrees, seqs, i, col):
+        least = -corolla_dim(0, i, col)
         for (nc, s, C), p in seqs.items():
-            if s + 2 * i >= 2 - col:
-                dim = C - 2 + 2 * i + col
+            if s >= least:
+                dim = C - least
                 e = 0
                 while p:
                     n = p & _MASK
@@ -394,8 +405,9 @@ class _List:
                     )
 
     def close(self, subtrees, seqs, i, col):
+        least = -corolla_dim(0, i, col)
         for e, ss in seqs.items():
-            keep = [(i, col, s) for s in ss if len(s) + 2 * i >= 2 - col]
+            keep = [(i, col, s) for s in ss if len(s) >= least]
             subtrees.setdefault(e, []).extend(keep)
 
 
@@ -442,9 +454,10 @@ class _Moves:
                 _add(seqs, _prepend(key, nc, False), val)
 
     def close(self, subtrees, seqs, i, col):
+        least = -corolla_dim(0, i, col)
         for (n, leaves, nb), val in seqs.items():
             s = 3 if leaves is None else len(leaves)
-            if s + 2 * i < 2 - col:
+            if s < least:
                 continue
             j = None
             if s == 2 and not i and not col and n:
@@ -560,8 +573,7 @@ def enumerate_colored_types(l, k, n_edges):
 
 def maximal_types(l, k):
     """Trees admitting no stable refinement (deepest corners)."""
-    check_caps(l, k)
-    codim = max(0, l - 2 + 2 * k)
+    codim = max(0, corolla_dim(l, k))
     return enumerate_types(l, k, codim)
 
 

@@ -15,6 +15,7 @@ from clustercx.errors import (
     ShapeError,
 )
 from clustercx.trees import LEAF, PlanarTree, vertex
+from test_strata import _oracle_vertices
 
 
 def colored_pool():
@@ -289,6 +290,27 @@ class TestCharts:
             lab = L.simple_ratio_chart(d, t)
             lab2 = L.simple_ratio_chart(L.chart_inverse(lab), t)
             assert lab == lab2
+
+
+def _reference_chart_maximal(tree):
+    """``_is_chart_maximal`` as it was first written: a list of shapes."""
+    for _, (i, col, slots) in tree.vertices():
+        if col:
+            if (len(slots), i) != (1, 0):
+                return False
+        elif (len(slots), i) not in ((2, 0), (0, 1)):
+            return False
+    return True
+
+
+def test_chart_maximal_is_every_vertex_of_dimension_zero():
+    maximal = 0
+    for s in range(7):
+        for v in _oracle_vertices(s, max_marks=4):
+            for t in (PlanarTree(v), PlanarTree(vertex(0, False, (LEAF, v)))):
+                assert L._is_chart_maximal(t) == _reference_chart_maximal(t), t
+                maximal += L._is_chart_maximal(t)
+    assert maximal
 
 
 # maximal types: plain (3, 0), quilted (2, 0) under one seam, (1, 1) and

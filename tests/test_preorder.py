@@ -102,13 +102,16 @@ def assert_walk_facts(tree):
     n_colored = _reference_count_colored(root)
     assert tree.n_colored == n_colored
     # the marks and the grading, summed over the (path, vertex) walk; a Ks
-    # stratum reads the same tree facts as a K one, and dim is one fold
+    # stratum reads the same tree facts as a K one, and dim is one fold.
+    # The tree fits K or Q, not both, so both strata are built on the
+    # trusted path, which does not check the fit.  A Q codim subtracts the
+    # colored vertices past the first, none on a plain tree.
     verts = [v for _, v in tree.vertices()]
     assert tree.num_marks == sum(v[0] for v in verts)
     dim = sum(strata.vertex_dim(v) for v in verts)
-    k, q = strata.Stratum("K", tree), strata.Stratum("Q", tree)
+    k, q = strata._wrapped("K", [[tree]]) + strata._wrapped("Q", [[tree]])
     assert (k.codim, k.dim) == (len(verts) - 1, dim)
-    assert (q.codim, q.dim) == (len(verts) - n_colored, dim)
+    assert (q.codim, q.dim) == (len(verts) - max(n_colored, 1), dim)
     ok = _reference_colored_ok(root, False) and (
         _reference_colors_on_leaf_paths(root)
     )

@@ -161,6 +161,23 @@ class TestGradings:
         assert strata.dimension("Q", 3, 0) == 2
         assert strata.dimension("K", 2, 1) == 2
 
+    def test_dimension_is_the_corollas(self):
+        """dimension reads the vertex rule on the family's corolla, quilted
+        for Q, and refuses exactly the unstable corollas and the quilted
+        family without leaves."""
+        seen = 0
+        for fam in strata.FAMILIES:
+            for l in range(trees.MAX_LEAVES + 1):
+                for k in range(trees.MAX_MARKS + 1):
+                    d = trees.vertex_dim(vertex(k, fam == "Q", (LEAF,) * l))
+                    if d < 0 or (fam == "Q" and not l):
+                        with pytest.raises(StabilityError):
+                            strata.dimension(fam, l, k)
+                        continue
+                    assert strata.dimension(fam, l, k) == d, (fam, l, k)
+                    seen += 1
+        assert seen == 3 * 11 * 5 - 2 * 2 - 5
+
     def test_f_vectors(self):
         assert strata.f_vector("K", 4, 0) == (5, 5, 1)
         assert strata.f_vector("K", 5, 0) == (14, 21, 9, 1)
@@ -321,7 +338,7 @@ def _reference_splits(v):
             for ib in range(i + 1):
                 vb = vertex(ib, False, slots[a : a + w])
                 va = vertex(i - ib, col, slots[:a] + (vb,) + slots[a + w :])
-                if not (trees._stable_vertex(va) and trees._stable_vertex(vb)):
+                if not (trees.vertex_dim(va) >= 0 and trees.vertex_dim(vb) >= 0):
                     continue
                 sign = facet_sign(s - w + 1, a + 1, w)
                 yield va, -sign if pre[a] * strata.vertex_dim(vb) % 2 else sign
@@ -346,11 +363,11 @@ def _reference_splits(v):
                         hub_slots.append(b[0])
                     else:
                         c = vertex(next(child_marks), True, b)
-                        stable = stable and trees._stable_vertex(c)
+                        stable = stable and trees.vertex_dim(c) >= 0
                         corr += strata.vertex_dim(c) * pre[start]
                         hub_slots.append(c)
                 va = vertex(marks[0], False, hub_slots)
-                if stable and trees._stable_vertex(va):
+                if stable and trees.vertex_dim(va) >= 0:
                     yield va, -upper if corr % 2 else upper
 
 
@@ -390,11 +407,11 @@ def _reference_faces(v):
             yield va, sign
 
 
-def _oracle_vertices(s):
-    """Every vertex with s slots, at most 3 marks and either color, save
-    colored ones with no leaf: no Q tree has one."""
+def _oracle_vertices(s, max_marks=3):
+    """Every vertex with s slots, at most ``max_marks`` marks and either
+    color, save colored ones with no leaf: no Q tree has one."""
     for slots in _slot_fills(s):
-        for i in range(4):
+        for i in range(max_marks + 1):
             for col in (False, True):
                 v = vertex(i, col, slots)
                 if not col or trees._count_leaves(v):
@@ -1040,6 +1057,60 @@ _CLONES = {
     "pickle": lambda x: pickle.loads(pickle.dumps(x)),
     "deepcopy": copy.deepcopy,
 }
+
+
+# a 3-leaf K tree: two marked components, the second over two leaves
+_THREE_LEAVES = PlanarTree(vertex(1, False, (LEAF, vertex(1, False, (LEAF, LEAF)))))
+_QUILTED = PlanarTree(vertex(0, True, (LEAF, LEAF, LEAF)))
+_TWO_COLORS = PlanarTree(vertex(0, True, (LEAF, vertex(0, True, (LEAF, LEAF)))))
+
+
+class TestStratumFit:
+    """The Stratum constructor refuses a tree that is no stratum of its
+    family and a perm that is no permutation of the leaves; the strata the
+    posets build skip that check."""
+
+    @pytest.mark.parametrize(
+        "family, tree",
+        [("K", _QUILTED), ("Ks", _QUILTED), ("Q", _THREE_LEAVES), ("Q", _TWO_COLORS)],
+    )
+    def test_misfit_refused(self, family, tree):
+        with pytest.raises(ShapeError):
+            strata.Stratum(family, tree)
+
+    @pytest.mark.parametrize(
+        "family, tree", [("K", _THREE_LEAVES), ("Ks", _THREE_LEAVES), ("Q", _QUILTED)]
+    )
+    def test_fit_accepted(self, family, tree):
+        assert strata.Stratum(family, tree).tree == tree
+
+    @pytest.mark.parametrize(
+        "perm", [(1,), (5, 9, 9), (1, 2, 2), (0, 1, 2), (1, 2, 3, 4)]
+    )
+    def test_bad_perm_refused(self, perm):
+        with pytest.raises(ShapeError):
+            strata.Stratum("Ks", _THREE_LEAVES, perm)
+
+    def test_permutation_accepted(self):
+        for perm in permutations((1, 2, 3)):
+            assert strata.Stratum("Ks", _THREE_LEAVES, list(perm)).perm == perm
+
+    @pytest.mark.parametrize("family, l, k", [("Q", 3, 1), ("K", 5, 0)])
+    def test_posets_skip_the_check(self, monkeypatch, family, l, k):
+        """The constructor, which holds the check, runs for no stratum or
+        face of a poset."""
+        calls = []
+        init = strata.Stratum.__init__
+
+        def counted(self, fam, tree, perm=None):
+            calls.append(fam)
+            init(self, fam, tree, perm)
+
+        monkeypatch.setattr(strata.Stratum, "__init__", counted)
+        rows = strata.face_poset(family, l, k).rows
+        assert any(rows) and not calls
+        assert strata.Stratum("K", _THREE_LEAVES).tree == _THREE_LEAVES
+        assert calls == ["K"]
 
 
 class TestCopies:

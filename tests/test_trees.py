@@ -37,7 +37,7 @@ def _reference_plain_vertices(l, k, e):
     for i in range(k + 1):
         for slots in _reference_plain_slot_seqs(l, k - i, e):
             v = vertex(i, False, slots)
-            if trees._stable_vertex(v):
+            if trees.vertex_dim(v) >= 0:
                 out.append(v)
     return tuple(out)
 
@@ -70,12 +70,12 @@ def _reference_colored_below(l, k, e):
     for i in range(k + 1):
         for slots in _reference_plain_slot_seqs(l, k - i, e):
             v = vertex(i, True, slots)
-            if trees._stable_vertex(v):
+            if trees.vertex_dim(v) >= 0:
                 out.append(v)
     for i in range(k + 1):
         for slots in _reference_below_slot_seqs(l, k - i, e):
             v = vertex(i, False, slots)
-            if trees._stable_vertex(v):
+            if trees.vertex_dim(v) >= 0:
                 out.append(v)
     return tuple(out)
 
@@ -137,6 +137,19 @@ class TestEnumeration:
     def test_maximal_catalan(self):
         for l in range(2, 9):
             assert len(trees.maximal_types(l, 0)) == catalan(l - 1)
+
+    def test_corolla_dim_is_vertex_dim(self):
+        """The count form of the vertex rule agrees with the rule, and a
+        corolla is stable iff its dimension is >= 0."""
+        for l in range(trees.MAX_LEAVES + 1):
+            for k in range(trees.MAX_MARKS + 1):
+                for col in (False, True):
+                    v = vertex(k, col, (LEAF,) * l)
+                    assert trees.corolla_dim(l, k, col) == trees.vertex_dim(v)
+                assert trees.params_stable(l, k) == (trees.corolla_dim(l, k) >= 0)
+                assert PlanarTree(vertex(k, False, (LEAF,) * l)).is_stable() == (
+                    trees.params_stable(l, k) or (l, k) == (1, 0)
+                )
 
     def test_special_corolla(self):
         assert len(trees.enumerate_types(1, 0, 0)) == 1
