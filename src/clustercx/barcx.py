@@ -11,8 +11,10 @@ The word differential, the morphism and the homotopy sums are each a
 recursion over the suffixes of a word: delta is a coderivation, so
 delta(x v) is the terms at the first gap plus x (x) delta(v) re-signed,
 and H and K are coalgebra maps, summed over first blocks.  One word map
-class (_WordMap) holds all three per check; it builds a missing word's
-suffixes shortest first, in a loop, so words of any length can be mapped.
+class (_WordMap) holds all three per check, one map per distinct family;
+it builds a missing word's suffixes shortest first, in a loop, so words
+of any length can be mapped.  A check sums each word's residue in one
+dict.
 A family builds one pattern trie of its structure constants, which every
 recursion walks from a word's first symbol, and every sign of a delta
 term comes from ``signs.delta_parity``.
@@ -46,10 +48,12 @@ _ROLE_SHIFT = {"m": 2, "h": 1, "k": 0}
 # whose source and target share one delta map, so the cap keeps such
 # checks far under 600 MB.  The failing residues of a dense family grow
 # with the word length, not the word count: on 3-generator dense failing
-# random families check-ainf takes 5.3 KB per word at q = 7 and 8.4 KB at
-# q = 8, and check-morphism 21 KB and 30 KB, 294 MB at q = 8 (9,840
-# words), though the CLI serializes only the three failures it prints.
-# No word cap bounds that.
+# random families a report of every failure takes 5.3 KB per word at q = 7
+# and 8.4 KB at q = 8 under check-ainf, and 21 KB and 30 KB under
+# check-morphism.  The check commands keep only the three failures they
+# print (``keep``): clustercx check-morphism on such a family at q = 8
+# (9,840 words) peaks at 92 MB, against 294 MB when it kept them all, and
+# what is left are the word maps, which grow with the word length too.
 MAX_WORDS = 100_000
 
 
@@ -301,13 +305,19 @@ def _truncate(comb, emax):
     return {k: v for k, v in comb.items() if k[1] <= emax}
 
 
-def _comb_map(word_map, comb):
+def _comb_map(word_map, comb, out=None, sign=1):
     """Linear extension of a word map to a combination: ``word_map(gens)``
-    is the image of one word at exponent 0, shifted by each term's t^d."""
-    out = {}
+    is the image of one word at exponent 0, shifted by each term's t^d.
+    The image times ``sign`` is added into ``out`` (a new dict if None),
+    which is returned; a term whose sum is 0 is dropped, so the residue of
+    a relation that holds is {}."""
+    if out is None:
+        out = {}
     for (gens, d), coef in comb.items():
-        for (g2, d2), c2 in word_map(gens).items():
-            key = (g2, d + d2)
+        coef *= sign
+        for key, c2 in word_map(gens).items():
+            if d:
+                key = (key[0], key[1] + d)
             c = out.get(key, 0) + coef * c2
             if c:
                 out[key] = c
@@ -362,6 +372,13 @@ class _WordMap(dict):
             self.fam.validate_word(gens)
             out = self[gens]
         return out
+
+    def outer(self, gens):
+        """The image of gens, read from the map when it holds it, else
+        built (its suffixes are held) but not stored: a check does not
+        hold the images of its outer words."""
+        out = self.get(gens)
+        return self.image(self, gens, None) if out is None else out
 
 
 def _times_t(image, d):
@@ -507,15 +524,20 @@ def suspend(fam):
 
 
 class Report:
-    def __init__(self, check, window, n_words, failures):
+    """A check's verdict over ``n_words`` words: ``failures`` holds the
+    failing words' residues, the first ``keep`` of them when the check was
+    given a ``keep``, and ``n_failing`` counts every failing word."""
+
+    def __init__(self, check, window, n_words, failures, n_failing=None):
         self.check = check
         self.window = window
         self.n_words = n_words
         self.failures = failures
+        self.n_failing = len(failures) if n_failing is None else n_failing
 
     @property
     def passed(self):
-        return not self.failures
+        return not self.n_failing
 
     def first_failure(self):
         return self.failures[0] if self.failures else None
@@ -542,17 +564,23 @@ def failure_to_obj(failure):
     }
 
 
-def _run_over_words(check_name, fam, window, residue_fn):
-    """Residues of the window's basis words; failures come in basis order."""
+def _run_over_words(check_name, fam, window, residue_fn, keep=None):
+    """Residues of the window's basis words; failures come in basis order.
+    Every failing word is counted, and with ``keep`` only the first keep
+    residues are held, so a failing check's memory does not grow with its
+    failures (None keeps them all)."""
     words = basis_words(fam, window)
     failures = []
+    n_failing = 0
     for gens in words:
         residue = residue_fn(gens)
         if residue:
             residue = _truncate(residue, window.emax)
             if residue:
-                failures.append(((gens, 0), residue))
-    return Report(check_name, window, len(words), failures)
+                n_failing += 1
+                if keep is None or len(failures) < keep:
+                    failures.append(((gens, 0), residue))
+    return Report(check_name, window, len(words), failures, n_failing)
 
 
 # -- relation checkers -------------------------------------------------------
@@ -585,18 +613,21 @@ def gj_relation(fam, gens):
     return out
 
 
-def check_a_infinity(fam, window, via_suspension=False):
+def check_a_infinity(fam, window, via_suspension=False, keep=None):
     """delta o delta = 0 on every basis word in the window; the fully
     expanded signed relations give the same verdict by construction of
     the signs, and ``via_suspension`` reruns the check through the
-    sign-free shifted convention instead."""
+    sign-free shifted convention instead.  ``keep`` bounds the failures
+    the report holds (see _run_over_words)."""
     name = "a-infinity"
     if via_suspension:
         name = "a-infinity(suspended)"
         fam = fam if fam.suspended else suspend(fam)
     # one map for both factors: each distinct word's delta is computed once
     D = _delta_map(fam).__getitem__
-    return _run_over_words(name, fam, window, lambda gens: _comb_map(D, D(gens)))
+    return _run_over_words(
+        name, fam, window, lambda gens: _comb_map(D, D(gens)), keep
+    )
 
 
 def check_gj_relations(fam, window):
@@ -658,7 +689,8 @@ def _first_blocks(out, fam, gens, tails, parity):
     u = gens[:l] with constants in fam and the rest v = gens[l:], a term
     whose tail has r factors signed by (-1)^parity(l, D(u), r, |v|).  One
     trie walk from position 0 finds every such block, summing D(u) as it
-    goes; the root's arity-0 constants are no block."""
+    goes; the root's arity-0 constants are no block.  The parities depend
+    on r only through r mod 2, so a block takes two of them."""
     q = len(gens)
     node = fam.trie
     head = 0
@@ -669,11 +701,20 @@ def _first_blocks(out, fam, gens, tails, parity):
         head += fam.coidx[s]
         if not node[1]:
             continue
-        for (g2, d2), c2 in tails[gens[l:]].items():
-            if parity(l, head, len(g2), q - l) % 2:
+        tail = tails[gens[l:]]
+        if not tail:
+            continue
+        flip = (parity(l, head, 0, q - l) % 2, parity(l, head, 1, q - l) % 2)
+        for (g2, d2), c2 in tail.items():
+            if flip[len(g2) & 1]:
                 c2 = -c2
-            for sym, dd, c, _ in node[1]:
-                _add_term(out, (sym,) + g2, dd + d2, c * c2)
+            for sym, dd, coef, _ in node[1]:
+                key = ((sym,) + g2, dd + d2)
+                c = out.get(key, 0) + coef * c2
+                if c:
+                    out[key] = c
+                else:
+                    del out[key]
 
 
 def _h_parity(l, head, r, nv):
@@ -708,8 +749,8 @@ def _homotopy_image(K, gens, tail):
 
 def _morphism_map(hfam):
     """The word map of H.  A checker reads it for its inner words and
-    calls _morphism_image on it for its outer words, so only inner words
-    and suffixes are held."""
+    takes its outer words' images with ``outer``, so only inner words and
+    suffixes are held."""
     if hfam.role != "h":
         raise ShapeError("morphism_H needs an h family")
     return _WordMap(hfam, _morphism_image, {(): _UNIT})
@@ -723,14 +764,21 @@ def _homotopy_map(h1, kfam, H0):
     return _WordMap(kfam, _homotopy_image, {(): {}}, (h1, H0))
 
 
-def _delta_maps(m1, m0):
-    """The delta maps of m1 and m0 for a check whose families share one
-    generator table (_one_table).  When m0 and m1 are the same
-    differential family, one map serves both, so each word's image is
-    built once."""
-    D1 = _delta_map(m1)
-    same = (m0.role, m0.ops, m0.suspended) == (m1.role, m1.ops, m1.suspended)
-    return D1, D1 if same else _delta_map(m0)
+def _word_maps(make, f1, f0):
+    """The word maps make(f1) and make(f0) (delta or H) for a check whose
+    families share one generator table (_one_table).  When f0 and f1 are
+    the same family (equal role, constants and suspension), one map serves
+    both, so each word's image is built once."""
+    M1 = make(f1)
+    same = (f0.role, f0.ops, f0.suspended) == (f1.role, f1.ops, f1.suspended)
+    return M1, M1 if same else make(f0)
+
+
+def _image_reader(D0):
+    """How delta(0) reads the images of H or K: they are written from the
+    shared generator table, so without interval labels every one is a
+    valid word and none is validated."""
+    return D0.checked if D0.fam.labelled else D0.__getitem__
 
 
 def morphism_H(hfam, gens, d=0):
@@ -742,20 +790,21 @@ def morphism_H(hfam, gens, d=0):
     return _times_t(_morphism_image(H, gens, None), d)
 
 
-def check_chain_map(hfam, m0, m1, window):
+def check_chain_map(hfam, m0, m1, window, keep=None):
     """Residues of H o delta(1) - delta(0) o H over basis words of the
-    source complex (whose differential is m1).  The images of H are
-    validated as words of m0 by delta(0)."""
+    source complex (whose differential is m1), summed in one dict per
+    word.  The images of H are validated as words of m0 by delta(0) when
+    the table has interval labels."""
     _one_table(hfam, m0, m1)
     H = _morphism_map(hfam)
-    D1, D0 = _delta_maps(m1, m0)
-    inner, delta0 = H.__getitem__, D0.checked
+    D1, D0 = _word_maps(_delta_map, m1, m0)
+    inner, delta0 = H.__getitem__, _image_reader(D0)
 
     def residue(gens):
-        outer = _morphism_image(H, gens, None)
-        return _sub(_comb_map(inner, D1[gens]), _comb_map(delta0, outer))
+        out = _comb_map(inner, D1[gens])
+        return _comb_map(delta0, H.outer(gens), out, -1)
 
-    return _run_over_words("chain-map", m1, window, residue)
+    return _run_over_words("chain-map", m1, window, residue, keep)
 
 
 def homotopy_K(h0, h1, kfam, gens, d=0):
@@ -768,21 +817,27 @@ def homotopy_K(h0, h1, kfam, gens, d=0):
     return _times_t(_homotopy_image(K, gens, None), d)
 
 
-def check_homotopy(h0, h1, kfam, m0, m1, window):
-    """Residues of H(1) - H(0) - K o delta(1) - delta(0) o K; one H0 word
-    map serves the outer H(0) and the tails of K."""
+def check_homotopy(h0, h1, kfam, m0, m1, window, keep=None):
+    """Residues of H(1) - H(0) - K o delta(1) - delta(0) o K, summed in one
+    dict per word; the H0 word map serves the outer H(0) and the tails of
+    K.  When h0 and h1 are the same family they share one map and H(1) -
+    H(0) is 0, so no outer H image is built."""
     _one_table(h0, h1, kfam, m0, m1)
-    H1, H0 = _morphism_map(h1), _morphism_map(h0)
+    H1, H0 = _word_maps(_morphism_map, h1, h0)
     K = _homotopy_map(h1, kfam, H0)
-    D1, D0 = _delta_maps(m1, m0)
-    inner, delta0 = K.__getitem__, D0.checked
+    D1, D0 = _word_maps(_delta_map, m1, m0)
+    inner, delta0 = K.__getitem__, _image_reader(D0)
 
     def residue(gens):
-        out = _sub(_morphism_image(H1, gens, None), _morphism_image(H0, gens, None))
-        out = _sub(out, _comb_map(inner, D1[gens]))
-        return _sub(out, _comb_map(delta0, _homotopy_image(K, gens, None)))
+        out = {}
+        if H1 is not H0:
+            word = {(gens, 0): 1}
+            _comb_map(H1.outer, word, out)
+            _comb_map(H0.outer, word, out, -1)
+        _comb_map(inner, D1[gens], out, -1)
+        return _comb_map(delta0, K.outer(gens), out, -1)
 
-    return _run_over_words("homotopy", m1, window, residue)
+    return _run_over_words("homotopy", m1, window, residue, keep)
 
 
 # -- chain-level dual --------------------------------------------------------
@@ -857,17 +912,25 @@ def check_leibniz(fam, window):
 
     def residue(gens):
         Q = len(gens)
-        total = {}
-        for (g2, d2), c in dga(gens).items():
-            _add_term(total, g2, d2, (Q - 1) * c)
+        total = _comb_map(dga, {(gens, 0): Q - 1})
         sdegs = [fam.mu(s) - 1 for s in gens]
         for cut in range(1, Q):
             x, y = gens[:cut], gens[cut:]
             for (g2, d2), c in part(x).items():
-                _add_term(total, g2 + y, d2, -c)
+                key = (g2 + y, d2)
+                c = total.get(key, 0) - c
+                if c:
+                    total[key] = c
+                else:
+                    del total[key]
             sign = koszul_sign(1, sdegs[:cut])
             for (g2, d2), c in part(y).items():
-                _add_term(total, x + g2, d2, -sign * c)
+                key = (x + g2, d2)
+                c = total.get(key, 0) - sign * c
+                if c:
+                    total[key] = c
+                else:
+                    del total[key]
         return total
 
     return _run_over_words("leibniz", fam, window, residue)

@@ -194,6 +194,10 @@ def _cmd_chi(args):
     )
 
 
+# failures a check command prints; the checkers hold no more than these
+_SHOWN_FAILURES = 3
+
+
 def _finish_check(args, report, started):
     data = {
         "check": report.check,
@@ -202,7 +206,7 @@ def _finish_check(args, report, started):
     }
     witness = None
     if not report.passed:
-        witness = [barcx.failure_to_obj(f) for f in report.failures[:3]]
+        witness = [barcx.failure_to_obj(f) for f in report.failures]
     return _report(
         args,
         "pass" if report.passed else "fail",
@@ -215,7 +219,9 @@ def _finish_check(args, report, started):
 def _cmd_check_ainf(args):
     started = time.perf_counter()
     fam = barcx.family_from_obj(_load_json(args.file), role="m")
-    report = barcx.check_a_infinity(fam, _window(args), via_suspension=args.suspended)
+    report = barcx.check_a_infinity(
+        fam, _window(args), via_suspension=args.suspended, keep=_SHOWN_FAILURES
+    )
     return _finish_check(args, report, started)
 
 
@@ -224,7 +230,7 @@ def _cmd_check_morphism(args):
     h = barcx.family_from_obj(_load_json(args.morphism), role="h")
     m0 = barcx.family_from_obj(_load_json(args.target), role="m")
     m1 = barcx.family_from_obj(_load_json(args.source), role="m")
-    report = barcx.check_chain_map(h, m0, m1, _window(args))
+    report = barcx.check_chain_map(h, m0, m1, _window(args), keep=_SHOWN_FAILURES)
     return _finish_check(args, report, started)
 
 
@@ -235,7 +241,9 @@ def _cmd_check_homotopy(args):
     kf = barcx.family_from_obj(_load_json(args.homotopy), role="k")
     m0 = barcx.family_from_obj(_load_json(args.target), role="m")
     m1 = barcx.family_from_obj(_load_json(args.source), role="m")
-    report = barcx.check_homotopy(h0, h1, kf, m0, m1, _window(args))
+    report = barcx.check_homotopy(
+        h0, h1, kf, m0, m1, _window(args), keep=_SHOWN_FAILURES
+    )
     return _finish_check(args, report, started)
 
 

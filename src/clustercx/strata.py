@@ -64,14 +64,21 @@ class Stratum:
     """One combinatorial stratum: a family tag, a tree, and for the
     symmetric family a tile permutation.  ShapeError on a tree that does
     not fit the family (a colored K or Ks tree, a Q tree off the colored
-    axiom) or a perm that is no permutation of 1..num_leaves."""
+    axiom or with no leaf) or a perm that is no permutation of
+    1..num_leaves."""
 
     __slots__ = ("family", "tree", "perm")
 
     def __init__(self, family, tree, perm=None):
         family = _norm_family(family)
-        if family == "Q" and not tree.check_colored_axiom():
-            raise ShapeError("a Q tree needs exactly one colored vertex per leaf path")
+        if family == "Q":
+            # a leafless tree has no leaf path, so it meets the axiom vacuously
+            if not tree.num_leaves:
+                raise ShapeError("a Q tree needs at least one leaf")
+            if not tree.check_colored_axiom():
+                raise ShapeError(
+                    "a Q tree needs exactly one colored vertex per leaf path"
+                )
         if family != "Q" and tree.is_colored:
             raise ShapeError("a %s stratum tree must be uncolored" % family)
         if perm is not None:

@@ -174,6 +174,11 @@ class TestUnit:
         ]
 
 
+def _two_maps(make, f1, f0):
+    """A stand-in for barcx._word_maps that never shares a map."""
+    return make(f1), make(f0)
+
+
 def _identity_h(fam, c=1):
     return B.OperationFamily(
         "h",
@@ -305,9 +310,6 @@ class TestMorphismsAndHomotopies:
         c0, c1, ch = _conjugated_pair()
         cases.append((c0, c1, lambda: B.check_chain_map(ch, c0, c1, window)))
 
-        def two_maps(m1, m0):
-            return B._delta_map(m1), B._delta_map(m0)
-
         calls = _count_delta_images(monkeypatch)
         verdicts = []
         for m0, m1, check in cases:
@@ -320,7 +322,7 @@ class TestMorphismsAndHomotopies:
             else:
                 assert {f for f, _ in calls} == {m1} and len(calls) == 781
             with monkeypatch.context() as mp:
-                mp.setattr(B, "_delta_maps", two_maps)
+                mp.setattr(B, "_word_maps", _two_maps)
                 assert check().to_obj() == report.to_obj()
         assert True in verdicts and False in verdicts
         # equal (empty) tables of another role share no map: delta refuses it
@@ -667,6 +669,8 @@ class TestReferenceOracle:
         window = B.TruncationWindow(qmax=3)
         failing = 0
         for m0, m1, h0, h1, k in _random_setups(12, 6):
+            # unequal ends: both outer H images enter the homotopy residue
+            assert h0.ops != h1.ops
             bm0 = B.suspend(m0)
 
             def dd(fam, g):
@@ -942,6 +946,85 @@ class TestSuffixRecursion:
             assert dmap[word[1:]]  # held and valid
             with pytest.raises(BlockError, match=message):
                 dmap.checked(word)
+
+
+class TestResidueKernel:
+    """What the residue kernel relies on: first-block parities read at r
+    mod 2, one H map for one family, a kept-failures bound that counts
+    every failing word, and validation of the words that enter from
+    outside."""
+
+    @pytest.mark.parametrize("parity", ["_h_parity", "_k_parity", "_h1_parity"])
+    def test_parity_depends_on_r_mod_2(self, parity):
+        fn = getattr(B, parity)
+        checked = 0
+        for l, head, r in product(range(1, 7), range(13), range(13)):
+            for nv in range(r + 1):
+                assert fn(l, head, r, nv) % 2 == fn(l, head, r % 2, nv) % 2
+                checked += 1
+        assert checked == 6 * 13 * sum(r + 1 for r in range(13))
+
+    def test_one_H_map_for_one_family(self, monkeypatch):
+        # h0 and h1 equal as two objects share one H map, and H(1) - H(0)
+        # = 0 builds no outer image, so each held word is built once; the
+        # reports, failing ones too, match those of two maps
+        made, built = [], []
+        make, image = B._morphism_map, B._morphism_image
+
+        def counted_make(hfam):
+            made.append(hfam)
+            return make(hfam)
+
+        def counted_image(H, gens, tail):
+            built.append((id(H), gens))
+            return image(H, gens, tail)
+
+        window = B.TruncationWindow(qmax=3)
+        verdicts = []
+        for m0, m1, h0, _, k in _random_setups(14, 4):
+            twin = B.family_from_obj(B.family_to_obj(h0))
+            assert twin is not h0 and twin.ops == h0.ops
+            with monkeypatch.context() as mp:
+                mp.setattr(B, "_morphism_map", counted_make)
+                mp.setattr(B, "_morphism_image", counted_image)
+                report = B.check_homotopy(h0, twin, k, m0, m1, window)
+            assert made == [twin] and len(built) == len(set(built))
+            del made[:], built[:]
+            with monkeypatch.context() as mp:
+                mp.setattr(B, "_word_maps", _two_maps)
+                assert B.check_homotopy(h0, twin, k, m0, m1, window).to_obj() == (
+                    report.to_obj()
+                )
+            verdicts.append(report.passed)
+        assert False in verdicts
+
+    @pytest.mark.parametrize("keep", [0, 1, 3])
+    def test_kept_failures_are_the_first_ones(self, keep):
+        # a check given keep holds the first keep failures of the full
+        # report and counts all of them; its verdict is the full one's
+        window = B.TruncationWindow(qmax=3)
+        for m0, m1, h0, h1, k in _random_setups(12, 3):
+            for check in (
+                lambda **kw: B.check_a_infinity(m0, window, **kw),
+                lambda **kw: B.check_chain_map(h0, m0, m1, window, **kw),
+                lambda **kw: B.check_homotopy(h0, h1, k, m0, m1, window, **kw),
+            ):
+                full, kept = check(), check(keep=keep)
+                assert len(full.failures) > keep
+                assert kept.failures == full.failures[:keep]
+                assert kept.n_failing == full.n_failing == len(full.failures)
+                assert kept.passed is full.passed is False
+
+    def test_words_from_outside_are_validated(self, lib):
+        fam = lib["polynomial"]
+        h, kzero = _identity_h(fam), B.OperationFamily("k", list(fam.gens.values()), {})
+        for call in (
+            lambda w: B.delta(fam, w),
+            lambda w: B.morphism_H(h, w),
+            lambda w: B.homotopy_K(h, h, kzero, w),
+        ):
+            with pytest.raises(BlockError, match="unknown generator 'zz'"):
+                call(("a", "zz"))
 
 
 class TestWordCap:

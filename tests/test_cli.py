@@ -922,6 +922,9 @@ REFUSED = {
     "index Q plain tree": _case(_INDEX, "ct.json", family="Q"),
     "index Q two colors on a path": _case(
         _INDEX, "ct.json", family="Q", tree=_TWO_COLORS, mu_leaves=[0, 0, 0]),
+    "index Q leafless tree": _case(
+        _INDEX, "ct.json", family="Q", tree={"i": 1, "col": False, "children": []},
+        mu_leaves=[], maslov=[]),
     "chart no tree": _case(_CHART, "chart_marked.json", tree=_DELETE),
     "chart xs 0": _case(_CHART, "chart_marked.json", xs=0),
     "chart xs ['x']": _case(_CHART, "chart_marked.json", xs=["x"]),

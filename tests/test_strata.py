@@ -1063,6 +1063,8 @@ _CLONES = {
 _THREE_LEAVES = PlanarTree(vertex(1, False, (LEAF, vertex(1, False, (LEAF, LEAF)))))
 _QUILTED = PlanarTree(vertex(0, True, (LEAF, LEAF, LEAF)))
 _TWO_COLORS = PlanarTree(vertex(0, True, (LEAF, vertex(0, True, (LEAF, LEAF)))))
+# no leaf path, so the colored axiom holds vacuously; no Q stratum is leafless
+_NO_LEAF = PlanarTree(vertex(1, False, ()))
 
 
 class TestStratumFit:
@@ -1072,7 +1074,13 @@ class TestStratumFit:
 
     @pytest.mark.parametrize(
         "family, tree",
-        [("K", _QUILTED), ("Ks", _QUILTED), ("Q", _THREE_LEAVES), ("Q", _TWO_COLORS)],
+        [
+            ("K", _QUILTED),
+            ("Ks", _QUILTED),
+            ("Q", _THREE_LEAVES),
+            ("Q", _TWO_COLORS),
+            ("Q", _NO_LEAF),
+        ],
     )
     def test_misfit_refused(self, family, tree):
         with pytest.raises(ShapeError):
