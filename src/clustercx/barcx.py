@@ -526,7 +526,8 @@ def suspend(fam):
 class Report:
     """A check's verdict over ``n_words`` words: ``failures`` holds the
     failing words' residues, the first ``keep`` of them when the check was
-    given a ``keep``, and ``n_failing`` counts every failing word."""
+    given a ``keep``, and ``n_failing`` counts every failing word, which
+    ``to_obj`` writes as ``failing_words``."""
 
     def __init__(self, check, window, n_words, failures, n_failing=None):
         self.check = check
@@ -548,6 +549,7 @@ class Report:
             "window": self.window.to_obj(),
             "passed": self.passed,
             "words_checked": self.n_words,
+            "failing_words": self.n_failing,
             "failures": [failure_to_obj(f) for f in self.failures],
             "note": "verified on all basis words up to the window bounds",
         }

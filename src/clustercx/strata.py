@@ -24,7 +24,7 @@ from operator import attrgetter
 from . import trees
 from .errors import GhostCornerError, ShapeError, StabilityError
 from .signs import sign_concat, sign_lower_quilt, sign_upper_quilt, perm_parity
-from .trees import LEAF, vertex, vertex_dim
+from .trees import LEAF, PlanarTree, corolla_dim, vertex, vertex_dim
 
 FAMILIES = ("K", "Q", "Ks")
 
@@ -125,12 +125,15 @@ class FacePoset:
     ``rows[a]`` maps the index b of every face that ``boundary_faces``
     generates for stratum a to the sum of its incidence signs.  A sum of 0
     is kept: at k >= 2 a face can be reached twice with opposite signs.
-    ``rows`` is built on first use, with one ``boundary_faces`` call per
-    stratum, and ``coverings`` and ``boundary_matrix`` read it.
+    ``rows`` is built on first use from the face roots of ``_faces``, one
+    call per stratum and one template memo for the build, and
+    ``coverings`` and ``boundary_matrix`` read it.
 
     ``coverings`` lists, sorted, the pairs (a, b) in the support of
     ``rows``: b lies in the closed cell of a with codim(b) = codim(a) + 1.
-    The tree index behind ``index`` is built on its first call.
+    The strata share one family tag and no permutation, so their root
+    vertices alone key them: the root index behind ``rows`` and ``index``
+    is built on first use.
     """
 
     def __init__(self, family, l, k, strata):
@@ -144,13 +147,13 @@ class FacePoset:
     @property
     def rows(self):
         if self._rows is None:
-            # faces keep their stratum's family and perm: the tree finds them
-            index = self._tree_index()
+            index = self._root_index()
+            templates = {}
             rows = []
             for s in self.strata:
                 row = {}
-                for f, sign in boundary_faces(s):
-                    b = index[f.tree]
+                for f, sign in _faces(s.tree.root, templates):
+                    b = index[f]
                     row[b] = row.get(b, 0) + sign
                 rows.append(row)
             self._rows = rows
@@ -161,15 +164,13 @@ class FacePoset:
         rows = enumerate(self.rows)
         return [(a, b) for a, row in rows for b in sorted(row)]
 
-    def _tree_index(self):
+    def _root_index(self):
         if self._index is None:
-            # the strata share one family tag and no permutation, so their
-            # trees alone key them
-            self._index = {s.tree: i for i, s in enumerate(self.strata)}
+            self._index = {s.tree.root: i for i, s in enumerate(self.strata)}
         return self._index
 
     def index(self, stratum):
-        n = self._tree_index()[stratum.tree]
+        n = self._root_index()[stratum.tree.root]
         s = self.strata[n]
         if s.family != stratum.family or s.perm != stratum.perm:
             raise KeyError(stratum)
@@ -272,23 +273,38 @@ def _face_walk(v, path, out):
     return pre[-1] + vertex_dim(v)
 
 
-def _splits_of_vertex(v, pre):
-    """All stable one-step refinements of a single vertex.
-
-    Yields (new_vertex, sign) where new_vertex replaces v and sign is the
-    facet sign of the split times the sign of moving each new child factor
-    past the subtree factors of the slots before it, into preorder.  pre[j]
-    is the total dimension of the subtree factors in slots[:j], as
-    ``_face_walk`` records it.
-    """
+def _shape(v, pre):
+    """The shape of vertex v, all its splits depend on: its marks, color
+    and slot count, for a colored v which slots are leafless children, and
+    the parity of each pre[j] for j < len(slots)."""
     i, col, slots = v
     s = len(slots)
-    d = vertex_dim(v)
+    leafless = None
+    if col:
+        leafless = tuple(
+            type(x) is tuple and not trees._count_leaves(x) for x in slots
+        )
+    return i, col, s, leafless, tuple(p & 1 for p in pre[:s])
+
+
+def _split_template(shape):
+    """The splits of every vertex of one ``_shape``, as (bubbles, seams).
+
+    A bubble (a, b, ib, rest, sign) moves the window slots[a:b] into an
+    uncolored child with ib marks, and leaves ``rest`` marks on the
+    vertex.  A seam (hub, blocks, sign) puts ``hub`` marks on a new
+    uncolored hub over blocks (x, y, m): slots[x:y] becomes a colored
+    child with m marks, or with m None the one leafless slot x stays on
+    the hub.  See ``_splits_of_vertex`` for the signs.
+    """
+    i, col, s, leafless, parity = shape
+    d = corolla_dim(s, i, col)
     # bubble: a window of w slots becomes an uncolored child with ib marks;
     # v keeps its color (a plain split, or the lower facet shape).  The
     # child's dimension w - 2 + 2*ib has the parity of w, and is >= 0 iff
     # ib >= lo; the rest's dimension d - w + 1 - 2*ib is >= 0 iff ib <= hi.
     facet_sign = sign_lower_quilt if col else sign_concat
+    bubbles = []
     for w in range(s + 1):
         lo = 1 if w < 2 else 0
         hi = min(i, (d - w + 1) // 2)
@@ -296,13 +312,13 @@ def _splits_of_vertex(v, pre):
             continue
         for a in range(s - w + 1):
             sign = facet_sign(s - w + 1, a + 1, w)
-            if pre[a] & w & 1:
+            if w & 1 and parity[a]:
                 sign = -sign
-            head, window, tail = slots[:a], slots[a : a + w], slots[a + w :]
             for ib in range(lo, hi + 1):
-                yield (i - ib, col, head + ((ib, False, window),) + tail), sign
+                bubbles.append((a, a + w, ib, i - ib, sign))
+    seams = []
     if not col:
-        return
+        return bubbles, seams
     # seam split (upper facet shape): the slots cut into consecutive blocks
     # under a new uncolored hub.  A colored vertex needs a leaf above it, so
     # a cut with a block of two or more leafless children is skipped, and a
@@ -312,37 +328,68 @@ def _splits_of_vertex(v, pre):
     # kept blocks too.  At least one block is colored.  The marks are dealt
     # out at cut points ``at``; the hub takes the first share and is kept
     # iff its dimension is >= 0: hub0 >= -1 without marks, 2 more per mark.
-    leafless = [type(x) is tuple and not trees._count_leaves(x) for x in slots]
     for nb in range(1, s + 1):
-        hub0 = trees.corolla_dim(nb, 0)
+        hub0 = corolla_dim(nb, 0)
         for cuts in combinations(range(1, s), nb - 1):
             bounds = (0,) + cuts + (s,)
-            blocks = [(slots[x:y], x) for x, y in zip(bounds, bounds[1:])]
-            kept = [all(leafless[x : x + len(b)]) for b, x in blocks]
-            if any(keep and len(b) > 1 for (b, _), keep in zip(blocks, kept)):
+            spans = list(zip(bounds, bounds[1:]))
+            kept = [all(leafless[x:y]) for x, y in spans]
+            if any(keep and y - x > 1 for (x, y), keep in zip(spans, kept)):
                 continue
-            upper = sign_upper_quilt([len(b) for b, _ in blocks])
-            if sum((len(b) + 1) * pre[x] for b, x in blocks) & 1:
+            upper = sign_upper_quilt([y - x for x, y in spans])
+            if sum((y - x + 1) * parity[x] for x, y in spans) & 1:
                 upper = -upper
             for at in combinations_with_replacement(range(i + 1), kept.count(False)):
                 marks = [y - x for x, y in zip((0,) + at, at + (i,))]
                 if hub0 < 0 and not marks[0]:
                     continue
                 child_marks = iter(marks[1:])
-                hub = tuple(
-                    b[0] if keep else (next(child_marks), True, b)
-                    for (b, _), keep in zip(blocks, kept)
+                blocks = tuple(
+                    (x, y, None if keep else next(child_marks))
+                    for (x, y), keep in zip(spans, kept)
                 )
-                yield (marks[0], False, hub), upper
+                seams.append((marks[0], blocks, upper))
+    return bubbles, seams
 
 
-def boundary_faces(stratum):
-    """Codim+1 faces of a stratum's closed cell with incidence signs.
+def _splits_of_vertex(v, pre, templates=None):
+    """All stable one-step refinements of a single vertex.
 
-    Returns a list of (Stratum, sign).  The sign is the vertex-local sign
-    of the split (see ``_splits_of_vertex``) times the product-orientation
-    prefix parity of the factors before the split vertex.  Every split is
-    a face: the generator keeps stability and the colored axiom.
+    Yields (new_vertex, sign) where new_vertex replaces v and sign is the
+    facet sign of the split times the sign of moving each new child factor
+    past the subtree factors of the slots before it, into preorder.  pre[j]
+    is the total dimension of the subtree factors in slots[:j], as
+    ``_face_walk`` records it.
+
+    The splits are read off the template of v's ``_shape``, taken from the
+    memo ``templates`` (a dict, or None for none) or built into it.
+    """
+    shape = _shape(v, pre)
+    if templates is None:
+        templates = {}
+    template = templates.get(shape)
+    if template is None:
+        template = templates[shape] = _split_template(shape)
+    bubbles, seams = template
+    _, col, slots = v
+    for a, b, ib, rest, sign in bubbles:
+        yield (rest, col, slots[:a] + ((ib, False, slots[a:b]),) + slots[b:]), sign
+    for hub, blocks, sign in seams:
+        yield (
+            hub,
+            False,
+            tuple(slots[x] if m is None else (m, True, slots[x:y]) for x, y, m in blocks),
+        ), sign
+
+
+def _faces(root, templates):
+    """(face root, sign) for each codim+1 face of the tree at ``root``.
+
+    The sign is the vertex-local sign of the split (see
+    ``_splits_of_vertex``, which reads its templates from the memo
+    ``templates``) times the product-orientation prefix parity of the
+    factors before the split vertex.  Every split is a face: the generator
+    keeps stability and the colored axiom.
 
     Only vertices of positive dimension are split.  A split replaces v by
     new vertices (a bubble: the child and the rest; a seam: the hub and
@@ -351,23 +398,34 @@ def boundary_faces(stratum):
     dimension >= 0: a vertex of dimension 0 has no split, and adds 0 to
     the prefix, so no sign changes.
     """
-    fam, tree, perm = stratum.family, stratum.tree, stratum.perm
-    new = Stratum.__new__
     walk = []
-    _face_walk(tree.root, (), walk)
-    out = []
+    _face_walk(root, (), walk)
+    replaced = trees._replaced
     prefix = 0
     for path, v, pre in walk:
         d = vertex_dim(v)
         if d > 0:
-            for va, sign in _splits_of_vertex(v, pre):
-                # as in _wrapped: a split keeps stability and the colored axiom
-                face = new(Stratum)
-                face.family = fam
-                face.tree = trees.replace_vertex(tree, path, va)
-                face.perm = perm
-                out.append((face, -sign if prefix & 1 else sign))
+            for va, sign in _splits_of_vertex(v, pre, templates):
+                yield replaced(root, path, 0, va), -sign if prefix & 1 else sign
         prefix += d
+
+
+def boundary_faces(stratum):
+    """Codim+1 faces of a stratum's closed cell with incidence signs.
+
+    Returns a list of (Stratum, sign), the faces and signs of ``_faces``
+    in its order; each face keeps the stratum's family and perm.
+    """
+    fam, perm = stratum.family, stratum.perm
+    new = Stratum.__new__
+    out = []
+    for root, sign in _faces(stratum.tree.root, {}):
+        # as in _wrapped: a split keeps stability and the colored axiom
+        face = new(Stratum)
+        face.family = fam
+        face.tree = PlanarTree(root)
+        face.perm = perm
+        out.append((face, sign))
     return out
 
 
@@ -593,9 +651,9 @@ def _transposition_moves(tree):
 def tile_complex(l, k):
     """The symmetric tile complex: the move generators of every stratum."""
     poset = face_poset("Ks", l, k)
-    tree_index = poset._tree_index()
+    root_index = poset._root_index()
     moves = [
-        (tag, s_i, tree_index[new_tree], nu)
+        (tag, s_i, root_index[new_tree.root], nu)
         for s_i, s in enumerate(poset.strata)
         for tag, new_tree, nu in _transposition_moves(s.tree)
     ]

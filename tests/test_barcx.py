@@ -1015,6 +1015,17 @@ class TestResidueKernel:
                 assert kept.n_failing == full.n_failing == len(full.failures)
                 assert kept.passed is full.passed is False
 
+    def test_kept_report_counts_every_failing_word(self):
+        # the JSON of a report made with keep tells how many words fail,
+        # not only which ones it kept
+        window = B.TruncationWindow(qmax=3)
+        for m0, m1, h0, h1, k in _random_setups(12, 3):
+            full = B.check_a_infinity(m0, window)
+            obj = B.check_a_infinity(m0, window, keep=3).to_obj()
+            assert len(full.failures) > 3 and len(obj["failures"]) == 3
+            assert obj["failing_words"] == full.n_failing == len(full.failures)
+            assert obj["failures"] == full.to_obj()["failures"][:3]
+
     def test_words_from_outside_are_validated(self, lib):
         fam = lib["polynomial"]
         h, kzero = _identity_h(fam), B.OperationFamily("k", list(fam.gens.values()), {})
@@ -1104,7 +1115,10 @@ class TestNegativeControls:
         # the pointwise failures come first, then the words in basis order;
         # digests taken before the word loop was shared with the checkers
         report = B.check_unit(lib[name], unit, B.TruncationWindow(qmax=qmax))
-        obj = json.dumps(report.to_obj(), sort_keys=True)
+        # the digests predate failing_words, so they hash the object without it
+        obj = report.to_obj()
+        assert obj.pop("failing_words") == len(report.failures) > 0
+        obj = json.dumps(obj, sort_keys=True)
         assert hashlib.sha256(obj.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("parity", [0, 1])
@@ -1243,7 +1257,10 @@ class TestOneGeneratorTable:
                              B.dga_differential(m, g).items())]
             for g in B.basis_words(m, window)
         ]
-        obj = json.dumps([report.to_obj(), images])
+        # the digest predates failing_words, so it hashes the report without it
+        obj = report.to_obj()
+        assert obj.pop("failing_words") == 0
+        obj = json.dumps([obj, images])
         assert hashlib.sha256(obj.encode()).hexdigest() == (
             "ee31f68d0ee34a57679b229881d2a2260f3a41bada39d4b46774f1e6f92eb4cb"
         )

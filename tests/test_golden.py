@@ -561,5 +561,7 @@ REPORTS = {
 
 @pytest.mark.parametrize("name", sorted(REPORTS))
 def test_full_report(name):
+    # the pins predate failing_words, so they hash the object without it
     obj = _full_reports()[name]().to_obj()
+    assert obj.pop("failing_words") == len(obj["failures"]) > 0
     assert hashlib.sha256(json.dumps(obj).encode()).hexdigest() == REPORTS[name]

@@ -453,8 +453,9 @@ class TestSplitOracle:
 
     @pytest.mark.parametrize("family, l, k", [("K", 5, 0), ("Q", 3, 1), ("Ks", 3, 1)])
     def test_zero_dimensional_vertices_are_not_split(self, monkeypatch, family, l, k):
-        """boundary_faces asks for the splits of positive-dimensional
-        vertices only, though the walks hold vertices of dimension 0."""
+        """The face generator asks for the split templates of
+        positive-dimensional vertex shapes only, though the walks hold
+        vertices of dimension 0."""
         poset = strata.face_poset(family, l, k)
         zero = 0
         for st in poset.strata:
@@ -462,30 +463,53 @@ class TestSplitOracle:
             strata._face_walk(st.tree.root, (), walk)
             zero += sum(strata.vertex_dim(v) == 0 for _, v, _ in walk)
         assert zero
-        splits = strata._splits_of_vertex
+        template = strata._split_template
         asked = []
 
-        def counted(v, pre):
-            asked.append(strata.vertex_dim(v))
-            return splits(v, pre)
+        def counted(shape):
+            i, col, s = shape[:3]
+            asked.append(trees.corolla_dim(s, i, col))
+            return template(shape)
 
-        monkeypatch.setattr(strata, "_splits_of_vertex", counted)
+        monkeypatch.setattr(strata, "_split_template", counted)
         assert any(poset.rows)
         assert asked and min(asked) > 0
 
+    def test_one_template_per_shape_per_build(self, monkeypatch):
+        """A rows build or a boundary_faces call builds each shape's
+        template once, and keeps none for the next one."""
+        template = strata._split_template
+        asked = []
 
-def _bubble_of_first_two(v, va):
+        def counted(shape):
+            asked.append(shape)
+            return template(shape)
+
+        monkeypatch.setattr(strata, "_split_template", counted)
+        for family, l, k in [("K", 5, 0), ("Q", 3, 1)]:
+            assert any(strata.face_poset(family, l, k).rows)
+            first = Counter(asked)
+            assert set(first.values()) == {1}
+            del asked[:]
+            assert any(strata.face_poset(family, l, k).rows)
+            assert Counter(asked) == first
+            del asked[:]
+        top = strata.face_poset("Q", 3, 1).strata[0]
+        strata.boundary_faces(top)
+        strata.boundary_faces(top)
+        assert len(asked) == 2 and asked[0] == asked[1]
+
+
+def _bubble_of_first_two(shape, bubble, seam):
     """An uncolored three-slot vertex whose first two slots bubble off."""
-    ib = v[0] - va[0]
-    return not v[1] and len(v[2]) == 3 and va[2] == (
-        vertex(ib, False, v[2][:2]),
-        v[2][2],
-    )
+    _, col, s = shape[:3]
+    return not col and s == 3 and bubble is not None and bubble[:2] == (0, 2)
 
 
-def _seam_in_two(v, va):
+def _seam_in_two(shape, bubble, seam):
     """A colored two-slot vertex cut into two blocks under a hub."""
-    return v[1] and not va[1] and len(v[2]) == 2 and len(va[2]) == 2
+    _, col, s = shape[:3]
+    return col and s == 2 and seam is not None and len(seam[1]) == 2
 
 
 class TestBoundaryNegativeControl:
@@ -501,20 +525,40 @@ class TestBoundaryNegativeControl:
         ],
     )
     def test_one_flipped_sign_breaks_d_squared(self, monkeypatch, shape, family, l, k):
-        splits = strata._splits_of_vertex
+        template = strata._split_template
         flipped = []
 
-        def wrong(v, pre):
-            for va, sign in splits(v, pre):
-                if shape(v, va):
-                    flipped.append(va)
-                    sign = -sign
-                yield va, sign
+        def flip(entry):
+            flipped.append(entry)
+            return entry[:-1] + (-entry[-1],)
+
+        def wrong(vshape):
+            bubbles, seams = template(vshape)
+            bubbles = [flip(b) if shape(vshape, b, None) else b for b in bubbles]
+            seams = [flip(t) if shape(vshape, None, t) else t for t in seams]
+            return bubbles, seams
 
         assert strata.boundary_squares_to_zero(family, l, k)
-        monkeypatch.setattr(strata, "_splits_of_vertex", wrong)
+        monkeypatch.setattr(strata, "_split_template", wrong)
         assert not strata.boundary_squares_to_zero(family, l, k)
         assert flipped
+
+
+def _reference_rows(poset):
+    """``FacePoset.rows`` from ``_reference_faces``, without the split
+    templates: each face of a vertex split, with the parity of the vertex
+    dimensions before it in preorder, found by its tree."""
+    index = {s.tree: b for b, s in enumerate(poset.strata)}
+    rows = []
+    for s in poset.strata:
+        row, prefix = {}, 0
+        for path, v in s.tree.vertices():
+            for va, sign in _reference_faces(v):
+                b = index[trees.replace_vertex(s.tree, path, va)]
+                row[b] = row.get(b, 0) + (-sign if prefix % 2 else sign)
+            prefix += trees.vertex_dim(v)
+        rows.append(row)
+    return rows
 
 
 # (boundary_faces, boundary_matrix) digests pinned from the implementation
@@ -526,6 +570,10 @@ _BOUNDARY_DIGESTS = {
     ("Q", 3, 1): ("90d027436cd6d3dea90c4c64", "a4b625af4ba05a3b2033bc31"),
     ("Q", 2, 2): ("8d559c0c5b9f7bf61c210e8b", "fb04ee33746451ad0454ef97"),
     ("Ks", 3, 1): ("a09864622338478985804ed4", "132e5768e28402b26f436714"),
+    # the two sizes of the benchmark's d-squared ops, pinned from the
+    # enumeration that split every vertex on its own
+    ("K", 7, 0): ("aeb02809d8a2c73708265d5e", "621b5a44c9b72eca467b51de"),
+    ("Q", 5, 0): ("5c69436fcc7f22359b33a867", "7e6ad1afbc2dd8ec2618346b"),
 }
 
 
@@ -552,25 +600,46 @@ class TestSignedIncidence:
         assert _boundary_digests(poset) == _BOUNDARY_DIGESTS[family, l, k]
 
     def test_boundary_faces_once_per_stratum(self, monkeypatch):
+        # rows reads the shared face generator once per stratum root
         calls = Counter()
-        faces = strata.boundary_faces
+        faces = strata._faces
 
-        def counted(s):
-            calls[s] += 1
-            return faces(s)
+        def counted(root, templates):
+            calls[root] += 1
+            return faces(root, templates)
 
-        monkeypatch.setattr(strata, "boundary_faces", counted)
+        def roots(poset):
+            return Counter(s.tree.root for s in poset.strata)
+
+        monkeypatch.setattr(strata, "_faces", counted)
         poset = strata.face_poset("K", 3, 1)
         coverings = poset.coverings
         matrix = strata.boundary_matrix(poset)
         assert poset.coverings == coverings and set(matrix) <= set(coverings)
-        assert calls == Counter(poset.strata)
+        assert calls == roots(poset)
         calls.clear()
         assert strata.boundary_squares_to_zero("Q", 2, 1)
-        assert calls == Counter(strata.face_poset("Q", 2, 1).strata)
+        assert calls == roots(strata.face_poset("Q", 2, 1))
         calls.clear()
         strata.collar_cells(4, 0)
-        assert calls == Counter(strata.face_poset("K", 4, 0).strata)
+        assert calls == roots(strata.face_poset("K", 4, 0))
+
+    @pytest.mark.parametrize(
+        "family, l, k",
+        [("K", 5, 0), ("K", 2, 2), ("Q", 3, 1), ("Q", 2, 2), ("Ks", 3, 1)],
+    )
+    def test_rows_match_reference_faces(self, monkeypatch, family, l, k):
+        """rows equals the rows rebuilt from _reference_faces and the
+        preorder prefix parity, and builds no Stratum or PlanarTree."""
+        poset = strata.face_poset(family, l, k)
+        want = _reference_rows(poset)
+
+        def refused(*args):
+            raise AssertionError("rows built a face object")
+
+        monkeypatch.setattr(strata, "Stratum", refused)
+        monkeypatch.setattr(strata, "PlanarTree", refused)
+        assert poset.rows == want
 
     def test_covering_with_coefficient_zero(self):
         # the root with two one-mark bubbles is a face of the one-bubble
