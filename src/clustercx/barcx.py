@@ -11,13 +11,13 @@ The word differential, the morphism and the homotopy sums are each a
 recursion over the suffixes of a word: delta is a coderivation, so
 delta(x v) is the terms at the first gap plus x (x) delta(v) re-signed,
 and H and K are coalgebra maps, summed over first blocks.  One word map
-class (_WordMap) holds all three per check, one map per distinct family;
-it builds a missing word's suffixes shortest first, in a loop, so words
-of any length can be mapped.  A check sums each word's residue in one
-dict.
+class (_WordMap) holds delta, H, K and the dual derivation per check, one
+map per distinct family; it builds a missing word's suffixes shortest
+first, in a loop, so words of any length can be mapped.  A check sums
+each word's residue in one dict.
 A family builds one pattern trie of its structure constants, which every
 recursion walks from a word's first symbol, and every sign of a delta
-term comes from ``signs.delta_parity``.
+term or of a derivation term comes from ``signs.delta_parity``.
 
 Degrees: a generator carries its co-index mu+ (number of positive Hessian
 directions); a word of exponent d has mu = sum of co-indices + d*N_L and
@@ -25,7 +25,6 @@ cardinality q = number of factors.  Structure constants must shift mu by
 2 - arity (differentials), 1 - arity (morphisms) or -arity (homotopies).
 """
 
-from functools import cache
 from itertools import product as _iproduct
 
 from .errors import BlockError, CapError, RangeError, ShapeError
@@ -34,7 +33,6 @@ from .signs import (
     delta_parity,
     epsilon_gj,
     first_block_parity,
-    koszul_apply,
     koszul_sign,
     suspension_sign,
 )
@@ -42,18 +40,19 @@ from .signs import (
 _ROLE_SHIFT = {"m": 2, "h": 1, "k": 0}
 
 # Most generator tuples basis_words may list, all word lengths together.
-# A check holds its word list, its word maps (delta, H, K) and its failing
-# residues.  Peak RSS of the polynomial family at q = 7 (97,655 words):
-# 77 MB under check-ainf and 86 MB under check-morphism of the identity,
-# whose source and target share one delta map, so the cap keeps such
-# checks far under 600 MB.  The failing residues of a dense family grow
-# with the word length, not the word count: on 3-generator dense failing
-# random families a report of every failure takes 5.3 KB per word at q = 7
-# and 8.4 KB at q = 8 under check-ainf, and 21 KB and 30 KB under
-# check-morphism.  The check commands keep only the three failures they
-# print (``keep``): clustercx check-morphism on such a family at q = 8
-# (9,840 words) peaks at 92 MB, against 294 MB when it kept them all, and
-# what is left are the word maps, which grow with the word length too.
+# A check holds its word list, its word maps (delta, H, K or the derivation)
+# and its failing residues.  Peak RSS of the polynomial family at q = 7
+# (97,655 words): 77 MB under check-ainf, 62 MB under check_leibniz and 86
+# MB under check-morphism of the identity, whose source and target share one
+# delta map, so the cap keeps such checks far under 600 MB.  The failing
+# residues of a dense family grow with the word length, not the word count:
+# on 3-generator dense failing random families a report of every failure
+# takes 5.3 KB per word at q = 7 and 8.4 KB at q = 8 under check-ainf, and
+# 21 KB and 30 KB under check-morphism.  The check commands keep only the
+# three failures they print (``keep``): clustercx check-morphism on such a
+# family at q = 8 (9,840 words) peaks at 92 MB, against 294 MB when it kept
+# them all, and what is left are the word maps, which grow with the word
+# length too.
 MAX_WORDS = 100_000
 
 
@@ -859,13 +858,11 @@ def opposite(fam):
     return dual
 
 
-def _derivation(fam):
-    """The dual derivation as a word map, with the suspended family and
-    its transpose built once: the transposed operation at position j
-    carries the Koszul sign of a degree-1 map past the shifted degrees
-    mu - 1 of the prefix.  A rewritten word is validated only when its
-    replacement pattern holds an interval-labelled symbol, as in delta;
-    that flag is computed once per entry of the transpose."""
+def _derivation_map(fam):
+    """The dual derivation as a word map over the suspended family.  Its
+    ``aux`` holds the transpose, per symbol its (pattern, dd, coef,
+    labelled) entries, labelled saying whether the pattern holds an
+    interval-labelled symbol, and the shifted degree mu - 1 per symbol."""
     bfam = fam if fam.suspended else suspend(fam)
     dual = {
         sym: [
@@ -874,59 +871,77 @@ def _derivation(fam):
         ]
         for sym, reps in opposite(bfam).items()
     }
+    shifted = {s: mu - 1 for s, mu in bfam.coidx.items()}
+    return _WordMap(bfam, _derivation_image, {(): {}}, (dual, shifted))
 
-    def word_map(gens, d=0):
-        sdegs = [bfam.mu(s) - 1 for s in gens]
-        out = {}
-        for j in range(1, len(gens) + 1):
-            reps = dual.get(gens[j - 1])
-            if not reps:
-                continue
-            sign = koszul_apply(1, j, 1, sdegs)
+
+def _derivation_image(dmap, gens, tail):
+    """d(gens): the transposed, suspended operation at each position j,
+    signed by signs.delta_parity in its suspended branch on the running
+    shifted degree of gens[:j - 1], which is koszul_apply(1, j, 1, shifted
+    degrees).  A rewritten word is validated when its replacement pattern
+    holds an interval-labelled symbol, as in delta.
+
+    ``tail`` is not read: building d(x v) from d(v) would be the Leibniz
+    rule itself, and check_leibniz would compare the rule with itself."""
+    dual, shifted = dmap.aux
+    fam = dmap.fam
+    Q = len(gens)
+    out = {}
+    prefix = 0
+    for j, s in enumerate(gens, 1):
+        reps = dual.get(s)
+        if reps:
+            negate = delta_parity(Q, j, 1, prefix, True)
+            head, rest = gens[: j - 1], gens[j:]
             for rep, dd, coef, labelled in reps:
-                new = gens[: j - 1] + rep + gens[j:]
+                new = head + rep + rest
                 if labelled:
-                    bfam.validate_word(new)
-                _add_term(out, new, d + dd, sign * coef)
-        return out
-
-    return word_map
+                    fam.validate_word(new)
+                _add_term(out, new, dd, -coef if negate else coef)
+        prefix += shifted[s]
+    return out
 
 
 def dga_differential(fam, gens, d=0):
     """The dual derivation: apply the transposed, suspended operation at
     each position with the shifted-prefix Koszul sign.  The word is
     validated first."""
-    fam.validate_word(gens)
-    return _derivation(fam)(gens, d)
+    return _times_t(_derivation_map(fam).checked(gens), d)
 
 
 def check_leibniz(fam, window):
     """d(x (x) y) = d(x) (x) y + (-1)^|x| x (x) d(y) with the shifted word
     degree |x| = sum (mu - 1), at every split of every window word; the
-    residue sums the per-split residues.
+    residue sums the per-split residues.  One derivation map serves the
+    whole word and both parts of every split; it holds no image of a word
+    of the window's full length, which is no part of another window word.
+    The split sign reads the running shifted degree of x through
+    signs.koszul_sign, apart from the derivation's own sign.
 
     The dual derivation obeys this rule for every family by construction,
     so a pass says nothing about the family: the check tests the sign
     code of the derivation and of the split."""
-    dga = _derivation(fam)
-    part = cache(dga)
+    D = _derivation_map(fam)
+    shifted = D.aux[1]
 
     def residue(gens):
         Q = len(gens)
-        total = _comb_map(dga, {(gens, 0): Q - 1})
-        sdegs = [fam.mu(s) - 1 for s in gens]
+        whole = D.outer if Q == window.qmax else D.__getitem__
+        total = _comb_map(whole, {(gens, 0): Q - 1})
+        prefix = 0
         for cut in range(1, Q):
             x, y = gens[:cut], gens[cut:]
-            for (g2, d2), c in part(x).items():
+            for (g2, d2), c in D[x].items():
                 key = (g2 + y, d2)
                 c = total.get(key, 0) - c
                 if c:
                     total[key] = c
                 else:
                     del total[key]
-            sign = koszul_sign(1, sdegs[:cut])
-            for (g2, d2), c in part(y).items():
+            prefix += shifted[x[-1]]
+            sign = koszul_sign(1, (prefix,))
+            for (g2, d2), c in D[y].items():
                 key = (x + g2, d2)
                 c = total.get(key, 0) - sign * c
                 if c:

@@ -106,7 +106,9 @@ def delta_parity(q_out, j, l, prefix_degree, suspended):
     the degree sum of the factors before j.  Plain degrees mu give the
     parity of sign_concat(q_out, j, l) times koszul_apply(l, j, l, degrees);
     shifted degrees mu - 1 (``suspended``) give that of
-    koszul_apply(1, j, l, shifted degrees)."""
+    koszul_apply(1, j, l, shifted degrees).  It has two readers: the word
+    differential, in either convention, and the dual derivation of the
+    Leibniz check, in the suspended branch at l = 1."""
     if suspended:
         return prefix_degree % 2
     return ((q_out - j) * l + (j - 1) + l * prefix_degree) % 2

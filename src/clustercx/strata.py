@@ -261,16 +261,17 @@ def facet_kind(stratum):
 
 
 def _face_walk(v, path, out):
-    """Append (path, vertex, pre) for each vertex of the subtree at ``v``
-    to ``out`` in preorder, where pre[j] is the total dimension of the
-    subtree factors in the vertex's slots[:j]; return the subtree's
-    dimension."""
+    """Append (path, vertex, pre, dim) for each vertex of the subtree at
+    ``v`` to ``out`` in preorder, where pre[j] is the total dimension of
+    the subtree factors in the vertex's slots[:j] and dim is the vertex's
+    vertex_dim; return the subtree's dimension."""
     pre = [0]
-    out.append((path, v, pre))
+    dim = vertex_dim(v)
+    out.append((path, v, pre, dim))
     for idx, x in enumerate(v[2]):
         d = _face_walk(x, path + (idx,), out) if type(x) is tuple else 0
         pre.append(pre[-1] + d)
-    return pre[-1] + vertex_dim(v)
+    return pre[-1] + dim
 
 
 def _shape(v, pre):
@@ -402,8 +403,7 @@ def _faces(root, templates):
     _face_walk(root, (), walk)
     replaced = trees._replaced
     prefix = 0
-    for path, v, pre in walk:
-        d = vertex_dim(v)
+    for path, v, pre, d in walk:
         if d > 0:
             for va, sign in _splits_of_vertex(v, pre, templates):
                 yield replaced(root, path, 0, va), -sign if prefix & 1 else sign

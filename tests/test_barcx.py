@@ -10,6 +10,7 @@ import pytest
 
 from clustercx import barcx as B
 from clustercx.errors import BlockError, CapError, RangeError, ShapeError
+from clustercx.signs import koszul_apply
 
 WINDOW = B.TruncationWindow(qmax=5, emax=8)
 
@@ -346,6 +347,47 @@ class TestDual:
             assert not dd
         assert B.check_leibniz(fam, window).passed
 
+    def test_derivation_matches_reference(self, lib):
+        # the library families and four seeded random ones, each in both
+        # conventions, on every word up to 4 factors and at d = 0 and 1
+        fams = [lib[name] for name in ("polynomial", "exterior", "circle")]
+        rng = random.Random(33)
+        fams += [B.random_family(rng) for _ in range(4)]
+        window = B.TruncationWindow(qmax=4)
+        nonzero = 0
+        for fam in fams:
+            for m in (fam, B.suspend(fam)):
+                for gens in B.basis_words(m, window):
+                    for d in (0, 1):
+                        got = B.dga_differential(m, gens, d)
+                        assert got == _reference_dga(m, gens, d), (gens, d)
+                    nonzero += bool(got)
+        assert nonzero > 1000
+
+    def test_leibniz_builds_each_image_once(self, lib, monkeypatch):
+        # one derivation map per check: the whole word and both parts of
+        # every split read it, so each distinct word's image is built once;
+        # a word of 6 factors is no part of another, so none is held
+        calls, maps = [], []
+        real, real_map = B._derivation_image, B._derivation_map
+
+        def counted(dmap, gens, tail):
+            calls.append(gens)
+            return real(dmap, gens, tail)
+
+        def kept(fam):
+            maps.append(real_map(fam))
+            return maps[-1]
+
+        monkeypatch.setattr(B, "_derivation_image", counted)
+        monkeypatch.setattr(B, "_derivation_map", kept)
+        fam = lib["exterior"]
+        window = B.TruncationWindow(qmax=6)
+        assert B.check_leibniz(fam, window).passed
+        assert len(calls) == len(set(calls))
+        assert set(calls) == set(B.basis_words(fam, window))
+        assert len(maps) == 1 and max(map(len, maps[0])) == 5
+
     def test_transpose_involution(self, lib):
         fam = lib["polynomial"]
         dual = B.opposite(fam)
@@ -433,6 +475,24 @@ def _reference_gj_relation(fam, gens):
                 outer = fam.apply(l1, new)
                 for (sym2, dd2), ocoef in outer.items():
                     B._add_term(out, (sym2,), dd + dd2, sign * icoef * ocoef)
+    return out
+
+
+def _reference_dga(fam, gens, d=0):
+    """The dual derivation position by position, with no word map and no
+    running prefix: the transposed, suspended operation at position j
+    signed by koszul_apply(1, j, 1) on the shifted degrees of the word."""
+    bfam = fam if fam.suspended else B.suspend(fam)
+    bfam.validate_word(gens)
+    dual = B.opposite(bfam)
+    sdegs = [bfam.mu(s) - 1 for s in gens]
+    out = {}
+    for j in range(1, len(gens) + 1):
+        sign = koszul_apply(1, j, 1, sdegs)
+        for (rep, dd), coef in dual.get(gens[j - 1], {}).items():
+            new = gens[: j - 1] + rep + gens[j:]
+            bfam.validate_word(new)
+            B._add_term(out, new, d + dd, sign * coef)
     return out
 
 
@@ -1138,8 +1198,20 @@ class TestNegativeControls:
     @pytest.mark.parametrize("name", ["polynomial", "exterior", "circle"])
     def test_leibniz_rejects_unsigned_derivation(self, lib, monkeypatch, name):
         # the rule holds for every family by construction, so the check is
-        # shown to bite on a derivation whose Koszul sign is forced to +1
-        monkeypatch.setattr(B, "koszul_apply", lambda *args: 1)
+        # shown to bite on a derivation whose signs.delta_parity is forced
+        # to either parity: every term +1, or every term -1
+        window = B.TruncationWindow(qmax=4)
+        assert B.check_leibniz(lib[name], window).passed
+        for parity in (0, 1):
+            with monkeypatch.context() as mp:
+                mp.setattr(B, "delta_parity", lambda *args: parity)
+                assert not B.check_leibniz(lib[name], window).passed, parity
+
+    @pytest.mark.parametrize("name", ["polynomial", "exterior", "circle"])
+    def test_leibniz_rejects_unsigned_split(self, lib, monkeypatch, name):
+        # the split sign (-1)^|x| is signs.koszul_sign, apart from the
+        # derivation's own sign: forced to +1, the rule fails too
+        monkeypatch.setattr(B, "koszul_sign", lambda *args: 1)
         report = B.check_leibniz(lib[name], B.TruncationWindow(qmax=4))
         assert not report.passed
 

@@ -181,7 +181,7 @@ def test_split_candidates(l, k, candidates, rejected):
         for t in trees.enumerate_colored_types(l, k, e):
             walk = []
             strata._face_walk(t.root, (), walk)
-            for path, v, pre in walk:
+            for path, v, pre, _ in walk:
                 kept = []
                 for va, _ in _reference_splits(v):
                     cand = trees.replace_vertex(t, path, va)

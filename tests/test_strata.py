@@ -433,9 +433,10 @@ class TestSplitOracle:
         for st in strata.face_poset(family, l, k).strata:
             walk = []
             assert strata._face_walk(st.tree.root, (), walk) == st.dim
-            assert [(p, v) for p, v, _ in walk] == st.tree.vertices()
-            for _, v, pre in walk:
+            assert [(p, v) for p, v, _, _ in walk] == st.tree.vertices()
+            for _, v, pre, d in walk:
                 assert pre == _reference_pre(v[2])
+                assert d == strata.vertex_dim(v)
 
     def test_zero_dimensional_vertices_have_no_split(self):
         """The oracle's vertices of dimension 0: the 25 two-slot plain
@@ -461,7 +462,7 @@ class TestSplitOracle:
         for st in poset.strata:
             walk = []
             strata._face_walk(st.tree.root, (), walk)
-            zero += sum(strata.vertex_dim(v) == 0 for _, v, _ in walk)
+            zero += sum(strata.vertex_dim(v) == 0 for _, v, _, _ in walk)
         assert zero
         template = strata._split_template
         asked = []
