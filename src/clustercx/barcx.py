@@ -283,8 +283,6 @@ def _one_table(*fams):
 
 
 def _add_term(acc, gens, d, coef):
-    if not coef:
-        return
     key = (gens, d)
     c = acc.get(key, 0) + coef
     if c:
@@ -298,10 +296,6 @@ def _sub(a, b):
     for key, c in b.items():
         _add_term(out, key[0], key[1], -c)
     return out
-
-
-def _truncate(comb, emax):
-    return {k: v for k, v in comb.items() if k[1] <= emax}
 
 
 def _comb_map(word_map, comb, out=None, sign=1):
@@ -477,11 +471,6 @@ def _delta_image(dmap, gens, tail):
         for g2, _ in tail:
             fam.validate_word((x,) + g2)
     flip = dmap.aux[x][Q & 1]
-    if not out:
-        return {
-            ((x,) + g2, d2): -c if flip[len(g2) & 1] else c
-            for (g2, d2), c in tail.items()
-        }
     for (g2, d2), c in tail.items():
         key = ((x,) + g2, d2)
         c = out.get(key, 0) + (-c if flip[len(g2) & 1] else c)
@@ -576,7 +565,7 @@ def _run_over_words(check_name, fam, window, residue_fn, keep=None):
     for gens in words:
         residue = residue_fn(gens)
         if residue:
-            residue = _truncate(residue, window.emax)
+            residue = {k: c for k, c in residue.items() if k[1] <= window.emax}
             if residue:
                 n_failing += 1
                 if keep is None or len(failures) < keep:

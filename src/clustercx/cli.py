@@ -264,7 +264,7 @@ def _cmd_index(args):
         monotone=read("monotone", bool, False),
     )
     val = indexcalc.index_cr(
-        ct, ec, muF, n=n, interior_incidences=read("interior_incidences", int, 0)
+        ct, ec, muF, interior_incidences=read("interior_incidences", int, 0)
     )
     if args.json:
         return _report(args, "pass", {"index": val})

@@ -70,10 +70,10 @@ def _as_tree(ct):
     return ct.stratum.tree
 
 
-def index_cr(ct, ec, muF, n=2, interior_incidences=0):
+def index_cr(ct, ec, muF, interior_incidences=0):
     """Index of the linearized operator over a cluster type:
-    mu+(root) - sum of leaf mu+ + Maslov, minus n per interior incidence
-    point and per complex node."""
+    mu+(root) - sum of leaf mu+ + Maslov, minus ec.n per interior
+    incidence point and per complex node."""
     tree = _as_tree(ct)
     l = tree.num_leaves
     if len(ec.mu_leaves) != l:
@@ -85,8 +85,8 @@ def index_cr(ct, ec, muF, n=2, interior_incidences=0):
         ec.mu_root
         - sum(ec.mu_leaves)
         + _maslov_total(muF)
-        - n * interior_incidences
-        - n * getattr(ct, "n_complex_nodes", 0)
+        - ec.n * interior_incidences
+        - ec.n * getattr(ct, "n_complex_nodes", 0)
     )
 
 

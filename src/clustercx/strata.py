@@ -18,7 +18,7 @@ is relative to that product orientation.
 import json
 import math
 from collections import Counter
-from itertools import combinations, combinations_with_replacement
+from itertools import chain, combinations, combinations_with_replacement
 from operator import attrgetter
 
 from . import trees
@@ -182,29 +182,27 @@ def _strata(family, l, k):
     in the canonical order of the trees."""
     top = dimension(family, l, k)
     if family != "Q":
-        return _wrapped(
-            family, [trees.enumerate_types(l, k, codim) for codim in range(top + 1)]
-        )
+        lists = (trees.enumerate_types(l, k, codim) for codim in range(top + 1))
+        return _wrapped(family, chain.from_iterable(lists))
     # edges = codim + (colored - 1), and a tree has at most l colored vertices
-    out = _wrapped(
-        family, [trees.enumerate_colored_types(l, k, e) for e in range(top + l)]
-    )
+    lists = (trees.enumerate_colored_types(l, k, e) for e in range(top + l))
+    out = _wrapped(family, chain.from_iterable(lists))
     return sorted(out, key=attrgetter("codim"))
 
 
-def _wrapped(family, tree_lists):
-    """A stratum of ``family``, a name in FAMILIES, for each tree of each
-    list, on the trusted path for trees that fit: the fields are set
-    directly, as for the faces of ``boundary_faces``, with no check."""
+def _wrapped(family, ts, perm=None):
+    """A stratum of ``family``, a name in FAMILIES, with ``perm`` for each
+    tree of ``ts``.  This is the one trusted path, for trees that fit by
+    construction (the enumerated strata of a poset and the faces of
+    ``boundary_faces``): the fields are set directly, with no check."""
     new = Stratum.__new__
     out = []
-    for ts in tree_lists:
-        for t in ts:
-            s = new(Stratum)
-            s.family = family
-            s.tree = t
-            s.perm = None
-            out.append(s)
+    for t in ts:
+        s = new(Stratum)
+        s.family = family
+        s.tree = t
+        s.perm = perm
+        out.append(s)
     return out
 
 
@@ -353,7 +351,7 @@ def _split_template(shape):
     return bubbles, seams
 
 
-def _splits_of_vertex(v, pre, templates=None):
+def _splits_of_vertex(v, pre, templates):
     """All stable one-step refinements of a single vertex.
 
     Yields (new_vertex, sign) where new_vertex replaces v and sign is the
@@ -363,11 +361,9 @@ def _splits_of_vertex(v, pre, templates=None):
     ``_face_walk`` records it.
 
     The splits are read off the template of v's ``_shape``, taken from the
-    memo ``templates`` (a dict, or None for none) or built into it.
+    memo ``templates`` (a dict) or built into it.
     """
     shape = _shape(v, pre)
-    if templates is None:
-        templates = {}
     template = templates.get(shape)
     if template is None:
         template = templates[shape] = _split_template(shape)
@@ -416,17 +412,10 @@ def boundary_faces(stratum):
     Returns a list of (Stratum, sign), the faces and signs of ``_faces``
     in its order; each face keeps the stratum's family and perm.
     """
-    fam, perm = stratum.family, stratum.perm
-    new = Stratum.__new__
-    out = []
-    for root, sign in _faces(stratum.tree.root, {}):
-        # as in _wrapped: a split keeps stability and the colored axiom
-        face = new(Stratum)
-        face.family = fam
-        face.tree = PlanarTree(root)
-        face.perm = perm
-        out.append((face, sign))
-    return out
+    faces = list(_faces(stratum.tree.root, {}))
+    # a split keeps stability and the colored axiom, so the faces fit
+    strata = _wrapped(stratum.family, [PlanarTree(r) for r, _ in faces], stratum.perm)
+    return [(face, sign) for face, (_, sign) in zip(strata, faces)]
 
 
 def boundary_matrix(poset):
@@ -506,7 +495,8 @@ def corner_decomposition(stratum):
         )
     if stratum.perm is None:
         raise ShapeError("symmetric stratum needs a tile permutation")
-    orderings, grafted = _corner_orderings(tree, stratum.perm)
+    orderings = []
+    grafted = _corner_walk(tree.root, (), stratum.perm, orderings, 0)[1]
     # the tile values of the leaves in grafted order
     shuffle = tuple(stratum.perm[a - 1] for a in grafted)
     return CornerProduct(
@@ -514,23 +504,17 @@ def corner_decomposition(stratum):
     )
 
 
-def _corner_orderings(tree, perm):
-    """The induced slot ordering of every vertex, in preorder, and the
-    grafted leaf sequence, from one post-order walk.
+def _corner_walk(v, path, perm, orderings, leaves):
+    """(key, grafted leaf numbers) of the subtree v at path, whose leaves
+    are numbered from leaves + 1, from one post-order walk; the induced
+    slot ordering of each of its vertices is appended to ``orderings`` in
+    preorder.
 
     A leaf slot's key is its tile value perm[a - 1]; a child slot's key is
     the least key in its subtree (the minimum rule).  Each vertex ranks its
     slots by key, and grafting lists the slots' leaf numbers in rank order.
     A leafless branch has no key, so it raises ShapeError.
     """
-    orderings = []
-    return orderings, _corner_walk(tree.root, (), perm, orderings, 0)[1]
-
-
-def _corner_walk(v, path, perm, orderings, leaves):
-    """(key, grafted leaf numbers) of the subtree v at path, whose leaves
-    are numbered from leaves + 1; its vertices' orderings are appended to
-    ``orderings`` in preorder."""
     at = len(orderings)
     orderings.append(None)
     keys, groups = [], []

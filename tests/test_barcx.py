@@ -949,6 +949,24 @@ class TestSuffixRecursion:
                 assert got == _reference_delta(m, word, d)
                 assert got
 
+    @pytest.mark.parametrize(
+        "name, head", [("exterior", ("t", "t")), ("circle", ("m", "m"))]
+    )
+    def test_words_with_no_first_gap_terms(self, lib, name, head):
+        # head multiplies to 0, so delta(x v) is the re-signed tail
+        # x (x) delta(v) alone, built into an empty image
+        fam = lib[name]
+        for m in (fam, B.suspend(fam)):
+            assert B.delta(m, head) == {}
+            words = [
+                gens
+                for gens in B.basis_words(m, B.TruncationWindow(qmax=8))
+                if gens[:2] == head
+            ]
+            images = [B.delta(m, gens) for gens in words]
+            assert images == [_reference_delta(m, gens) for gens in words]
+            assert (len(words), sum(map(bool, images))) == (127, 67)
+
     @pytest.mark.parametrize("which", ["delta", "morphism_H", "homotopy_K"])
     def test_word_longer_than_the_recursion_limit(self, lib, which):
         # the suffixes are built in a loop, not by recursion.  For H and K:

@@ -6,8 +6,14 @@ from math import comb
 
 import pytest
 
-from clustercx import indexcalc as I, strata as S
-from clustercx.errors import CapError, MonotoneError, ShapeError, SurgeryError
+from clustercx import indexcalc as I, strata as S, trees
+from clustercx.errors import (
+    CapError,
+    DegenerateError,
+    MonotoneError,
+    ShapeError,
+    SurgeryError,
+)
 from clustercx.trees import LEAF, PlanarTree, vertex
 
 
@@ -21,6 +27,19 @@ class TestIndexCr:
         t = PlanarTree(vertex(0, False, (LEAF, LEAF)))
         with pytest.raises(ShapeError):
             I.index_cr(t, I.EndpointCondition(0, [0, 0, 0]), 0)
+
+    def test_penalties_read_the_endpoint_n(self):
+        # the n that bounds the co-indices is the one each interior
+        # incidence point and each complex node costs
+        t = trees.enumerate_types(2, 1, 0)[0]
+        top = S.ClusterType(S.Stratum("K", t), {}, n_complex_nodes=1)
+        for n in (2, 3, 4):
+            ec = I.EndpointCondition(n, [0, 0], n=n)
+            assert I.index_cr(t, ec, 0, interior_incidences=1) == 0
+            assert I.index_cr(top, ec, 0) == 0
+            assert I.index_cr(top, ec, 0, interior_incidences=2) == -2 * n
+            with pytest.raises(ShapeError, match="outside 0..%d" % n):
+                I.EndpointCondition(n + 1, [0, 0], n=n)
 
     def test_additivity_random(self):
         rng = random.Random(3)
@@ -70,6 +89,18 @@ class TestCokerDim:
             S.ClusterType(s2, {e1: "node", not_an_edge: "broken"})
         ct = S.ClusterType(s2, {e1: "broken", e2: "node"})
         assert (ct.n_breakings, ct.n_real_nodes) == (1, 1)
+
+    def test_degenerate_refused(self):
+        top = [
+            s for s in S.face_poset("K", 2, 1).strata if s.codim == 0
+        ][0]
+        for l, k in ((-1, 0), (0, -1), (2, -1)):
+            with pytest.raises(DegenerateError, match="unstable parameters"):
+                I.coker_dim(S.ClusterType(top, {}), l, k)
+        # ambient dimension 2 holds one complex node, not two
+        ct = S.ClusterType(top, {}, n_complex_nodes=2)
+        with pytest.raises(DegenerateError, match="overdegenerate type"):
+            I.coker_dim(ct, 2, 1)
 
     def test_unstable_special_cases(self):
         top = [
@@ -135,6 +166,24 @@ class TestSurgeries:
         t = PlanarTree(vertex(2, False, (LEAF, vertex(0, False, (LEAF, LEAF)))))
         rec = I.reduce(t, {"type": "IIb", "disk": (), "dest": 1, "at": 0})
         assert rec.after.root == vertex(0, False, (LEAF, LEAF, LEAF))
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"type": "IIa", "disk": (), "dest": (), "at": 0}, "root disk"),
+            ({"type": "IIa", "disk": (1,), "dest": (1,), "at": 0}, "inside"),
+            ({"type": "IIa", "disk": (1,), "dest": (1, 0), "at": 0}, "inside"),
+            ({"type": "IIa", "disk": (1,), "dest": (), "at": 2}, "out of range"),
+            ({"type": "IIa", "disk": (1,), "dest": (), "at": -1}, "out of range"),
+            ({"type": "IIb", "disk": (), "dest": 1, "at": 3}, "out of range"),
+            ({"type": "IIb", "disk": (), "dest": 1, "at": -1}, "out of range"),
+            ({"type": "IV"}, "unknown surgery type 'IV'"),
+        ],
+    )
+    def test_refusals(self, spec, message):
+        t = PlanarTree(vertex(0, False, (LEAF, vertex(1, False, (LEAF, LEAF)))))
+        with pytest.raises(SurgeryError, match=message):
+            I.reduce(t, spec)
 
     def test_generalized_bookkeeping(self):
         t = PlanarTree(vertex(2, False, (LEAF, LEAF)))
@@ -261,6 +310,21 @@ class TestInducedLabelings:
         assert I.induced_component_labeling(
             chain, [(1, 2), (3, 2), (3, 4)], "otimes"
         ) == (0, 1, 1, 3)
+
+    def test_bullet_empty_attachment(self):
+        # a leafless branch takes c + 1
+        got = I.induced_component_labeling((4, 4), [(1, 1), (3, 2)], "bullet", c=3)
+        assert got == (4, 4)
+        with pytest.raises(ShapeError, match="needs c"):
+            I.induced_component_labeling((4, 4), [(1, 1), (3, 2)], "bullet")
+
+    @pytest.mark.parametrize("family", ["otimes", "bullet"])
+    def test_bad_intervals_refused(self, family):
+        lab = (0, 1, 1)
+        with pytest.raises(ShapeError, match="increasing and disjoint"):
+            I.induced_component_labeling(lab, [(1, 2), (2, 3)], family, c=1)
+        with pytest.raises(ShapeError, match="beyond the labeling length"):
+            I.induced_component_labeling(lab, [(1, 4)], family, c=1)
 
     @pytest.mark.parametrize("alias", ["x", "."])
     def test_family_aliases_refused(self, alias):

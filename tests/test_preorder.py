@@ -109,7 +109,7 @@ def assert_walk_facts(tree):
     verts = [v for _, v in tree.vertices()]
     assert tree.num_marks == sum(v[0] for v in verts)
     dim = sum(strata.vertex_dim(v) for v in verts)
-    k, q = strata._wrapped("K", [[tree]]) + strata._wrapped("Q", [[tree]])
+    k, q = strata._wrapped("K", [tree]) + strata._wrapped("Q", [tree])
     assert (k.codim, k.dim) == (len(verts) - 1, dim)
     assert (q.codim, q.dim) == (len(verts) - max(n_colored, 1), dim)
     ok = _reference_colored_ok(root, False) and (
@@ -190,7 +190,7 @@ def test_split_candidates(l, k, candidates, rejected):
                         kept.append(va)
                     else:
                         bad += 1
-                new = [va for va, _ in strata._splits_of_vertex(v, pre)]
+                new = [va for va, _ in strata._splits_of_vertex(v, pre, {})]
                 assert new == kept, (t, path)
                 made += len(new)
     assert (seen, bad, made) == (candidates, rejected, _GENERATED[l, k])

@@ -422,7 +422,7 @@ class TestSplitOracle:
     @pytest.mark.parametrize("s", range(7))
     def test_same_splits_in_the_same_order(self, s):
         for v in _oracle_vertices(s):
-            new = strata._splits_of_vertex(v, _reference_pre(v[2]))
+            new = strata._splits_of_vertex(v, _reference_pre(v[2]), {})
             assert list(new) == list(_reference_faces(v)), v
 
     @pytest.mark.parametrize("family, l, k", [("K", 5, 0), ("Q", 3, 1)])
@@ -448,7 +448,7 @@ class TestSplitOracle:
                 if strata.vertex_dim(v) == 0:
                     seen += 1
                     pre = _reference_pre(v[2])
-                    assert not list(strata._splits_of_vertex(v, pre)), v
+                    assert not list(strata._splits_of_vertex(v, pre, {})), v
                     assert not list(_reference_faces(v)), v
         assert seen == 29
 
@@ -872,6 +872,25 @@ class TestCorners:
                 kinds.add(strata.facet_kind(s))
         assert kinds == {"lower", "upper"}
 
+    def test_quilted_facet_decompositions(self):
+        codim_1 = [s for s in strata.face_poset("Q", 3, 0).strata if s.codim == 1]
+        got = [
+            (cp.kind, cp.factors, cp.grafts)
+            for cp in map(strata.corner_decomposition, codim_1)
+        ]
+        assert got == [
+            ("lower", [("Q", 2, 0), ("K", 2, 0)], [(0, 2, 1)]),
+            ("lower", [("Q", 2, 0), ("K", 2, 0)], [(0, 1, 1)]),
+            ("lower", [("Q", 1, 0), ("K", 3, 0)], [(0, 1, 1)]),
+            ("upper", [("K", 2, 0), ("Q", 1, 0), ("Q", 2, 0)], [(0, 1, 1), (0, 2, 2)]),
+            ("upper", [("K", 2, 0), ("Q", 2, 0), ("Q", 1, 0)], [(0, 1, 1), (0, 2, 2)]),
+            (
+                "upper",
+                [("K", 3, 0), ("Q", 1, 0), ("Q", 1, 0), ("Q", 1, 0)],
+                [(0, 1, 1), (0, 2, 2), (0, 3, 3)],
+            ),
+        ]
+
     def test_decomposition_factors(self):
         poset = strata.face_poset("K", 4, 0)
         for s in poset.strata:
@@ -889,6 +908,9 @@ class TestCorners:
         s = poset.strata[poset.index(strata.Stratum("Ks", ghost))]
         with pytest.raises(GhostCornerError):
             strata.corner_decomposition(s)
+        # the K poset holds the same tree, under another family tag
+        with pytest.raises(KeyError):
+            strata.face_poset("K", 3, 0).index(strata.Stratum("Ks", ghost))
 
     def test_symmetric_orderings_match_reference(self):
         valid = leafless = 0
@@ -1176,9 +1198,11 @@ class TestStratumFit:
     @pytest.mark.parametrize("family, l, k", [("Q", 3, 1), ("K", 5, 0)])
     def test_posets_skip_the_check(self, monkeypatch, family, l, k):
         """The constructor, which holds the check, runs for no stratum or
-        face of a poset."""
+        face of a poset, nor for a face of ``boundary_faces``, which keeps
+        its stratum's perm."""
         calls = []
         init = strata.Stratum.__init__
+        tile = strata.Stratum("Ks", _THREE_LEAVES, (2, 3, 1))
 
         def counted(self, fam, tree, perm=None):
             calls.append(fam)
@@ -1186,7 +1210,9 @@ class TestStratumFit:
 
         monkeypatch.setattr(strata.Stratum, "__init__", counted)
         rows = strata.face_poset(family, l, k).rows
-        assert any(rows) and not calls
+        faces = strata.boundary_faces(tile)
+        assert any(rows) and len(faces) == 12 and not calls
+        assert {(f.family, f.perm) for f, _ in faces} == {("Ks", (2, 3, 1))}
         assert strata.Stratum("K", _THREE_LEAVES).tree == _THREE_LEAVES
         assert calls == ["K"]
 
