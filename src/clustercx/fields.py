@@ -72,12 +72,6 @@ def rational(value, at, error=ShapeError):
     raise error("%s must be a string p/q with q != 0, not %r" % (at, value))
 
 
-def rational_or(value, at, read):
-    """The rational that the string ``value`` denotes, or ``read(value,
-    at)`` when ``value`` is an object."""
-    return read(value, at) if type(value) is dict else rational(value, at)
-
-
 def edge(key, at):
     """The edge that the id ``key`` names: slot indices joined by dots,
     such as "0.1", or "" for the root."""

@@ -379,6 +379,8 @@ def induced_component_labeling(lab, intervals, family, c=None):
     ``intervals`` lists, one per component leaf in planar order, the
     range (lo, hi) of input positions lying above that leaf (inclusive);
     an empty attachment between positions p and p+1 is written (p+1, p).
+    Positions run 1..l, where a chain has l + 1 values and a pointed
+    labeling l; an interval reaching past l is a ShapeError.
     Chained labelings restrict to the chain values just outside each
     range; pointed labelings take the label of the lowest position above
     (or c+1 for a leafless branch).
@@ -388,27 +390,15 @@ def induced_component_labeling(lab, intervals, family, c=None):
         if lo - 1 < prev_hi or (hi >= lo and lo < 1):
             raise ShapeError("intervals must be increasing and disjoint")
         prev_hi = max(prev_hi, hi, lo - 1)
-    if family == "otimes":
-        chain = tuple(lab)
-        new = [chain[intervals[0][0] - 1] if intervals else chain[0]]
-        for lo, hi in intervals:
-            if hi > len(chain) - 1:
-                raise ShapeError("interval beyond the labeling length")
-            new.append(chain[hi] if hi >= lo else chain[lo - 1])
-        if len(set(new)) == 1:
-            return (0,) * len(new)
-        return tuple(new)
+    if family not in ("otimes", "bullet"):
+        raise ShapeError("family must be otimes or bullet")
+    if family == "bullet" and c is None:
+        raise ShapeError("pointed induction needs c")
+    # the last input position, l: a chain holds l + 1 values
+    if prev_hi > len(lab) - (family == "otimes"):
+        raise ShapeError("interval beyond the labeling length")
     if family == "bullet":
-        if c is None:
-            raise ShapeError("pointed induction needs c")
-        vals = tuple(lab)
-        out = []
-        for lo, hi in intervals:
-            if hi < lo:
-                out.append(c + 1)
-                continue
-            if hi > len(vals):
-                raise ShapeError("interval beyond the labeling length")
-            out.append(vals[lo - 1])
-        return tuple(out)
-    raise ShapeError("family must be otimes or bullet")
+        return tuple(lab[lo - 1] if hi >= lo else c + 1 for lo, hi in intervals)
+    new = [lab[intervals[0][0] - 1] if intervals else lab[0]]
+    new += [lab[hi] if hi >= lo else lab[lo - 1] for lo, hi in intervals]
+    return (0,) * len(new) if len(set(new)) == 1 else tuple(new)

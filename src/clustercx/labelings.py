@@ -64,9 +64,7 @@ class EpsFrac:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None):
-        if den is None:
-            den = {_ZERO: _ONE}
+    def __init__(self, num, den):
         self.num = {Fraction(e): Fraction(c) for e, c in num.items() if c}
         self.den = {Fraction(e): Fraction(c) for e, c in den.items() if c}
         if not self.den:
@@ -190,9 +188,13 @@ class EdgeLabeling:
 
 
 def _color_walk(tree):
-    """(regions, paths) of a tree from one preorder walk: the edge regions
-    of ``_edge_regions`` and the root-to-color paths of ``_colored_paths``,
-    both in preorder."""
+    """(regions, paths) of a tree from one preorder walk, both in preorder.
+
+    ``regions`` classifies each edge: 'above' (a colored vertex lies
+    strictly below it or at its bottom endpoint), 'touch' (its top endpoint
+    is colored), or 'below'.  ``paths`` lists, for each colored vertex with
+    no colored vertex below it, the edges from the root up to it, bottom-up,
+    as edge identifiers."""
     regions = {}
     paths = []
     _walk_colors(tree.root, (), False, regions, paths)
@@ -216,15 +218,9 @@ def _walk_colors(v, path, seen, regions, paths):
             _walk_colors(s, e, here, regions, paths)
 
 
-def _colored_paths(tree):
-    """Edge paths from the root up to each colored vertex with no colored
-    vertex below it, as lists of edge identifiers (bottom-up)."""
-    return _color_walk(tree)[1]
-
-
 def color_products(lab):
     """Product of labels along each root-to-color path."""
-    return _products(lab, _colored_paths(lab.tree))
+    return _products(lab, _color_walk(lab.tree)[1])
 
 
 def _products(lab, paths):
@@ -334,13 +330,6 @@ def restrict_balanced(lab, t1, t2, witness=None):
 # -- exponent calculus -------------------------------------------------------
 
 
-def _edge_regions(tree):
-    """Classify each edge: 'above' (a colored vertex lies strictly below
-    it or at its bottom endpoint), 'touch' (its top endpoint is colored),
-    or 'below'."""
-    return _color_walk(tree)[0]
-
-
 @lru_cache(maxsize=None)
 def _exponent(region, b):
     """M_l of an edge in ``region`` with b_l = b edges below it."""
@@ -364,7 +353,7 @@ def exponents(tree, tmax=None, witness=None):
     edges entering the balanced restriction at l; otherwise N_l = M_l.
     """
     target = tmax if tmax is not None else tree
-    m = {e: _exponent(region, len(e)) for e, region in _edge_regions(target).items()}
+    m = {e: _exponent(region, len(e)) for e, region in _color_walk(target)[0].items()}
     if tmax is None:
         return ExponentData(m, dict(m))
     n = {}
@@ -662,22 +651,23 @@ def labeling_from_obj(tree, obj):
     labels = {}
     for key, v in fields.typed(obj, dict, "labels").items():
         e = fields.edge(key, "a label key")
-        labels[e] = fields.rational_or(v, "label %r" % (key,), _label_object)
+        at = "label %r" % (key,)
+        labels[e] = _label_object(v, at) if type(v) is dict else fields.rational(v, at)
     return EdgeLabeling(tree, labels)
 
 
 # -- random balanced labelings (test/CLI support) ---------------------------
 
 
-def random_balanced(tree, rng, max_num=8):
-    """A random balanced labeling: free positive labels everywhere except
-    each color-touching edge, which is solved for the common product."""
-    paths = _colored_paths(tree)
+def random_balanced(tree, rng):
+    """A random balanced labeling: free labels p/q with 1 <= p, q <= 8
+    except on each color-touching edge, solved for the common product."""
+    paths = _color_walk(tree)[1]
     if not paths:
         raise BalanceError("tree has no colored vertex")
 
     def rnd():
-        return Fraction(rng.randint(1, max_num), rng.randint(1, max_num))
+        return Fraction(rng.randint(1, 8), rng.randint(1, 8))
 
     target = rnd()
     labels = {}

@@ -267,7 +267,7 @@ def test_criterion_10_collar_smoothing_maps():
             chi0 = L.chi_quilted(lab0, Fraction(1, 2))
             for e in t.edges():
                 assert chi0[e] == L.EpsFrac.eps_power(exp.m[e])
-            for chain in L._colored_paths(t):
+            for chain in L._color_walk(t)[1]:
                 if chain:
                     assert sum(exp.m[e] for e in chain) == 1
         # balancedness preservation + injectivity on 10^3 seeded samples

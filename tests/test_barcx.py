@@ -1384,3 +1384,39 @@ class TestTruncationWindow:
         assert not B.check_a_infinity(fam, B.TruncationWindow(qmax=3)).passed
         with pytest.raises(RangeError):
             B.check_a_infinity(fam, B.TruncationWindow(qmax=3, emax=-1))
+
+
+def _two_roles(poly):
+    obj = B.family_to_obj(poly)
+    obj["ops"]["h"] = obj["ops"]["m"]
+    return obj
+
+
+class TestRefusals:
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda poly: B.OperationFamily("x", [], {}), ShapeError,
+             "role must be one of m/h/k, got 'x'"),
+            (lambda poly: B.OperationFamily("m", [B.Generator("a", 3)], {}, n=2),
+             ShapeError, "co-index of 'a' outside 0..2"),
+            (lambda poly: B.OperationFamily(
+                "m", [B.Generator("a", 1, (2, 1))], {}, c=2).validate_word(("a",)),
+             BlockError, "bad interval label (2, 1) on 'a'"),
+            (lambda poly: B.morphism_H(poly, ("a",)), ShapeError,
+             "morphism_H needs an h family"),
+            (lambda poly: B.homotopy_K(
+                _identity_h(poly), _identity_h(poly), poly, ("a",)),
+             ShapeError, "homotopy_K needs a k family"),
+            (lambda poly: B.opposite(_identity_h(poly)), ShapeError,
+             "opposite needs a differential family"),
+            (lambda poly: B.family_from_obj(_two_roles(poly)), ShapeError,
+             "file must declare exactly one op role"),
+        ],
+        ids=["role", "coidx", "interval-label", "morphism-H-role",
+             "homotopy-K-role", "opposite-role", "two-roles"],
+    )
+    def test_refusals(self, lib, call, error, message):
+        with pytest.raises(error) as info:
+            call(lib["polynomial"])
+        assert str(info.value) == message

@@ -325,6 +325,52 @@ class TestInducedLabelings:
             I.induced_component_labeling(lab, [(1, 2), (2, 3)], family, c=1)
         with pytest.raises(ShapeError, match="beyond the labeling length"):
             I.induced_component_labeling(lab, [(1, 4)], family, c=1)
+        # an interval or an empty attachment that starts past the last
+        # position: the chain (0, 1, 1) has positions 1..2, the pointed
+        # labeling 1..3
+        past = {"otimes": [[(5, 6)], [(4, 3)]], "bullet": [[(5, 6)], [(5, 4)]]}
+        for intervals in past[family]:
+            with pytest.raises(ShapeError, match="beyond the labeling length"):
+                I.induced_component_labeling(lab, intervals, family, c=1)
+
+    @pytest.mark.parametrize(
+        "family, intervals, want",
+        [
+            ("otimes", [(1, 2), (3, 2)], (0, 1, 1)),
+            ("bullet", [(1, 3), (4, 3)], (0, 2)),
+        ],
+    )
+    def test_empty_attachment_at_the_last_position(self, family, intervals, want):
+        got = I.induced_component_labeling((0, 1, 1), intervals, family, c=1)
+        assert got == want
+
+    def test_sweep_returns_or_refuses(self):
+        # every labeling with l <= 2 over c = 2, every list of up to two
+        # intervals with ends in 0..l+2: a call returns or is a ShapeError,
+        # and what is accepted ends at or before the last position l
+        accepted = refused = 0
+        for l in range(3):
+            pairs = list(itertools.product(range(l + 3), repeat=2))
+            lists = [[]] + [[p] for p in pairs]
+            lists += [[p, q] for p in pairs for q in pairs]
+            kinds = (("otimes", "otimes"), ("bullet", "bullet"), ("x", "otimes"))
+            for family, kind in kinds:
+                for lab in I.enumerate_end_labelings(l, 2, kind):
+                    for c in (2, None):
+                        for intervals in lists:
+                            try:
+                                got = I.induced_component_labeling(
+                                    lab, intervals, family, c=c
+                                )
+                            except ShapeError:
+                                refused += 1
+                                continue
+                            accepted += 1
+                            assert len(got) == len(intervals) + (family == "otimes")
+                            if intervals:
+                                lo, hi = intervals[-1]
+                                assert max(hi, lo - 1) <= l, (lab, intervals)
+        assert accepted and refused
 
     @pytest.mark.parametrize("alias", ["x", "."])
     def test_family_aliases_refused(self, alias):

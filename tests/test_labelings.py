@@ -1,6 +1,8 @@
 """Edge labelings, balance, collar smoothing maps, and charts."""
 
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -31,6 +33,19 @@ class TestBalance:
         rng = random.Random(0)
         for t in colored_pool()[:30]:
             assert L.is_balanced(L.random_balanced(t, rng))
+
+    def test_random_balanced_draws_pinned(self):
+        # one seeded draw on every pool tree, pinned by the digest of the
+        # written labelings: each free label is p/q with 1 <= p, q <= 8
+        rng = random.Random(3)
+        pool = colored_pool()
+        objs = [L.labeling_to_obj(L.random_balanced(t, rng)) for t in pool]
+        assert len(pool) == 78 and sum(map(len, objs)) == 253
+        assert objs[0] == {"1": "3/4"}
+        digest = hashlib.sha256(json.dumps(objs).encode()).hexdigest()
+        assert digest == (
+            "cf9f92952f6857913923d83fbb5d41ff03390441a68e525e56852f137a7f8d02"
+        )
 
     def test_restriction_preserves_balance(self):
         rng = random.Random(1)
@@ -133,7 +148,7 @@ def _reference_chi_quilted(lab):
     eps^M_l'/F(l') of the edge just below, and (1 + Y) eps^M_l."""
     E = L.EpsFrac
     tree = lab.tree
-    regions = L._edge_regions(tree)
+    regions = L._color_walk(tree)[0]
     m = L.exponents(tree).m
     y = L.color_products(lab)[0]
     out = {}
@@ -184,7 +199,7 @@ def _zero_labeled(t, rng):
               for e in t.edges()}
     lab = L.EdgeLabeling(t, labels)
     if not L.is_balanced(lab):
-        for chain in L._colored_paths(t):
+        for chain in L._color_walk(t)[1]:
             labels[chain[-1]] = 0
         lab = L.EdgeLabeling(t, labels)
     return lab
@@ -442,7 +457,7 @@ class TestExponents:
             if t.root[1]:
                 continue
             exp = L.exponents(t)
-            paths = L._colored_paths(t)
+            paths = L._color_walk(t)[1]
             for chain in paths:
                 if chain:
                     assert sum(exp.m[e] for e in chain) == 1
@@ -459,7 +474,7 @@ class TestExponents:
                             if t1.root[1] or not t1.check_colored_axiom():
                                 continue
                             n = L.exponents(t1, tmax=t2, witness=S).n
-                            for chain in L._colored_paths(t1):
+                            for chain in L._color_walk(t1)[1]:
                                 assert sum(n[x] for x in chain) == 1
                                 chains += 1
         assert chains == 3368
@@ -486,3 +501,51 @@ class TestExponents:
         }
         assert L.exponents(t1, tmax=t2, witness=S).n == want
         assert L.exponents(t1, tmax=t2).n == want
+
+
+_C = vertex(0, True, (LEAF,))
+TWO_COLORS = PlanarTree(vertex(0, False, (_C, _C)))
+RIGHT3 = PlanarTree(vertex(0, False, (LEAF, vertex(0, False, (LEAF, LEAF)))))
+
+
+def _ones(t):
+    return L.EdgeLabeling(t, {e: Fraction(1) for e in t.edges()})
+
+
+class TestRefusals:
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda: L.EpsFrac.rational(1) / 0, ZeroDivisionError,
+             "division by zero labeling value"),
+            (lambda: hash(L.EpsFrac.rational(1)), TypeError,
+             "EpsFrac is not hashable (no normal form)"),
+            (lambda: L.EpsFrac.rational(1) * 0.5, TypeError, "cannot coerce 0.5"),
+            (lambda: L.is_balanced(_ones(PLAIN3)), BalanceError,
+             "tree has no colored vertex"),
+            (lambda: L.random_balanced(PLAIN3, random.Random(0)), BalanceError,
+             "tree has no colored vertex"),
+            (lambda: L.restrict_plain(_ones(PLAIN3), RIGHT3, PLAIN3), OrderError,
+             "t1 is not a contraction of t2"),
+            (lambda: L.restrict_plain(_ones(PLAIN3), RIGHT3, PLAIN3, witness=[]),
+             OrderError, "witness does not contract t2 to t1"),
+            (lambda: L.restrict_balanced(
+                L.EdgeLabeling(TWO_COLORS, {(0,): 1, (1,): 2}), TWO_COLORS,
+                TWO_COLORS, witness=[]),
+             BalanceError, "input labeling is not balanced"),
+            (lambda: L.MarkedDisk([0, 2, 2]), OrderError,
+             "boundary positions must increase"),
+        ],
+        ids=["zero-divisor", "hash", "float", "unbalanced-plain",
+             "random-plain", "not-a-contraction", "wrong-witness",
+             "restrict-unbalanced", "disk-order"],
+    )
+    def test_refusals(self, call, error, message):
+        with pytest.raises(error) as info:
+            call()
+        assert str(info.value) == message
+
+    def test_equality_with_another_type(self):
+        # __eq__ answers NotImplemented, so Python falls back to identity
+        assert L.EpsFrac.rational(1) != "1"
+        assert not L.EpsFrac.rational(1) == "1"

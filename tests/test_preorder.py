@@ -116,7 +116,7 @@ def assert_walk_facts(tree):
         _reference_colors_on_leaf_paths(root)
     )
     assert tree.check_colored_axiom() == ok
-    # the walk behind _edge_regions and _colored_paths
+    # the one walk behind the edge regions and the root-to-color paths
     regions, paths = L._color_walk(tree)
     assert paths == _reference_colored_paths(tree)
     assert regions == _reference_edge_regions(tree)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from clustercx import signs
-from clustercx.errors import ShapeError, ShuffleError
+from clustercx.errors import RangeError, ShapeError, ShuffleError
 
 
 class TestClosedForms:
@@ -35,6 +35,32 @@ class TestClosedForms:
     def test_perm_parity(self):
         assert signs.perm_parity((1, 2, 3)) == 0
         assert signs.perm_parity((2, 1, 3)) == 1
+
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda: signs.sign_concat(2, 0, 1), RangeError,
+             "slot j=0 out of range 1..2"),
+            (lambda: signs.sign_concat(2, 3, 1), RangeError,
+             "slot j=3 out of range 1..2"),
+            (lambda: signs.sign_lower_quilt(2, 3, 1), RangeError,
+             "slot j=3 out of range 1..2"),
+            (lambda: signs.sign_upper_quilt([]), RangeError,
+             "need at least one component"),
+            (lambda: signs.perm_parity((1, 3)), ShapeError,
+             "not a permutation of 1..2: [1, 3]"),
+            (lambda: signs.epsilon_gj(3, 2, 2, [1]), ShapeError,
+             "need at least 2 prefix degrees"),
+            (lambda: signs.epsilon_bar(3, [1]), ShapeError,
+             "need at least 2 prefix degrees"),
+        ],
+        ids=["concat-low", "concat-high", "lower-quilt", "upper-quilt", "perm",
+             "epsilon-gj", "epsilon-bar"],
+    )
+    def test_range_refusals(self, call, error, message):
+        with pytest.raises(error) as info:
+            call()
+        assert str(info.value) == message
 
 
 class TestKoszul:

@@ -952,6 +952,27 @@ class TestCorners:
         with pytest.raises(GhostCornerError):
             strata.corner_decomposition(s)
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: strata.facet_kind(strata.Stratum("Q", _QUILTED)),
+             "facet_kind applies to codim-1 Q strata"),
+            (lambda: strata.corner_decomposition(
+                strata.Stratum("K", PlanarTree(vertex(0, False, (LEAF,) * 3)))),
+             "corner_decomposition needs codim >= 1"),
+            # ghost-free, so the missing perm is what is refused
+            (lambda: strata.corner_decomposition(strata.Stratum("Ks", _THREE_LEAVES)),
+             "symmetric stratum needs a tile permutation"),
+            (lambda: strata.export_poset(strata.face_poset("K", 3, 0), "xml"),
+             "unknown export format 'xml'"),
+        ],
+        ids=["facet-kind", "corner-codim-0", "ks-no-perm", "export-format"],
+    )
+    def test_refusals(self, call, message):
+        with pytest.raises(ShapeError) as info:
+            call()
+        assert str(info.value) == message
+
 
 class TestTiles:
     def test_counts(self):

@@ -162,6 +162,26 @@ class TestEnumeration:
         with pytest.raises(CapError):
             trees.enumerate_types(2, 5, 0)
 
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda: trees.enumerate_types(3, 0, -1), ShapeError,
+             "codim must be nonnegative"),
+            (lambda: trees.enumerate_types(0, 0, 0), StabilityError,
+             "no stable type with l=0, k=0"),
+            (lambda: trees.enumerate_colored_types(0, 1, 0), StabilityError,
+             "colored trees need at least one leaf"),
+            (lambda: trees.contraction_witness(
+                trees.enumerate_types(3, 0, 0)[0], trees.enumerate_types(4, 0, 0)[0]),
+             ShapeError, "trees have different (l, k)"),
+        ],
+        ids=["negative-codim", "unstable", "colored-leafless", "witness-lk"],
+    )
+    def test_refusals(self, call, error, message):
+        with pytest.raises(error) as info:
+            call()
+        assert str(info.value) == message
+
     def test_unique_and_consistent(self):
         for l, k in [(3, 0), (4, 0), (2, 1), (3, 1), (2, 2)]:
             seen = set()
