@@ -25,10 +25,12 @@ cardinality q = number of factors.  Structure constants must shift mu by
 2 - arity (differentials), 1 - arity (morphisms) or -arity (homotopies).
 """
 
+from functools import partial
 from itertools import product as _iproduct
 
 from .errors import BlockError, CapError, RangeError, ShapeError
 from .fields import field, typed
+from .gcpause import paused
 from .signs import (
     delta_parity,
     epsilon_gj,
@@ -41,10 +43,13 @@ _ROLE_SHIFT = {"m": 2, "h": 1, "k": 0}
 
 # Most generator tuples basis_words may list, all word lengths together.
 # A check holds its word list, its word maps (delta, H, K or the derivation)
-# and its failing residues.  Peak RSS of the polynomial family at q = 7
-# (97,655 words): 77 MB under check-ainf, 62 MB under check_leibniz and 86
-# MB under check-morphism of the identity, whose source and target share one
-# delta map, so the cap keeps such checks far under 600 MB.  The failing
+# and its failing residues, but no image of a word of the window's full
+# length (_WordMap.window_word).  Peak RSS of the polynomial family at q = 7
+# (97,655 words): 35 MB under clustercx check-ainf (CI holds it under 45
+# MB), 62 MB under check_leibniz and 85 MB under check-morphism of the
+# identity, whose source and target share one delta map, which holds the
+# full-length images that delta(0) reads, so the cap keeps such checks far
+# under 600 MB.  The failing
 # residues of a dense family grow with the word length, not the word count:
 # on 3-generator dense failing random families a report of every failure
 # takes 5.3 KB per word at q = 7 and 8.4 KB at q = 8 under check-ainf, and
@@ -368,10 +373,17 @@ class _WordMap(dict):
 
     def outer(self, gens):
         """The image of gens, read from the map when it holds it, else
-        built (its suffixes are held) but not stored: a check does not
-        hold the images of its outer words."""
+        built from the held image of gens[1:] (its suffixes are held) but
+        not stored."""
         out = self.get(gens)
-        return self.image(self, gens, None) if out is None else out
+        return self.image(self, gens, self[gens[1:]]) if out is None else out
+
+    def window_word(self, gens, top):
+        """The image of a window word, held when gens is shorter than
+        ``top``, the window's longest word, and built by ``outer`` when it
+        is that long: such a word is the suffix of no window word, so a
+        check holds no image of a word of the window's full length."""
+        return self[gens] if len(gens) < top else self.outer(gens)
 
 
 def _times_t(image, d):
@@ -603,6 +615,7 @@ def gj_relation(fam, gens):
     return out
 
 
+@paused()
 def check_a_infinity(fam, window, via_suspension=False, keep=None):
     """delta o delta = 0 on every basis word in the window; the fully
     expanded signed relations give the same verdict by construction of
@@ -614,12 +627,14 @@ def check_a_infinity(fam, window, via_suspension=False, keep=None):
         name = "a-infinity(suspended)"
         fam = fam if fam.suspended else suspend(fam)
     # one map for both factors: each distinct word's delta is computed once
-    D = _delta_map(fam).__getitem__
+    D = _delta_map(fam)
+    inner, top = D.__getitem__, window.qmax
     return _run_over_words(
-        name, fam, window, lambda gens: _comb_map(D, D(gens)), keep
+        name, fam, window, lambda gens: _comb_map(inner, D.window_word(gens, top)), keep
     )
 
 
+@paused()
 def check_gj_relations(fam, window):
     """The arity-sum form of the relations, one word at a time."""
     return _run_over_words(
@@ -627,6 +642,7 @@ def check_gj_relations(fam, window):
     )
 
 
+@paused()
 def check_unit(fam, unit_sym, window):
     """Unit axioms and the contracting homotopy U(w) = unit tensor w:
     delta(U(w)) + U(delta(w)) = w on every window word.  The pointwise
@@ -739,8 +755,8 @@ def _homotopy_image(K, gens, tail):
 
 def _morphism_map(hfam):
     """The word map of H.  A checker reads it for its inner words and
-    takes its outer words' images with ``outer``, so only inner words and
-    suffixes are held."""
+    takes its outer words' images with ``window_word``, so it holds no
+    image of an outer word of the window's full length."""
     if hfam.role != "h":
         raise ShapeError("morphism_H needs an h family")
     return _WordMap(hfam, _morphism_image, {(): _UNIT})
@@ -764,6 +780,13 @@ def _word_maps(make, f1, f0):
     return M1, M1 if same else make(f0)
 
 
+def _source_reader(D1, D0, top):
+    """How a check reads delta(1) of its window words: by window_word, so
+    no image of a word of the window's full length is held, unless
+    delta(1) is delta(0)'s map, which reads that image next."""
+    return D1.__getitem__ if D1 is D0 else partial(D1.window_word, top=top)
+
+
 def _image_reader(D0):
     """How delta(0) reads the images of H or K: they are written from the
     shared generator table, so without interval labels every one is a
@@ -780,19 +803,23 @@ def morphism_H(hfam, gens, d=0):
     return _times_t(_morphism_image(H, gens, None), d)
 
 
+@paused()
 def check_chain_map(hfam, m0, m1, window, keep=None):
     """Residues of H o delta(1) - delta(0) o H over basis words of the
     source complex (whose differential is m1), summed in one dict per
     word.  The images of H are validated as words of m0 by delta(0) when
-    the table has interval labels."""
+    the table has interval labels.  No image of a word of the window's
+    full length is held, but for delta(1) when it is delta(0)'s map: then
+    delta(0) reads it next."""
     _one_table(hfam, m0, m1)
     H = _morphism_map(hfam)
     D1, D0 = _word_maps(_delta_map, m1, m0)
-    inner, delta0 = H.__getitem__, _image_reader(D0)
+    inner, delta0, top = H.__getitem__, _image_reader(D0), window.qmax
+    delta1 = _source_reader(D1, D0, top)
 
     def residue(gens):
-        out = _comb_map(inner, D1[gens])
-        return _comb_map(delta0, H.outer(gens), out, -1)
+        out = _comb_map(inner, delta1(gens))
+        return _comb_map(delta0, H.window_word(gens, top), out, -1)
 
     return _run_over_words("chain-map", m1, window, residue, keep)
 
@@ -807,25 +834,30 @@ def homotopy_K(h0, h1, kfam, gens, d=0):
     return _times_t(_homotopy_image(K, gens, None), d)
 
 
+@paused()
 def check_homotopy(h0, h1, kfam, m0, m1, window, keep=None):
     """Residues of H(1) - H(0) - K o delta(1) - delta(0) o K, summed in one
     dict per word; the H0 word map serves the outer H(0) and the tails of
     K.  When h0 and h1 are the same family they share one map and H(1) -
-    H(0) is 0, so no outer H image is built."""
+    H(0) is 0, so no outer H image is built.  As in check_chain_map, no
+    image of a word of the window's full length is held, but for delta(1)
+    when it is delta(0)'s map."""
     _one_table(h0, h1, kfam, m0, m1)
     H1, H0 = _word_maps(_morphism_map, h1, h0)
     K = _homotopy_map(h1, kfam, H0)
     D1, D0 = _word_maps(_delta_map, m1, m0)
-    inner, delta0 = K.__getitem__, _image_reader(D0)
+    inner, delta0, top = K.__getitem__, _image_reader(D0), window.qmax
+    delta1 = _source_reader(D1, D0, top)
+    outer1, outer0 = partial(H1.window_word, top=top), partial(H0.window_word, top=top)
 
     def residue(gens):
         out = {}
         if H1 is not H0:
             word = {(gens, 0): 1}
-            _comb_map(H1.outer, word, out)
-            _comb_map(H0.outer, word, out, -1)
-        _comb_map(inner, D1[gens], out, -1)
-        return _comb_map(delta0, K.outer(gens), out, -1)
+            _comb_map(outer1, word, out)
+            _comb_map(outer0, word, out, -1)
+        _comb_map(inner, delta1(gens), out, -1)
+        return _comb_map(delta0, K.window_word(gens, top), out, -1)
 
     return _run_over_words("homotopy", m1, window, residue, keep)
 
@@ -899,6 +931,7 @@ def dga_differential(fam, gens, d=0):
     return _times_t(_derivation_map(fam).checked(gens), d)
 
 
+@paused()
 def check_leibniz(fam, window):
     """d(x (x) y) = d(x) (x) y + (-1)^|x| x (x) d(y) with the shifted word
     degree |x| = sum (mu - 1), at every split of every window word; the
@@ -913,10 +946,10 @@ def check_leibniz(fam, window):
     code of the derivation and of the split."""
     D = _derivation_map(fam)
     shifted = D.aux[1]
+    whole = partial(D.window_word, top=window.qmax)
 
     def residue(gens):
         Q = len(gens)
-        whole = D.outer if Q == window.qmax else D.__getitem__
         total = _comb_map(whole, {(gens, 0): Q - 1})
         prefix = 0
         for cut in range(1, Q):

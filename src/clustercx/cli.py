@@ -15,6 +15,7 @@ import time
 
 from . import barcx, fields, indexcalc, labelings, signs, strata, trees
 from .errors import ClusterCxError, ShapeError, StabilityError
+from .gcpause import paused
 
 
 def _report(args, verdict, data, counterexample=None, started=None):
@@ -298,7 +299,7 @@ def _cmd_labelings(args):
     labs = indexcalc.enumerate_end_labelings(args.l, args.c, args.family)
     data = {
         "count": len(labs),
-        "labelings": sorted(labs),
+        "labelings": labs,
     }
     return _report(args, "pass", data)
 
@@ -429,7 +430,8 @@ def main(argv=None):
         return 2 if e.code not in (0,) else 0
     args._command_echo = " ".join(argv if argv is not None else sys.argv[1:])
     try:
-        return args.fn(args)
+        with paused():
+            return args.fn(args)
     except ClusterCxError as e:
         msg = {"verdict": "fail", "error": type(e).__name__, "detail": str(e)}
         print(json.dumps(msg, sort_keys=True))

@@ -23,6 +23,7 @@ from operator import attrgetter
 
 from . import trees
 from .errors import GhostCornerError, ShapeError, StabilityError
+from .gcpause import paused
 from .signs import sign_concat, sign_lower_quilt, sign_upper_quilt, perm_parity
 from .trees import LEAF, PlanarTree, corolla_dim, vertex, vertex_dim
 
@@ -147,15 +148,16 @@ class FacePoset:
     @property
     def rows(self):
         if self._rows is None:
-            index = self._root_index()
-            templates = {}
-            rows = []
-            for s in self.strata:
-                row = {}
-                for f, sign in _faces(s.tree.root, templates):
-                    b = index[f]
-                    row[b] = row.get(b, 0) + sign
-                rows.append(row)
+            with paused():
+                index = self._root_index()
+                templates = {}
+                rows = []
+                for s in self.strata:
+                    row = {}
+                    for f, sign in _faces(s.tree.root, templates):
+                        b = index[f]
+                        row[b] = row.get(b, 0) + sign
+                    rows.append(row)
             self._rows = rows
         return self._rows
 
@@ -206,6 +208,7 @@ def _wrapped(family, ts, perm=None):
     return out
 
 
+@paused()
 def face_poset(family, l, k):
     """Poset of all strata at (l, k); signed incidence computed lazily.
 

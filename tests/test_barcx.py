@@ -35,6 +35,19 @@ def _count_delta_images(monkeypatch):
     return calls
 
 
+def _kept_maps(monkeypatch, make):
+    """The word maps that B.<make> builds from here on, in order."""
+    maps = []
+    real = getattr(B, make)
+
+    def kept(fam):
+        maps.append(real(fam))
+        return maps[-1]
+
+    monkeypatch.setattr(B, make, kept)
+    return maps
+
+
 class TestAInfinity:
     @pytest.mark.parametrize("name", ["polynomial", "exterior", "circle"])
     def test_delta_squared_zero(self, lib, name):
@@ -57,6 +70,15 @@ class TestAInfinity:
         words = set(B.basis_words(lib[name], WINDOW))
         assert len(words) == report.n_words
         assert len(calls) == len(set(calls)) and words <= set(calls)
+
+    @pytest.mark.parametrize("suspended", [False, True])
+    def test_no_full_length_image_held(self, lib, monkeypatch, suspended):
+        # the outer delta of a word of qmax factors is built but not held:
+        # such a word is the suffix of no window word
+        maps = _kept_maps(monkeypatch, "_delta_map")
+        fam = lib["polynomial"]
+        assert B.check_a_infinity(fam, WINDOW, via_suspension=suspended).passed
+        assert len(maps) == 1 and max(map(len, maps[0])) == WINDOW.qmax - 1
 
     def test_negative_control(self, lib):
         obj = B.family_to_obj(lib["polynomial"])
@@ -283,6 +305,18 @@ class TestMorphismsAndHomotopies:
             assert len(delta1) + len(delta0) == len(calls)
             assert len(delta1) == len(set(delta1)) and words <= set(delta1)
             assert len(delta0) == len(set(delta0)) and bool(delta0) == any_delta0
+
+    def test_no_full_length_source_image_held(self, monkeypatch):
+        # delta(1) and H build the images of the words of qmax factors but
+        # do not hold them; delta(0) is another map here, so it reads none
+        # of delta(1)'s images
+        m0, m1, h = _conjugated_pair()
+        window = B.TruncationWindow(qmax=4)
+        deltas = _kept_maps(monkeypatch, "_delta_map")
+        hs = _kept_maps(monkeypatch, "_morphism_map")
+        assert B.check_chain_map(h, m0, m1, window).passed
+        assert [D.fam for D in deltas] == [m1, m0] and len(hs) == 1
+        assert max(map(len, deltas[0])) == max(map(len, hs[0])) == 3
 
     def test_one_delta_map_for_one_family(self, lib, monkeypatch):
         # a source and target with equal tables, as one object or two, share

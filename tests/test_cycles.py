@@ -8,11 +8,12 @@ and counts what the collector finds unreachable afterwards.
 """
 
 import gc
+import json
 from fractions import Fraction
 
 import pytest
 
-from clustercx import barcx as B, labelings as L, strata, trees
+from clustercx import barcx as B, cli, labelings as L, strata, trees
 
 
 def cycles_left(fn):
@@ -131,3 +132,25 @@ def test_delta_maps_leave_no_cycle():
 def test_leibniz_cache_leaves_no_cycle():
     fam = B.example_library()["circle"]
     assert cycles_left(lambda: B.check_leibniz(fam, B.TruncationWindow(qmax=4))) == 0
+
+
+# commands that run paused; {poly} is the polynomial family's file and
+# {bad} a family file whose generators are no list (ShapeError, exit 1)
+COMMANDS = {
+    "check-ainf": ("check-ainf {poly} --qmax 3 --json", 0),
+    "export": ("export --family Q --l 3 --k 0", 0),
+    "collar": ("collar --l 4 --k 0 --json", 0),
+    "labelings": ("labelings --l 3 --c 2 --json", 0),
+    "ShapeError": ("check-ainf {bad} --qmax 2 --json", 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_paused_commands_leave_no_cycle(name, tmp_path, capsys):
+    poly, bad = tmp_path / "poly.json", tmp_path / "bad.json"
+    poly.write_text(json.dumps(B.family_to_obj(B.example_library()["polynomial"])))
+    bad.write_text(json.dumps({"ops": {"m": {}}, "generators": "ab"}))
+    line, code = COMMANDS[name]
+    argv = line.format(poly=poly, bad=bad).split()
+    assert cli.main(argv) == code  # builds the parser and fills the caches
+    assert cycles_left(lambda: cli.main(argv)) == 0

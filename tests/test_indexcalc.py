@@ -218,10 +218,18 @@ class TestAudit:
         assert rep["forces_cokernel"]
 
 
+def _listed(l, c, family):
+    """The end labelings as a set, after checking that the list is sorted
+    and holds each labeling once."""
+    got = I.enumerate_end_labelings(l, c, family)
+    assert got == sorted(set(got))
+    return set(got)
+
+
 class TestEndLabelings:
     def test_trivial_classes(self):
-        assert I.enumerate_end_labelings(3, 0, "otimes") == {(0, 0, 0, 0)}
-        assert I.enumerate_end_labelings(3, 0, "bullet") == {(1, 1, 1)}
+        assert _listed(3, 0, "otimes") == {(0, 0, 0, 0)}
+        assert _listed(3, 0, "bullet") == {(1, 1, 1)}
 
     def test_counts(self):
         for l in range(1, 5):
@@ -244,13 +252,13 @@ class TestEndLabelings:
                     for ch in itertools.product(range(c + 1), repeat=l + 1)
                     if list(ch) == sorted(ch)
                 }
-                assert I.enumerate_end_labelings(l, c, "otimes") == chains
+                assert _listed(l, c, "otimes") == chains
                 maps = set()
                 for vals in itertools.product(range(1, c + 2), repeat=l):
                     small = [j for j in vals if j <= c]
                     if all(a < b for a, b in zip(small, small[1:])):
                         maps.add(vals)
-                assert I.enumerate_end_labelings(l, c, "bullet") == maps
+                assert _listed(l, c, "bullet") == maps
 
     @pytest.mark.parametrize("family", ["otimes", "bullet"])
     def test_closed_form_counts(self, family):
@@ -278,7 +286,7 @@ class TestEndLabelings:
         for j0 in range(2):
             for j1 in range(j0, 2):
                 brute.add((0, 0) if j0 == j1 else (j0, j1))
-        assert I.enumerate_end_labelings(1, 1, "otimes") == brute
+        assert _listed(1, 1, "otimes") == brute
 
 
 def _random_partition(rng, l):

@@ -306,6 +306,16 @@ class TestEdgeMemo:
         with pytest.raises(AttributeError):
             c.root = None
 
+    def test_equal_paths_are_one_tuple(self):
+        # every edge path is interned, so the trees of a listing, and a
+        # copy that walks its own tree, hold each distinct path once
+        listed = trees.enumerate_types(5, 1, 3)
+        first = {}
+        for t in listed + [pickle.loads(pickle.dumps(listed[0]))]:
+            for p in t.edges():
+                assert first.setdefault(p, p) is p
+        assert len(first) < sum(len(t.edges()) for t in listed)
+
     def test_memo_stays_out_of_the_pickle(self):
         t = trees.enumerate_types(5, 1, 3)[0]
         fresh = pickle.dumps(PlanarTree(t.root))
