@@ -102,7 +102,8 @@ class OperationFamily:
     lists, as (out sym, d, coef, labelled) tuples, the constants of the
     pattern spelled by the path to the node, whose arity is its depth;
     labelled says whether out sym carries an interval label.  The root's
-    terms are the arity-0 constants.
+    terms are the arity-0 constants.  Each generator is checked once, as
+    it is read.
     """
 
     def __init__(
@@ -124,6 +125,12 @@ class OperationFamily:
         self.gens, where = {}, {}
         for t, g in enumerate(generators):
             _refuse_repeat(where, "sym", g.sym, "generators[%d]" % t)
+            if not 0 <= g.coidx <= n:
+                raise ShapeError("co-index of %r outside 0..%d" % (g.sym, n))
+            if g.label != "f":
+                j1, j2 = g.label
+                if not j1 < j2 <= c:
+                    raise BlockError("bad interval label %r on %r" % (g.label, g.sym))
             self.gens[g.sym] = g
         self.suspended = suspended
         table = {}
@@ -168,11 +175,6 @@ class OperationFamily:
                 )
 
     def _validate(self):
-        for g in self.gens.values():
-            if not 0 <= g.coidx <= self.n:
-                raise ShapeError(
-                    "co-index of %r outside 0..%d" % (g.sym, self.n)
-                )
         shift = _ROLE_SHIFT[self.role]
         for l, rules in self.ops.items():
             for pattern, outs in rules.items():
@@ -208,7 +210,8 @@ class OperationFamily:
         return self.ops.get(l, {}).get(tuple(pattern), {})
 
     def validate_word(self, gens):
-        """Enforce the ordered-block constraint on function labels."""
+        """Enforce the ordered-block constraint on function labels, each of
+        which was checked when the family was built."""
         prev = None
         for s in gens:
             g = self.gens.get(s)
@@ -217,8 +220,6 @@ class OperationFamily:
             if g.label == "f":
                 continue
             j1, j2 = g.label
-            if not j1 < j2 <= self.c:
-                raise BlockError("bad interval label %r on %r" % (g.label, s))
             if prev is not None and prev > j1:
                 raise BlockError(
                     "interval labels out of order: %r then %r" % (prev, (j1, j2))
@@ -264,8 +265,9 @@ def basis_words(fam, window):
 
 def _one_table(*fams):
     """Raise ShapeError unless the families share one generator table: the
-    same symbols, each with one co-index and label, and one c.  The words
-    of a check are then valid for all of its families at once."""
+    same symbols, each with one co-index and label, and one c, n and NL.
+    The words of a check are then valid for all of its families at once,
+    with one grading."""
     tables = [{s: (g.coidx, g.label) for s, g in f.gens.items()} for f in fams]
     for sym in sorted(set().union(*tables)):
         entries = [t.get(sym) for t in tables]
@@ -277,11 +279,13 @@ def _one_table(*fams):
             raise ShapeError(
                 "the families of one check differ at generator %r: %s" % (sym, got)
             )
-    if len({f.c for f in fams}) > 1:
-        raise ShapeError(
-            "the families of one check differ in c: %s"
-            % ", ".join(str(f.c) for f in fams)
-        )
+    for what in ("c", "n", "NL"):
+        values = [getattr(f, what) for f in fams]
+        if len(set(values)) > 1:
+            raise ShapeError(
+                "the families of one check differ in %s: %s"
+                % (what, ", ".join(map(str, values)))
+            )
 
 
 # -- combinations ------------------------------------------------------------
@@ -540,9 +544,6 @@ class Report:
     def passed(self):
         return not self.n_failing
 
-    def first_failure(self):
-        return self.failures[0] if self.failures else None
-
     def to_obj(self):
         return {
             "check": self.check,
@@ -607,7 +608,7 @@ def gj_relation(fam, gens):
             sign = -1 if epsilon_gj(j, l1, l2, degs) else 1
             for (sym, dd), icoef in inner.items():
                 new = gens[: j - 1] + (sym,) + gens[j - 1 + l2 :]
-                if fam.gens[sym].label != "f":
+                if sym in fam.labelled:
                     fam.validate_word(new)
                 outer = fam.apply(l1, new)
                 for (sym2, dd2), ocoef in outer.items():
@@ -887,7 +888,7 @@ def _derivation_map(fam):
     bfam = fam if fam.suspended else suspend(fam)
     dual = {
         sym: [
-            (rep, dd, coef, any(bfam.gens[s].label != "f" for s in rep))
+            (rep, dd, coef, not bfam.labelled.isdisjoint(rep))
             for (rep, dd), coef in reps.items()
         ]
         for sym, reps in opposite(bfam).items()

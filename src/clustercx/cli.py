@@ -1,10 +1,13 @@
 """Command-line front end.
 
-Every subcommand prints a short human summary by default, or a canonical
-machine-readable RunReport with ``--json`` (timing excluded so identical
-inputs give byte-identical output).  Exit codes: 0 success, 1 a checked
-relation failed (witness included) or an input was refused, 2 a
-command-line error.
+Every subcommand prints its report as indented JSON by default (with the
+run time for the check commands), or as plain text for ``fvector``,
+``sign`` and ``index``; with ``--json`` it prints a canonical one-line
+RunReport instead (timing excluded so identical inputs give
+byte-identical output).  ``export`` prints the poset in its ``--format``
+either way, and a refused input prints a one-line JSON error either way.
+Exit codes: 0 success, 1 a checked relation failed (witness included) or
+an input was refused, 2 a command-line error.
 """
 
 import argparse
@@ -65,10 +68,6 @@ def _window(args):
 def _add_window_flags(p):
     p.add_argument("--qmax", type=int, default=5)
     p.add_argument("--emax", type=int, default=8)
-    # kept only for perfbench's `check-ainf ... --jobs 2` op; goes with it
-    p.add_argument(
-        "--jobs", type=int, default=1, help="ignored: checks run on one thread"
-    )
 
 
 def _cluster_type_from_obj(obj):
@@ -378,6 +377,10 @@ def build_parser():
     q.add_argument("file")
     q.add_argument("--suspended", action="store_true")
     _add_window_flags(q)
+    # kept only for perfbench's `check-ainf ... --jobs 2` op; goes with it
+    q.add_argument(
+        "--jobs", type=int, default=1, help="ignored: checks run on one thread"
+    )
     q.set_defaults(fn=_cmd_check_ainf)
 
     q = add_parser("check-morphism", help="chain-map relation")

@@ -74,7 +74,8 @@ def _as_tree(ct):
 def index_cr(ct, ec, muF, interior_incidences=0):
     """Index of the linearized operator over a cluster type:
     mu+(root) - sum of leaf mu+ + Maslov, minus ec.n per interior
-    incidence point and per complex node."""
+    incidence point and per complex node.  A negative incidence count is
+    a RangeError."""
     tree = _as_tree(ct)
     l = tree.num_leaves
     if len(ec.mu_leaves) != l:
@@ -82,6 +83,7 @@ def index_cr(ct, ec, muF, interior_incidences=0):
             "endpoint condition has %d leaves, type has %d"
             % (len(ec.mu_leaves), l)
         )
+    check_nonnegative(interior_incidences=interior_incidences)
     return (
         ec.mu_root
         - sum(ec.mu_leaves)
@@ -201,7 +203,8 @@ def reduce(ct, spec):
       III   -- {}: keep only the union of root-to-leaf cores, dropping
                every leafless side branch.
       gen-I / gen-II / gen-III -- bookkeeping-only records carrying
-               {"removed_marks", "interior_incidences", "complex_nodes"}.
+               {"removed_marks", "interior_incidences", "complex_nodes"},
+               each a nonnegative integer.
     """
     before = _as_tree(ct)
     typed(spec, dict, "a surgery spec", error=SurgeryError)
@@ -283,6 +286,10 @@ def reduce(ct, spec):
             key: read(key, int, 0)
             for key in ("removed_marks", "interior_incidences", "complex_nodes")
         }
+        try:
+            check_nonnegative(**counts)
+        except RangeError as e:
+            raise SurgeryError(str(e)) from None
         return ClusterSurgeryRecord(before, before, tag, **counts)
     raise SurgeryError("unknown surgery type %r" % (tag,))
 

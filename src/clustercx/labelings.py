@@ -249,7 +249,9 @@ def is_balanced(lab):
 
 def restrict_plain(lab, t1, t2, witness=None):
     """Restrict a labeling on t2 to a contraction t1 <= t2: surviving
-    labels are unchanged."""
+    labels are unchanged.  ShapeError unless ``lab`` is on t2."""
+    if lab.tree != t2:
+        raise ShapeError("the labeling is not on t2")
     _, emap = _check_witness(t1, t2, witness)
     return EdgeLabeling(t1, {emap[e]: lab[e] for e in emap})
 
@@ -307,9 +309,12 @@ def _ups_from(v, path, witness):
 def restrict_balanced(lab, t1, t2, witness=None):
     """Balanced restriction: each surviving label is multiplied by the
     contracted labels below it and by the contracted labels leading up to
-    a colored vertex, keeping the color products intact."""
+    a colored vertex, keeping the color products intact.  BalanceError
+    unless ``lab`` is balanced, then ShapeError unless it is on t2."""
     if not is_balanced(lab):
         raise BalanceError("input labeling is not balanced")
+    if lab.tree != t2:
+        raise ShapeError("the labeling is not on t2")
     out = {}
     for new_e, down, ups in _contraction_fold(t1, t2, witness):
         value = lab[down[0]]
@@ -554,7 +559,8 @@ def simple_ratio_chart(disk, tree):
 
 def chart_inverse(lab):
     """Reconstruct normalized disk coordinates from chart labels: the root
-    Delta is 1 and the first marking sits at 0."""
+    Delta is 1 and the first marking sits at 0.  A quilted type's labels
+    must be balanced: every colored vertex lies at the seam height."""
     tree = lab.tree
     if not _is_chart_maximal(tree):
         raise ShapeError("chart needs a maximal combinatorial type")
@@ -580,6 +586,8 @@ def chart_inverse(lab):
     for path, (_, col, _) in tree.vertices():
         if col:
             seam = delta[path]
+    if seam is not None and not is_balanced(lab):
+        raise BalanceError("chart labels of a quilted type must be balanced")
     for p, (kind, ref) in zip(pos, seq):
         if kind == "x":
             xs.append(p)

@@ -23,10 +23,8 @@ def sign_concat(l1, j, l2):
 
 def sign_lower_quilt(l1, j, l2):
     """Sign of the quilted facet where an unquilted component bubbles off
-    at slot j: (-1)^((l1-j)*l2 + j).  Always -sign_concat."""
-    if not 1 <= j <= l1:
-        raise RangeError("slot j=%d out of range 1..%d" % (j, l1))
-    return _pm((l1 - j) * l2 + j)
+    at slot j: (-1)^((l1-j)*l2 + j), which is -sign_concat."""
+    return -sign_concat(l1, j, l2)
 
 
 def sign_upper_quilt(ls):

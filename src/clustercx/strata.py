@@ -18,11 +18,11 @@ is relative to that product orientation.
 import json
 import math
 from collections import Counter
-from itertools import chain, combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from operator import attrgetter
 
 from . import trees
-from .errors import GhostCornerError, ShapeError, StabilityError
+from .errors import GhostCornerError, RangeError, ShapeError, StabilityError
 from .gcpause import paused
 from .signs import sign_concat, sign_lower_quilt, sign_upper_quilt, perm_parity
 from .trees import LEAF, PlanarTree, corolla_dim, vertex, vertex_dim
@@ -46,6 +46,14 @@ def dimension(family, l, k):
     if d < 0:
         raise StabilityError("no stable disk with l=%d, k=%d" % (l, k))
     return d
+
+
+def _checked(family, l, k):
+    """(family, dimension) at (l, k), checked as every entry point checks
+    its input: the family name, then the caps, then stability."""
+    family = _norm_family(family)
+    trees.check_caps(l, k)
+    return family, dimension(family, l, k)
 
 
 def _codim(edges, colored):
@@ -180,16 +188,15 @@ class FacePoset:
 
 
 def _strata(family, l, k):
-    """The strata at (l, k) in id order: by codim, then by edge count, then
-    in the canonical order of the trees."""
-    top = dimension(family, l, k)
-    if family != "Q":
-        lists = (trees.enumerate_types(l, k, codim) for codim in range(top + 1))
-        return _wrapped(family, chain.from_iterable(lists))
-    # edges = codim + (colored - 1), and a tree has at most l colored vertices
-    lists = (trees.enumerate_colored_types(l, k, e) for e in range(top + l))
-    out = _wrapped(family, chain.from_iterable(lists))
-    return sorted(out, key=attrgetter("codim"))
+    """The strata at (l, k), after _checked, in id order: by codim, then
+    by edge count, then in the canonical order of the trees.  A K or Ks
+    tree's codim is its edge count."""
+    table = trees.colored if family == "Q" else trees.plain
+    by_edges = trees._listed(table, l, k)
+    out = _wrapped(
+        family, (PlanarTree(v) for e in sorted(by_edges) for v in by_edges[e])
+    )
+    return sorted(out, key=attrgetter("codim")) if family == "Q" else out
 
 
 def _wrapped(family, ts, perm=None):
@@ -215,8 +222,7 @@ def face_poset(family, l, k):
     A poset of more than trees.MAX_STRATA strata raises CapError before
     anything is enumerated.
     """
-    family = _norm_family(family)
-    trees.check_caps(l, k)
+    family = _checked(family, l, k)[0]
     return FacePoset(family, l, k, _strata(family, l, k))
 
 
@@ -230,10 +236,7 @@ def grading_profile(family, l, k):
     dimension(family, l, k) checks the grading.  Returns a new dict on
     every call.
     """
-    family = _norm_family(family)
-    trees.check_caps(l, k)
-    # dimension() raises StabilityError on parameters with no stratum
-    dimension(family, l, k)
+    family = _checked(family, l, k)[0]
     table = trees.colored if family == "Q" else trees.plain
     out = {}
     for (e, ncol, d), n in table(trees.COUNT, l, k)[1].items():
@@ -696,8 +699,7 @@ class TileCounts:
 def tile_counts(l, k):
     """The TileCounts at (l, k), read from the MOVES reading of the tree
     grammar: no tree is listed, so it answers at the caps."""
-    trees.check_caps(l, k)
-    dimension("Ks", l, k)
+    _checked("Ks", l, k)
     total = [sum(c) for c in zip(*trees.plain(trees.MOVES, l, k)[1].values())]
     moves = {key: c for key, c in zip(trees.MOVES.KEYS, total[1:]) if c}
     return TileCounts(l, total[0], moves)
@@ -741,7 +743,7 @@ def local_group_model(stratum):
 class ClusterType:
     """A stratum plus a state per interior edge: 'node', 'line' (with a
     label in (0,1)), or 'broken'.  Complex (interior) nodes are tracked as
-    a count."""
+    a count, which must be nonnegative (RangeError)."""
 
     STATES = frozenset(("node", "line", "broken"))
 
@@ -754,6 +756,11 @@ class ClusterType:
             raise ShapeError(
                 "unknown edge state %s: a state is 'node', 'line' or 'broken'"
                 % ", ".join(sorted(map(repr, unknown)))
+            )
+        if n_complex_nodes < 0:
+            raise RangeError(
+                "complex_nodes must be nonnegative (got complex_nodes=%d)"
+                % n_complex_nodes
             )
         self.stratum = stratum
         self.edge_states = dict(edge_states)
@@ -770,10 +777,10 @@ def collar_cells(l, k):
     glue along the coverings, where the finer cell's labeling extends the
     coarser one by 1-labels.  Returns (strata, coverings).
     """
-    trees.check_caps(l, k)
-    if dimension("K", l, k) < 1:
+    if _checked("K", l, k)[1] < 1:
         raise StabilityError("collar needs positive dimension")
-    poset = face_poset("K", l, k)
+    with paused():
+        poset = FacePoset("K", l, k, _strata("K", l, k))
     return poset.strata, poset.coverings
 
 

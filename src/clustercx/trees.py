@@ -544,8 +544,8 @@ def colored(G, l, k):
     return seqs, subtrees, children
 
 
-def _listed(table, l, k, e):
-    """The LIST reading of ``table`` at (l, k) and ``e`` edges, refused
+def _listed(table, l, k):
+    """The LIST reading of ``table`` at (l, k), {edges: [root]}, refused
     when the COUNT reading finds more than MAX_STRATA trees at (l, k)."""
     total = sum(table(COUNT, l, k)[1].values())
     if total > MAX_STRATA:
@@ -553,7 +553,7 @@ def _listed(table, l, k, e):
             "%d %s trees at l=%d, k=%d, above the cap of %d"
             % (total, table.__name__, l, k, MAX_STRATA)
         )
-    return [PlanarTree(v) for v in table(LIST, l, k)[1].get(e, ())]
+    return table(LIST, l, k)[1]
 
 
 def enumerate_types(l, k, codim):
@@ -568,7 +568,7 @@ def enumerate_types(l, k, codim):
         if codim:
             raise StabilityError("unstable (l,k)=(1,0) admits no refined strata")
         return [PlanarTree(vertex(0, False, (LEAF,)))]
-    return _listed(plain, l, k, codim)
+    return [PlanarTree(v) for v in _listed(plain, l, k).get(codim, ())]
 
 
 def enumerate_colored_types(l, k, n_edges):
@@ -577,7 +577,7 @@ def enumerate_colored_types(l, k, n_edges):
     check_caps(l, k)
     if l < 1:
         raise StabilityError("colored trees need at least one leaf")
-    return _listed(colored, l, k, n_edges)
+    return [PlanarTree(v) for v in _listed(colored, l, k).get(n_edges, ())]
 
 
 def maximal_types(l, k):
@@ -627,11 +627,6 @@ def _splice(v, old, new, slots, edge_set, emap):
             ci, ccol = _splice(item, path, new_path, sub, edge_set, emap)
             slots.append(vertex(ci, ccol, sub))
     return i, col
-
-
-def contract(tree, edge):
-    """Contract a single interior edge."""
-    return contract_set(tree, [edge])[0]
 
 
 def contraction_witness(t1, t2):

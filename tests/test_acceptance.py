@@ -137,7 +137,7 @@ def test_criterion_04_delta_squared_with_negative_control():
                 rule["out"] = [{"sym": "a2", "d": 0, "coef": 2}]
         report = B.check_a_infinity(B.family_from_obj(obj), window)
         assert not report.passed
-        word, residue = report.first_failure()
+        word, residue = report.failures[0]
         assert word and residue
     assert c.elapsed < 30.0
 

@@ -87,7 +87,7 @@ class TestAInfinity:
                 rule["out"] = [{"sym": "a2", "d": 0, "coef": 2}]
         report = B.check_a_infinity(B.family_from_obj(obj), WINDOW)
         assert not report.passed
-        word, residue = report.first_failure()
+        word, residue = report.failures[0]
         assert residue  # located witness
 
     def test_template_raises_listing_missing(self, lib):
@@ -1322,8 +1322,11 @@ class TestOneGeneratorTable:
         change(gens)
         other = list(gens.values())
         h = _identity_h(fam)
-        h_other = B.OperationFamily("h", other, {1: {(s,): [(s, 0, 1)] for s in gens}})
-        k_other = B.OperationFamily("k", other, {})
+        # c = 1 admits the label (0, 1); the generator message comes first
+        h_other = B.OperationFamily(
+            "h", other, {1: {(s,): [(s, 0, 1)] for s in gens}}, c=1
+        )
+        k_other = B.OperationFamily("k", other, {}, c=1)
         window = B.TruncationWindow(qmax=2)
         with pytest.raises(ShapeError, match="generator %r" % sym):
             B.check_chain_map(h_other, fam, fam, window)
@@ -1331,6 +1334,49 @@ class TestOneGeneratorTable:
             B.check_homotopy(h, h, k_other, fam, fam, window)
         with pytest.raises(ShapeError, match="generator %r" % sym):
             B.homotopy_K(h, h, k_other, ("a",))
+
+    @pytest.mark.parametrize(
+        "what, h_value, target_value",
+        [("n", 3, 3), ("NL", 3, 4)],
+    )
+    def test_one_grading(self, lib, what, h_value, target_value):
+        # the polynomial family as the source, its copy at another n or NL
+        # as the target and an identity h at a third: one generator table
+        # graded two ways
+        poly = lib["polynomial"]
+        obj = B.family_to_obj(poly)
+        obj[what] = target_value
+        target = B.family_from_obj(obj)
+        grading = dict(n=poly.n, NL=poly.NL)
+        grading[what] = h_value
+        h = B.OperationFamily(
+            "h", list(poly.gens.values()), {1: {(s,): [(s, 0, 1)] for s in poly.gens}},
+            **grading
+        )
+        with pytest.raises(ShapeError) as info:
+            B.check_chain_map(h, target, poly, B.TruncationWindow(qmax=3))
+        assert str(info.value) == "the families of one check differ in %s: %d, %d, %d" % (
+            what, h_value, target_value, getattr(poly, what)
+        )
+
+    @pytest.mark.parametrize("label", [[2, 1], [1, 1], [0, 2]])
+    def test_malformed_label_refused_when_built(self, label):
+        # with c = 1 only (0, 1) is an interval; a malformed label on b
+        # once dropped b from every word, so m2(a, b) = a was never read
+        obj = {
+            "c": 1,
+            "generators": [
+                {"sym": "a", "coidx": 0},
+                {"sym": "b", "coidx": 0, "label": label},
+            ],
+            "ops": {"m": {"2": [{"in": ["a", "b"], "out": [{"sym": "a", "coef": 1}]}]}},
+        }
+        with pytest.raises(BlockError) as info:
+            B.family_from_obj(obj)
+        assert str(info.value) == "bad interval label %r on 'b'" % (tuple(label),)
+        obj["generators"][1]["label"] = [0, 1]
+        words = B.basis_words(B.family_from_obj(obj), B.TruncationWindow(qmax=2))
+        assert ("a", "b") in words
 
     def test_gj_relation_validates_its_rewrites(self):
         # the arity-sum form refuses the rewrite (u, x) -> (u, v) as delta does

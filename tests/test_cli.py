@@ -326,6 +326,27 @@ class TestChecks:
         obj = json.loads(out)
         assert obj["error"] == "CapError" and "above the cap" in obj["detail"]
 
+    def test_malformed_label_family_refused(self, capsys, tmp_path):
+        # b's label (2, 1) is no interval at c = 1; check-ainf once passed
+        # this family on 3 words without reading m2(a, b) = a
+        obj = {
+            "c": 1,
+            "generators": [
+                {"sym": "a", "coidx": 0},
+                {"sym": "b", "coidx": 0, "label": [2, 1]},
+            ],
+            "ops": {"m": {"2": [{"in": ["a", "b"], "out": [{"sym": "a", "coef": 1}]}]}},
+        }
+        p = tmp_path / "bad_label.json"
+        p.write_text(json.dumps(obj))
+        code, out = run(capsys, "check-ainf", str(p), "--qmax", "3", "--json")
+        assert code == 1
+        assert json.loads(out) == {
+            "verdict": "fail",
+            "error": "BlockError",
+            "detail": "bad interval label (2, 1) on 'b'",
+        }
+
     def test_jobs_flag(self, capsys, family_files):
         code, _ = run(
             capsys,
@@ -352,10 +373,14 @@ class TestChecks:
         ids=["check-ainf", "check-morphism", "check-homotopy"],
     )
     def test_jobs_changes_only_the_echo(self, capsys, family_files, argv):
-        # --jobs is accepted and ignored: the same failing report either way
+        # check-ainf accepts --jobs and ignores it: the same failing report
+        # either way; the other check commands refuse it as unknown
         argv = [family_files[a[1:]] if a.startswith("@") else a for a in argv]
-        code1, out1 = run(capsys, *argv, "--json")
         code2, out2 = run(capsys, *argv, "--jobs", "2", "--json")
+        if argv[0] != "check-ainf":
+            assert code2 == 2 and not out2
+            return
+        code1, out1 = run(capsys, *argv, "--json")
         plain, jobs = json.loads(out1), json.loads(out2)
         assert code1 == code2 == 1
         assert plain["verdict"] == "fail" and plain["counterexample"]
@@ -478,6 +503,63 @@ class TestIndexCommands:
         p.write_text(json.dumps(obj))
         code, out = run(capsys, "index", str(p), "--json")
         assert code == 0 and "index" in json.loads(out)["data"]
+
+    @pytest.mark.parametrize(
+        "counts, detail",
+        [
+            ({"interior_incidences": -3},
+             "interior_incidences must be nonnegative (got interior_incidences=-3)"),
+            ({"complex_nodes": -1},
+             "complex_nodes must be nonnegative (got complex_nodes=-1)"),
+            # both at once once read as index 8
+            ({"interior_incidences": -3, "complex_nodes": -1},
+             "complex_nodes must be nonnegative (got complex_nodes=-1)"),
+        ],
+        ids=["incidences", "complex-nodes", "both"],
+    )
+    def test_index_negative_counts(self, capsys, tmp_path, counts, detail):
+        # a 3-leaf corolla with every co-index 0
+        obj = dict(
+            {"tree": {"children": ["x", "x", "x"]}, "mu_root": 0, "mu_leaves": [0, 0, 0]},
+            **counts,
+        )
+        p = tmp_path / "ct.json"
+        p.write_text(json.dumps(obj))
+        code, out = run(capsys, "index", str(p), "--json")
+        assert code == 1
+        assert json.loads(out) == {"verdict": "fail", "error": "RangeError", "detail": detail}
+
+    @pytest.mark.parametrize("key", ["removed_marks", "interior_incidences", "complex_nodes"])
+    @pytest.mark.parametrize("cmd", ["reduce", "audit"])
+    def test_gen_spec_negative_count(self, capsys, tmp_path, cmd, key):
+        # on a tree without marks, removed_marks -5 once gave k_after 5 and
+        # a forced cokernel
+        p = tmp_path / "t.json"
+        p.write_text(json.dumps({"tree": {"children": ["x", "x", "x"]}}))
+        spec = json.dumps({"type": "gen-I", key: -5})
+        extra = ["--assumed-index", "0"] if cmd == "audit" else []
+        code, out = run(capsys, cmd, str(p), "--surgery", spec, *extra, "--json")
+        assert code == 1
+        obj = json.loads(out)
+        assert obj["error"] == "SurgeryError"
+        assert obj["detail"].endswith("must be nonnegative (got %s)" % ", ".join(
+            "%s=%d" % (k, -5 if k == key else 0)
+            for k in ("removed_marks", "interior_incidences", "complex_nodes")
+        ))
+
+    def test_chart_invert_refuses_unbalanced_quilted_labels(self, capsys, tmp_path):
+        # both colored vertices lie at the seam, so their Deltas agree
+        colored = {"col": True, "children": ["x"]}
+        obj = {"tree": {"children": [colored, colored]}, "labels": {"0": "1/2", "1": "1"}}
+        p = tmp_path / "q.json"
+        p.write_text(json.dumps(obj))
+        code, out = run(capsys, "chart", str(p), "--invert", "--json")
+        assert code == 1
+        assert json.loads(out)["error"] == "BalanceError"
+        obj["labels"] = {"0": "1/2", "1": "1/2"}
+        p.write_text(json.dumps(obj))
+        code, out = run(capsys, "chart", str(p), "--invert", "--json")
+        assert code == 0 and json.loads(out)["data"]["seam"] == "1/2"
 
     def test_index_unknown_edge_state(self, capsys, tmp_path):
         obj = {

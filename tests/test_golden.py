@@ -308,7 +308,7 @@ def _algebra_cases():
     out.append(
         ["check-morphism", "--morphism", "mixed_h.json", "--source",
          "mixed_m1.json", "--target", "mixed_m0.json", "--qmax", "4",
-         "--emax", "0", "--jobs", "2"]
+         "--emax", "0"]
     )
     for h0, h1, k, source, target in (
         ("id_h", "id_h", "zero_k", "poly", "poly"),
@@ -498,8 +498,8 @@ GOLDEN = {
         ("f3292d3540b45a95ee9c34b83ac1a15d41d8b8c6681bfc17a644bce5fbc36b42", 1),
     "check-morphism --morphism mixed_h0.json --source mixed_m1.json --target mixed_m1.json --qmax 3 --json":
         ("c4333e5c298eaa7f59ce998d12867d86edc2a62d826290fa4dbbf34e27f77aa6", 1),
-    "check-morphism --morphism mixed_h.json --source mixed_m1.json --target mixed_m0.json --qmax 4 --emax 0 --jobs 2 --json":
-        ("d30ba034a6b3a42cfd1af9d54dd4757fafe4ce5b3f1b5d51365783151f9edc66", 1),
+    "check-morphism --morphism mixed_h.json --source mixed_m1.json --target mixed_m0.json --qmax 4 --emax 0 --json":
+        ("4bd5f3509d87004be3bc6a79aa3457b8b16969f44a5383e4fc4b86b6520e7979", 1),
     "check-homotopy --h0 id_h.json --h1 id_h.json --homotopy zero_k.json --source poly.json --target poly.json --qmax 3 --json":
         ("519bc8b3aefe3f27f82500bcb4c0566a66a92668cefb461230d79821e088f58a", 0),
     "check-homotopy --h0 double_h.json --h1 id_h.json --homotopy zero_k.json --source poly.json --target poly.json --qmax 3 --json":

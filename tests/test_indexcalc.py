@@ -11,6 +11,7 @@ from clustercx.errors import (
     CapError,
     DegenerateError,
     MonotoneError,
+    RangeError,
     ShapeError,
     SurgeryError,
 )
@@ -40,6 +41,17 @@ class TestIndexCr:
             assert I.index_cr(top, ec, 0, interior_incidences=2) == -2 * n
             with pytest.raises(ShapeError, match="outside 0..%d" % n):
                 I.EndpointCondition(n + 1, [0, 0], n=n)
+
+    def test_negative_counts_refused(self):
+        # a 3-leaf corolla with every co-index 0 once had index 8 at
+        # interior_incidences -3 and complex_nodes -1
+        t = PlanarTree(vertex(0, False, (LEAF, LEAF, LEAF)))
+        ec = I.EndpointCondition(0, [0, 0, 0])
+        with pytest.raises(RangeError, match=r"\(got interior_incidences=-3\)"):
+            I.index_cr(t, ec, 0, interior_incidences=-3)
+        with pytest.raises(RangeError, match=r"\(got complex_nodes=-1\)"):
+            S.ClusterType(S.Stratum("K", t), {}, n_complex_nodes=-1)
+        assert I.index_cr(S.ClusterType(S.Stratum("K", t), {}), ec, 0) == 0
 
     def test_additivity_random(self):
         rng = random.Random(3)
@@ -184,6 +196,13 @@ class TestSurgeries:
         t = PlanarTree(vertex(0, False, (LEAF, vertex(1, False, (LEAF, LEAF)))))
         with pytest.raises(SurgeryError, match=message):
             I.reduce(t, spec)
+
+    @pytest.mark.parametrize("key", ["removed_marks", "interior_incidences", "complex_nodes"])
+    def test_generalized_counts_nonnegative(self, key):
+        t = PlanarTree(vertex(0, False, (LEAF, LEAF, LEAF)))
+        for tag in ("gen-I", "gen-II", "gen-III"):
+            with pytest.raises(SurgeryError, match="%s=-1" % key):
+                I.reduce(t, {"type": tag, key: -1})
 
     def test_generalized_bookkeeping(self):
         t = PlanarTree(vertex(2, False, (LEAF, LEAF)))

@@ -535,10 +535,17 @@ class TestRefusals:
              BalanceError, "input labeling is not balanced"),
             (lambda: L.MarkedDisk([0, 2, 2]), OrderError,
              "boundary positions must increase"),
+            # a labeling of another tree was read by edge path
+            (lambda: L.restrict_plain(_ones(RIGHT3), PLAIN3, PLAIN3), ShapeError,
+             "the labeling is not on t2"),
+            (lambda: L.restrict_balanced(
+                _ones(TWO_COLORS), QUILTED2, PlanarTree(vertex(0, False, (_C, _C, _C)))),
+             ShapeError, "the labeling is not on t2"),
         ],
         ids=["zero-divisor", "hash", "float", "unbalanced-plain",
              "random-plain", "not-a-contraction", "wrong-witness",
-             "restrict-unbalanced", "disk-order"],
+             "restrict-unbalanced", "disk-order", "restrict-plain-other-tree",
+             "restrict-balanced-other-tree"],
     )
     def test_refusals(self, call, error, message):
         with pytest.raises(error) as info:

@@ -1128,6 +1128,39 @@ def _export_sweep():
     return out
 
 
+class TestOneCheckPerCall:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: strata.face_poset("K", 6, 0),
+            lambda: strata.face_poset("Q", 4, 0),
+            lambda: strata.face_poset("Ks", 3, 1),
+            lambda: strata.collar_cells(5, 0),
+        ],
+        ids=["face_poset-K", "face_poset-Q", "face_poset-Ks", "collar_cells"],
+    )
+    def test_entry_point_checks_its_input_once(self, monkeypatch, call):
+        # with warm tables a call that lists its strata checks the caps and
+        # the stability of its (l, k) once, and sums the COUNT reading once
+        call()
+        seen = Counter()
+        for module, name in (
+            (trees, "check_caps"),
+            (strata, "dimension"),
+            (trees, "params_stable"),
+            (trees, "_listed"),
+        ):
+            real = getattr(module, name)
+
+            def spied(*args, real=real, name=name):
+                seen[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(module, name, spied)
+        call()
+        assert seen == Counter(check_caps=1, dimension=1, _listed=1)
+
+
 class TestCollarAndExport:
     def test_strata_cap(self, monkeypatch):
         # K (4, 0) has 11 strata: a poset of exactly MAX_STRATA is built

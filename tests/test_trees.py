@@ -398,7 +398,7 @@ class TestContraction:
         # exists as a tree but breaks the colored axiom
         c = vertex(0, True, (LEAF,))
         t2 = PlanarTree(vertex(0, False, (c, c)))
-        t1 = trees.contract(t2, (0,))
+        t1 = trees.contract_set(t2, [(0,)])[0]
         assert t1 == PlanarTree(vertex(0, True, (LEAF, c)))
         assert not t1.check_colored_axiom()
         assert trees.contraction_witness(t1, t2) is None
@@ -410,7 +410,7 @@ class TestContraction:
         ts = trees.enumerate_types(l, 0, e)
         for t in ts[:5]:
             for edge in t.edges():
-                c = trees.contract(t, edge)
+                c = trees.contract_set(t, [edge])[0]
                 assert c.num_leaves == l
                 assert c.n_edges == e - 1
 
